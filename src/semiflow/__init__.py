@@ -8,12 +8,9 @@ of resolvents, Laplace-transform cross-checks), certificate-style generation
 checks of Lumer-Phillips type, and weighted directed graph transport flows
 with vertex redistribution solved both by characteristics and by an upwind
 scheme.
-
-Hot kernels are JIT-compiled with numba when available; set the environment
-variable ``SEMIFLOW_NO_NUMBA=1`` to force the pure numpy/scipy fallbacks.
 """
 
-from ._kernels import NUMBA_ENABLED, damped_cumulative_integral, warmup
+from ._kernels import damped_cumulative_integral
 from .grid import (Grid, GridFunction, differentiate, integrate, read_csv,
                    supnorm, window_sup, write_csv)
 from .seminorms import (CompactSeminormFamily, MixedSeminorm,
@@ -47,7 +44,7 @@ from .network import (Edge, EdgeState, Network, ValidationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED", "damped_cumulative_integral", "warmup",
+    "damped_cumulative_integral",
     "Grid", "GridFunction", "differentiate", "integrate", "read_csv",
     "supnorm", "window_sup", "write_csv",
     "CompactSeminormFamily", "MixedSeminorm", "WindowOrientation",

@@ -1,9 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a plain NumPy/SciPy fallback.
-
-The jitted path is used when numba imports cleanly and the environment
-variable ``SEMIFLOW_NO_NUMBA`` is unset (or set to ``0``/``false``/``no``).
-Setting the flag selects the fallback implementations, which produce the
-same results up to floating-point reassociation.
+"""Hot numeric kernels, written with NumPy and SciPy.
 
 Kernels:
 
@@ -19,30 +14,20 @@ Kernels:
 
 ``trace_transport``
     Exact evolution of edge transport by backtracking characteristics
-    through vertices (depth-first, weights from the coupling matrix).
+    through vertices (one vectorized frontier, weights from the coupling
+    matrix).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.signal import lfilter
 
-
-def _flag_disables_numba() -> bool:
-    value = os.environ.get("SEMIFLOW_NO_NUMBA", "")
-    return value.strip().lower() not in ("", "0", "false", "no")
-
-
-NUMBA_ENABLED = False
-if not _flag_disables_numba():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
+# Most frontier entries one ``trace_transport`` call may create, summed over
+# all vertex crossings.  The frontier holds every live path at once, and the
+# path count grows exponentially with t on a branching graph.  At about 100
+# bytes per entry of the largest level this keeps one call below ~400 MB.
+FRONTIER_LIMIT = 2 ** 22
 
 
 def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,38 +99,16 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     scalar_rate = rate_arr.ndim == 0
     if not scalar_rate and rate_arr.shape != (n,):
         raise ValueError("rate must be a scalar or one value per panel")
-    if scalar_rate and not NUMBA_ENABLED:
+    if scalar_rate:
         d, a, b = panel_decay_weights(rate_arr * h)
         return _damped_cumsum_lfilter(v, float(d), float(a) * h, float(b) * h)
     z = np.broadcast_to(rate_arr * h, (n,))
     d, a, b = panel_decay_weights(z)
-    return _damped_cumsum(v, d, a * h, b * h)
+    return _damped_cumsum_py(v, d, a * h, b * h)
 
 
 # ---------------------------------------------------------------------------
 # upwind sweep
-
-
-def _upwind_sweep_py(u, coupling, nu, dtq, n_steps):
-    n_edges = u.shape[0]
-    last = u.shape[1] - 1
-    for _ in range(n_steps):
-        for j in range(n_edges):
-            for i in range(last):
-                u[j, i] = u[j, i] + nu[j] * (u[j, i + 1] - u[j, i]) + dtq[j, i] * u[j, i]
-        for j in range(n_edges):
-            s = 0.0
-            for k in range(n_edges):
-                s += coupling[j, k] * u[k, 0]
-            u[j, last] = s
-    return u
-
-
-def _upwind_sweep_numpy(u, coupling, nu, dtq, n_steps):
-    for _ in range(n_steps):
-        u[:, :-1] += nu[:, None] * (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] * u[:, :-1]
-        u[:, -1] = coupling @ u[:, 0]
-    return u
 
 
 def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
@@ -158,82 +121,27 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
     which keeps the unit-CFL step an exact shift.
     """
     u = np.array(values, dtype=np.float64, copy=True)
-    impl = _upwind_sweep_jit if NUMBA_ENABLED else _upwind_sweep_numpy
-    return impl(u, np.ascontiguousarray(coupling, dtype=np.float64),
-                np.ascontiguousarray(nu, dtype=np.float64),
-                np.ascontiguousarray(dtq, dtype=np.float64), int(n_steps))
+    coupling = np.asarray(coupling, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    dtq = np.asarray(dtq, dtype=np.float64)
+    for _ in range(int(n_steps)):
+        u[:, :-1] += nu[:, None] * (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] * u[:, :-1]
+        u[:, -1] = coupling @ u[:, 0]
+    return u
 
 
 # ---------------------------------------------------------------------------
 # characteristic tracing
 
 
-def _lin_interp_py(v, p, h, n):
-    idx = int(p / h)
-    if idx < 0:
-        idx = 0
-    if idx > n - 1:
-        idx = n - 1
-    frac = p / h - idx
-    if frac < 0.0:
-        frac = 0.0
-    elif frac > 1.0:
-        frac = 1.0
-    return (1.0 - frac) * v[idx] + frac * v[idx + 1]
-
-
-def _trace_transport_py(values, indptr, colind, bweight, c, qcum, h, t, cap):
-    n_edges, n_nodes = values.shape
-    n = n_nodes - 1
-    out = np.empty_like(values)
-    levels = cap + 2
-    edge_l = np.empty(levels, np.int64)
-    child_l = np.empty(levels, np.int64)
-    trem_l = np.empty(levels, np.float64)
-    w_l = np.empty(levels, np.float64)
-    for j0 in range(n_edges):
-        for i0 in range(n_nodes):
-            x0 = i0 * h
-            edge_l[0] = j0
-            child_l[0] = -1
-            trem_l[0] = t
-            w_l[0] = 1.0
-            top = 0
-            acc = 0.0
-            while top >= 0:
-                j = edge_l[top]
-                pos = x0 if top == 0 else 0.0
-                if child_l[top] == -1:
-                    trem = trem_l[top]
-                    s_tail = (1.0 - pos) / c[j]
-                    if trem <= s_tail:
-                        foot = pos + c[j] * trem
-                        if foot > 1.0:
-                            foot = 1.0
-                        gain = (_lin_interp(qcum[j], foot, h, n)
-                                - _lin_interp(qcum[j], pos, h, n)) / c[j]
-                        acc += w_l[top] * np.exp(gain) * _lin_interp(values[j], foot, h, n)
-                        top -= 1
-                        continue
-                    gain = (qcum[j, n] - _lin_interp(qcum[j], pos, h, n)) / c[j]
-                    w_l[top] = w_l[top] * np.exp(gain)
-                    trem_l[top] = trem - s_tail
-                    child_l[top] = indptr[j]
-                if child_l[top] < indptr[j + 1]:
-                    idx = child_l[top]
-                    child_l[top] += 1
-                    if top + 1 >= levels:
-                        raise RuntimeError(
-                            "characteristic tracing exceeded the crossing cap")
-                    edge_l[top + 1] = colind[idx]
-                    child_l[top + 1] = -1
-                    trem_l[top + 1] = trem_l[top]
-                    w_l[top + 1] = w_l[top] * bweight[idx]
-                    top += 1
-                else:
-                    top -= 1
-            out[j0, i0] = acc
-    return out
+def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
+                h: float) -> np.ndarray:
+    """Linear interpolant of the rows ``table[edge]`` at the points ``pos``,
+    clamped to the end panels."""
+    n = table.shape[1] - 1
+    idx = np.clip((pos / h).astype(np.int64), 0, n - 1)
+    frac = np.clip(pos / h - idx, 0.0, 1.0)
+    return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
 
 
 def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
@@ -244,54 +152,65 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     lists the incoming edges feeding edge j's tail.  ``qcum`` holds per-edge
     cumulative integrals of the zero-order coefficient, used for the
     exponential gain along each characteristic segment.  ``cap`` bounds the
-    number of vertex crossings per traced point.
+    number of vertex crossings per traced point (``RuntimeError`` beyond it).
+
+    All nodes are traced at once as a frontier of paths.  Each iteration
+    advances every path by one edge segment: a path whose foot lies on its
+    edge adds its weighted value to its origin node, and every other path
+    splits over the children of its edge and continues from their heads.
+    A call that would create more than ``FRONTIER_LIMIT`` entries in total
+    raises ``ValueError``.
     """
-    vals = np.ascontiguousarray(values, dtype=np.float64)
-    bc = np.ascontiguousarray(coupling, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    bc = np.asarray(coupling, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    qcum = np.asarray(qcum, dtype=np.float64)
+    h, t = float(h), float(t)
+    n_edges, n_nodes = vals.shape
+    n = n_nodes - 1
     # CSR of the rows of the coupling matrix (children of each edge)
-    n_edges = bc.shape[0]
-    indptr = np.zeros(n_edges + 1, dtype=np.int64)
-    cols = []
-    data = []
-    for j in range(n_edges):
-        nz = np.nonzero(bc[j])[0]
-        indptr[j + 1] = indptr[j] + nz.shape[0]
-        cols.append(nz)
-        data.append(bc[j, nz])
-    colind = (np.concatenate(cols) if cols else np.zeros(0)).astype(np.int64)
-    bweight = (np.concatenate(data) if data else np.zeros(0)).astype(np.float64)
-    impl = _trace_transport_jit if NUMBA_ENABLED else _trace_transport_py
-    return impl(vals, indptr, colind, bweight,
-                np.ascontiguousarray(c, dtype=np.float64),
-                np.ascontiguousarray(qcum, dtype=np.float64),
-                float(h), float(t), int(cap))
+    rows, cols = np.nonzero(bc)
+    n_children = np.bincount(rows, minlength=n_edges)
+    first_child = np.cumsum(n_children) - n_children
+    bweight = bc[rows, cols]
 
+    origin = np.arange(n_edges * n_nodes)
+    edge = np.repeat(np.arange(n_edges), n_nodes)
+    pos = np.tile(np.arange(n_nodes) * h, n_edges)
+    trem = np.full(origin.size, t)
+    weight = np.ones(origin.size)
+    out = np.zeros(origin.size)
+    total = origin.size
+    level = 0
+    while origin.size:
+        ce = c[edge]
+        to_tail = (1.0 - pos) / ce
+        done = trem <= to_tail
+        e, p = edge[done], pos[done]
+        foot = np.minimum(p + ce[done] * trem[done], 1.0)
+        gain = (_lin_interp(qcum, e, foot, h) - _lin_interp(qcum, e, p, h)) / ce[done]
+        np.add.at(out, origin[done],
+                  weight[done] * np.exp(gain) * _lin_interp(vals, e, foot, h))
 
-# ---------------------------------------------------------------------------
-# path selection
-
-if NUMBA_ENABLED:
-    _damped_cumsum_jit = njit(cache=True)(_damped_cumsum_py)
-    _upwind_sweep_jit = njit(cache=True)(_upwind_sweep_py)
-    _lin_interp = njit(cache=True, inline="always")(_lin_interp_py)
-    _trace_transport_jit = njit(cache=True)(_trace_transport_py)
-    _damped_cumsum = _damped_cumsum_jit
-else:
-    _damped_cumsum_jit = None
-    _upwind_sweep_jit = None
-    _lin_interp = _lin_interp_py
-    _trace_transport_jit = None
-    _damped_cumsum = _damped_cumsum_py
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the fallback path)."""
-    if not NUMBA_ENABLED:
-        return
-    v = np.array([0.0, 1.0, 0.5])
-    damped_cumulative_integral(v, 0.5, 1.0)
-    damped_cumulative_integral(v, 0.5, np.array([1.0, 2.0]))
-    u = np.zeros((2, 3))
-    eye = np.eye(2)
-    upwind_sweep(u, eye, np.array([0.5, 0.5]), np.zeros((2, 3)), 1)
-    trace_transport(u, eye, np.array([1.0, 1.0]), np.zeros((2, 3)), 0.5, 0.7, 4)
+        go = ~done
+        e = edge[go]
+        counts = n_children[e]
+        size = int(counts.sum())
+        if size and level > cap:
+            raise RuntimeError("characteristic tracing exceeded the crossing cap")
+        total += size
+        if total > FRONTIER_LIMIT:
+            raise ValueError(
+                f"characteristic tracing to t = {t!r} would create {total} "
+                f"frontier entries, more than the limit of {FRONTIER_LIMIT}; "
+                "choose a smaller t")
+        gain = (qcum[e, n] - _lin_interp(qcum, e, pos[go], h)) / ce[go]
+        child = (np.repeat(first_child[e], counts) + np.arange(size)
+                 - np.repeat(np.cumsum(counts) - counts, counts))
+        origin = np.repeat(origin[go], counts)
+        trem = np.repeat(trem[go] - to_tail[go], counts)
+        weight = np.repeat(weight[go] * np.exp(gain), counts) * bweight[child]
+        edge = cols[child]
+        pos = np.zeros(size)
+        level += 1
+    return out.reshape(n_edges, n_nodes)

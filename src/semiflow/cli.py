@@ -9,7 +9,8 @@ Subcommands map one-to-one onto the library's verification workflows:
 * ``simulate``       network transport evolution (characteristics or upwind)
 * ``resolvent``      resolvent evaluation with optional Laplace cross-check
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.  All
+Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input or input
+the solvers cannot handle (resolvent breakdown, tracing over budget).  All
 floating-point output is serialized with 17 significant digits and every
 command is deterministic for a fixed configuration.
 """
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,6 +87,18 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
     return out
 
 
+def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
+                     damping: Callable[[float], float]) -> Any:
+    """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds."""
+    acc = None
+    for k in range(int(steps) + 1):
+        s = k * ds
+        w = 0.5 if k in (0, steps) else 1.0
+        term = sg.apply(s, f) * (w * damping(s))
+        acc = term if acc is None else acc + term
+    return acc * ds
+
+
 class LaplaceResult(NamedTuple):
     value: Any
     tail_bound: float
@@ -108,14 +120,8 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
         raise ValueError("horizon must be positive")
     if int(steps) != steps or steps < 1:
         raise ValueError("steps must be an integer >= 1")
-    ds = horizon / steps
-    acc = None
-    for k in range(int(steps) + 1):
-        s = k * ds
-        w = 0.5 if k in (0, steps) else 1.0
-        term = sg.apply(s, f) * (w * math.exp(-lam * s))
-        acc = term if acc is None else acc + term
-    value = acc * ds
+    value = _trapezoid_orbit(sg, f, horizon / steps, steps,
+                             lambda s: math.exp(-lam * s))
     tail = math.exp(-lam * horizon) * f.norm() / lam
     return LaplaceResult(value, tail)
 
@@ -128,13 +134,7 @@ def orbit_integral_residual(gen: Generator, sg: Semigroup, t: float, f: Any,
         raise ValueError("time must be nonnegative")
     if t == 0:
         return 0.0
-    ds = t / steps
-    acc = None
-    for k in range(int(steps) + 1):
-        w = 0.5 if k in (0, steps) else 1.0
-        term = sg.apply(k * ds, f) * w
-        acc = term if acc is None else acc + term
-    orbit = acc * ds
+    orbit = _trapezoid_orbit(sg, f, t / steps, steps, lambda s: 1.0)
     lhs = gen.apply(orbit)
     rhs = sg.apply(t, f) - f
     return (lhs - rhs).norm()

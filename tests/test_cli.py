@@ -2,10 +2,17 @@
 CSV artifacts, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semiflow
 from semiflow.cli import main
+
+TWO_CYCLE = Path(__file__).resolve().parents[1] / "configs" / "two_cycle.json"
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +149,31 @@ def test_simulate_upwind_solver(tmp_path, capsys):
 def test_simulate_missing_file_exits_two(capsys):
     code, _ = run_cli(capsys, "simulate", "--network", "/does/not/exist.json")
     assert code == 2
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so that an uncaught exception
+    shows as a traceback on stderr."""
+    pkg_root = os.path.dirname(os.path.dirname(semiflow.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=pkg_root + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "semiflow.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    # the coupling system is singular to working precision at this lambda
+    ("check", "--network", str(TWO_CYCLE), "--lambda", "1e-12"),
+    # the exact tracer would follow ~1e9 vertex crossings per point
+    ("simulate", "--network", str(TWO_CYCLE), "--t", "1e9"),
+], ids=["resolvent_breakdown", "tracing_over_budget"])
+def test_unsolvable_network_input_exits_two(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_network(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Kernel-level tests: quadrature weights, recurrences, and the parity of the
-JIT and fallback implementations."""
+vectorized kernels with scalar loop references."""
+
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +103,107 @@ def test_damped_integral_validates_input():
         K.damped_cumulative_integral(np.ones(1), 0.1, 1.0)
 
 
+# Scalar loop references: the upwind sweep and the depth-first characteristic
+# tracer that the vectorized kernels replaced, kept as written.
+
+def _upwind_sweep_py(u, coupling, nu, dtq, n_steps):
+    n_edges = u.shape[0]
+    last = u.shape[1] - 1
+    for _ in range(n_steps):
+        for j in range(n_edges):
+            for i in range(last):
+                u[j, i] = u[j, i] + nu[j] * (u[j, i + 1] - u[j, i]) + dtq[j, i] * u[j, i]
+        for j in range(n_edges):
+            s = 0.0
+            for k in range(n_edges):
+                s += coupling[j, k] * u[k, 0]
+            u[j, last] = s
+    return u
+
+
+def _lin_interp_py(v, p, h, n):
+    idx = int(p / h)
+    if idx < 0:
+        idx = 0
+    if idx > n - 1:
+        idx = n - 1
+    frac = p / h - idx
+    if frac < 0.0:
+        frac = 0.0
+    elif frac > 1.0:
+        frac = 1.0
+    return (1.0 - frac) * v[idx] + frac * v[idx + 1]
+
+
+_lin_interp = _lin_interp_py
+
+
+def _trace_transport_py(values, indptr, colind, bweight, c, qcum, h, t, cap):
+    n_edges, n_nodes = values.shape
+    n = n_nodes - 1
+    out = np.empty_like(values)
+    levels = cap + 2
+    edge_l = np.empty(levels, np.int64)
+    child_l = np.empty(levels, np.int64)
+    trem_l = np.empty(levels, np.float64)
+    w_l = np.empty(levels, np.float64)
+    for j0 in range(n_edges):
+        for i0 in range(n_nodes):
+            x0 = i0 * h
+            edge_l[0] = j0
+            child_l[0] = -1
+            trem_l[0] = t
+            w_l[0] = 1.0
+            top = 0
+            acc = 0.0
+            while top >= 0:
+                j = edge_l[top]
+                pos = x0 if top == 0 else 0.0
+                if child_l[top] == -1:
+                    trem = trem_l[top]
+                    s_tail = (1.0 - pos) / c[j]
+                    if trem <= s_tail:
+                        foot = pos + c[j] * trem
+                        if foot > 1.0:
+                            foot = 1.0
+                        gain = (_lin_interp(qcum[j], foot, h, n)
+                                - _lin_interp(qcum[j], pos, h, n)) / c[j]
+                        acc += w_l[top] * np.exp(gain) * _lin_interp(values[j], foot, h, n)
+                        top -= 1
+                        continue
+                    gain = (qcum[j, n] - _lin_interp(qcum[j], pos, h, n)) / c[j]
+                    w_l[top] = w_l[top] * np.exp(gain)
+                    trem_l[top] = trem - s_tail
+                    child_l[top] = indptr[j]
+                if child_l[top] < indptr[j + 1]:
+                    idx = child_l[top]
+                    child_l[top] += 1
+                    if top + 1 >= levels:
+                        raise RuntimeError(
+                            "characteristic tracing exceeded the crossing cap")
+                    edge_l[top + 1] = colind[idx]
+                    child_l[top + 1] = -1
+                    trem_l[top + 1] = trem_l[top]
+                    w_l[top + 1] = w_l[top] * bweight[idx]
+                    top += 1
+                else:
+                    top -= 1
+            out[j0, i0] = acc
+    return out
+
+
+def _csr(bc):
+    n_edges = bc.shape[0]
+    indptr = np.zeros(n_edges + 1, np.int64)
+    cols, data = [], []
+    for j in range(n_edges):
+        nz = np.nonzero(bc[j])[0]
+        indptr[j + 1] = indptr[j] + nz.size
+        cols.append(nz)
+        data.append(bc[j, nz])
+    return indptr, np.concatenate(cols).astype(np.int64), np.concatenate(data)
+
+
 def _parity_network():
     return semiflow.random_flow_network(6, seed=1, n_cells=80)
 
@@ -112,33 +215,41 @@ def test_upwind_paths_agree():
     dt = 0.9 * net.grid.h / float(np.max(net.velocities))
     nu = net.velocities * dt / net.grid.h
     dtq = dt * net.absorption
-    a = K._upwind_sweep_py(st.values.copy(), bc, nu, dtq, 7)
-    b = K._upwind_sweep_numpy(st.values.copy(), bc, nu, dtq, 7)
+    a = _upwind_sweep_py(st.values.copy(), bc, nu, dtq, 7)
     c = K.upwind_sweep(st.values, bc, nu, dtq, 7)
-    assert np.max(np.abs(a - b)) == 0.0
-    assert np.max(np.abs(a - c)) < 1e-15
+    assert np.array_equal(a, c)
+
+
+def _two_cycle(n_cells=40, **kwargs):
+    return semiflow.make_network(2, [(0, 1), (1, 0)], n_cells=n_cells, **kwargs)
+
+
+TRACE_CASES = [
+    ("parity6", _parity_network, 5, (1.3,)),
+    ("two_cycle", lambda: _two_cycle(velocities=[1.0, 1.0]), 2,
+     (0.0, 0.5, 3.7, 20.0)),
+    ("random8", lambda: semiflow.random_flow_network(8, seed=3), 3,
+     (1.0, 3.0, 5.0)),
+    ("mixed_absorbing", lambda: _two_cycle(velocities=[1.0, 2.5],
+                                           absorption=[0.3, -0.2]), 4,
+     (0.7, 4.2, 9.0)),
+]
 
 
 def test_trace_paths_agree():
-    net = _parity_network()
-    st = semiflow.sample_states(net, 1, 5)[0][1]
-    bc = semiflow.weighted_bc(net)
-    n_edges = bc.shape[0]
-    indptr = np.zeros(n_edges + 1, np.int64)
-    cols, data = [], []
-    for j in range(n_edges):
-        nz = np.nonzero(bc[j])[0]
-        indptr[j + 1] = indptr[j] + nz.size
-        cols.append(nz)
-        data.append(bc[j, nz])
-    colind = np.concatenate(cols).astype(np.int64)
-    bw = np.concatenate(data)
-    qc = _absorption_cumulative(net)
-    cap = int(np.ceil(1.3 * np.max(net.velocities))) + 2
-    via_jit = semiflow.step_characteristics(net, st, 1.3).values
-    via_py = K._trace_transport_py(st.values, indptr, colind, bw,
-                                   net.velocities, qc, net.grid.h, 1.3, cap)
-    assert np.max(np.abs(via_jit - via_py)) < 1e-14
+    # one test over all cases, so that its id stays the same
+    for name, make, seed, times in TRACE_CASES:
+        net = make()
+        st = semiflow.sample_states(net, 1, seed)[0][1]
+        indptr, colind, bw = _csr(semiflow.weighted_bc(net))
+        qc = _absorption_cumulative(net)
+        for t in times:
+            cap = int(np.ceil(t * np.max(net.velocities))) + 2
+            new = semiflow.step_characteristics(net, st, t).values
+            ref = _trace_transport_py(st.values, indptr, colind, bw,
+                                      net.velocities, qc, net.grid.h, t, cap)
+            err = np.max(np.abs(new - ref))
+            assert err <= 1e-15 * np.max(np.abs(ref)), (name, t, err)
 
 
 def test_trace_crossing_cap_raises():
@@ -146,32 +257,32 @@ def test_trace_crossing_cap_raises():
                                 n_cells=20)
     st = semiflow.initial_state(net)
     bc = semiflow.weighted_bc(net)
-    with pytest.raises(RuntimeError):
-        K.trace_transport(st.values, bc, net.velocities,
-                          _absorption_cumulative(net), net.grid.h, 5.0, cap=2)
+    c, qc, h = net.velocities, _absorption_cumulative(net), net.grid.h
+    # at t = 5 the node next to each head crosses 5 vertices, the last one
+    # from crossing level 4
+    for cap in (2, 3):
+        with pytest.raises(RuntimeError):
+            K.trace_transport(st.values, bc, c, qc, h, 5.0, cap)
+    ref = _trace_transport_py(st.values, *_csr(bc), c, qc, h, 5.0, 4)
+    assert np.array_equal(K.trace_transport(st.values, bc, c, qc, h, 5.0, 4), ref)
 
 
-def test_env_flag_selects_fallback():
-    import os
-    import subprocess
-    import sys
-    # inherit os.environ: a replaced env drops PYTHONPATH and the import fails
-    pkg_root = os.path.dirname(os.path.dirname(semiflow.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, SEMIFLOW_NO_NUMBA="1",
-               PYTHONPATH=pkg_root + (os.pathsep + path if path else ""))
-    code = ("import semiflow; import sys; "
-            "from semiflow import _kernels; "
-            "sys.exit(0 if _kernels._flag_disables_numba() "
-            "and not semiflow.NUMBA_ENABLED else 1)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+def test_trace_frontier_limit_rejects_branching_blowup():
+    # out-degree 2 at both vertices: the path count doubles per crossing
+    net = semiflow.make_network(2, [(0, 1), (0, 1), (1, 0), (1, 0)],
+                                velocities=[1.0] * 4, n_cells=20)
+    st = semiflow.initial_state(net)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="t = 40.0"):
+        semiflow.step_characteristics(net, st, 40.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_linear_interpolation_clamps():
-    v = np.array([0.0, 1.0, 4.0])
-    assert K._lin_interp_py(v, -0.5, 1.0, 2) == 0.0
-    assert K._lin_interp_py(v, 2.5, 1.0, 2) == 4.0
-    assert K._lin_interp_py(v, 0.5, 1.0, 2) == pytest.approx(0.5)
-    assert K._lin_interp_py(v, 1.5, 1.0, 2) == pytest.approx(2.5)
+    v = np.array([[0.0, 1.0, 4.0]])
+    edge = np.zeros(4, np.int64)
+    got = K._lin_interp(v, edge, np.array([-0.5, 2.5, 0.5, 1.5]), 1.0)
+    assert got[0] == 0.0
+    assert got[1] == 4.0
+    assert got[2] == pytest.approx(0.5)
+    assert got[3] == pytest.approx(2.5)
