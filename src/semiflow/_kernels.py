@@ -4,9 +4,10 @@ Kernels:
 
 ``damped_cumulative_integral``
     Cumulative Duhamel integral ``y(x) = int_a^x exp(-int_s^x r) v(s) ds``,
-    i.e. the solution of ``y' = -r(x) y + v(x)``, ``y(a) = 0``.  Exact for
-    panel-constant rate and piecewise-linear data, which keeps resolvent
-    contraction estimates structurally true at any grid resolution.
+    i.e. the solution of ``y' = -r(x) y + v(x)``, ``y(a) = 0``, for one row
+    or a stack of rows at once.  Exact for panel-constant rate and
+    piecewise-linear data, which keeps resolvent contraction estimates
+    structurally true at any grid resolution.
 
 ``upwind_sweep``
     Explicit first-order upwind steps for edge transport toward x = 0 with
@@ -63,9 +64,10 @@ def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _damped_cumsum_py(values, d, wa, wb):
     out = np.empty_like(values)
-    out[0] = 0.0
-    for i in range(1, values.shape[0]):
-        out[i] = d[i - 1] * out[i - 1] + wa[i - 1] * values[i - 1] + wb[i - 1] * values[i]
+    out[..., 0] = 0.0
+    for i in range(1, values.shape[-1]):
+        out[..., i] = (d[..., i - 1] * out[..., i - 1] + wa[..., i - 1] * values[..., i - 1]
+                       + wb[..., i - 1] * values[..., i])
     return out
 
 
@@ -74,36 +76,37 @@ def _damped_cumsum_lfilter(values, d, wa, wb):
     # y[0] = 0 so the filter matches the scalar-rate recurrence.
     b = np.array([wb, wa])
     a = np.array([1.0, -d])
-    y, _ = lfilter(b, a, values, zi=np.array([-wb * values[0]]))
+    y, _ = lfilter(b, a, values, axis=-1, zi=-wb * values[..., :1])
     return y
 
 
 def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray:
-    """Cumulative solution of y' = -rate(x) y + v(x), y = 0 at the left end.
+    """Cumulative solution of y' = -rate(x) y + v(x), y = 0 at the left end,
+    along the last axis of one row or of a stack of rows.
 
     Parameters
     ----------
-    values : node samples of v, shape (n + 1,)
+    values : node samples of v, shape (n + 1,) or (rows, n + 1)
     h : panel width, positive
-    rate : scalar rate or per-panel rates of shape (n,)
+    rate : scalar rate, or per-panel rates of shape (n,) for one row and
+        (rows, n) for a stack
 
-    Exact when the rate is panel-constant and v is piecewise linear.
+    Exact when the rate is panel-constant and v is piecewise linear.  Each
+    row of a stack gives the same result, bit for bit, as on its own.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError("values must be a 1-d array with at least two nodes")
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ValueError("values must be one row or a stack of rows with at "
+                         "least two nodes")
     if not h > 0:
         raise ValueError("panel width must be positive")
-    n = v.shape[0] - 1
+    n = v.shape[-1] - 1
     rate_arr = np.asarray(rate, dtype=np.float64)
-    scalar_rate = rate_arr.ndim == 0
-    if not scalar_rate and rate_arr.shape != (n,):
-        raise ValueError("rate must be a scalar or one value per panel")
-    if scalar_rate:
-        d, a, b = panel_decay_weights(rate_arr * h)
+    if rate_arr.ndim and rate_arr.shape != v.shape[:-1] + (n,):
+        raise ValueError("rate must be a scalar or one value per panel of each row")
+    d, a, b = panel_decay_weights(rate_arr * h)
+    if rate_arr.ndim == 0:
         return _damped_cumsum_lfilter(v, float(d), float(a) * h, float(b) * h)
-    z = np.broadcast_to(rate_arr * h, (n,))
-    d, a, b = panel_decay_weights(z)
     return _damped_cumsum_py(v, d, a * h, b * h)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -47,8 +48,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        import json as _json
-        return _json.dumps(value)
+        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -234,10 +234,11 @@ def cmd_heat(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net = load_network(args.network)
-    import json as _json
     with open(args.network) as fh:
-        doc = _json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("network config must be a JSON object")
+    net = load_network(doc)
     state = initial_state(net, doc.get("initial"))
     times, states = simulate_flow(net, state, args.t, args.solver,
                                   cfl=args.cfl, n_outputs=args.outputs)

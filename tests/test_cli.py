@@ -151,6 +151,15 @@ def test_simulate_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_simulate_malformed_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    # truncated JSON, and valid JSON that is not a network object
+    for text in ('{"vertices": 2, "edges": [', '[2, 3]'):
+        path.write_text(text)
+        code, _ = run_cli(capsys, "simulate", "--network", str(path))
+        assert code == 2, text
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, so that an uncaught exception
     shows as a traceback on stderr."""

@@ -103,6 +103,24 @@ def test_damped_integral_validates_input():
         K.damped_cumulative_integral(np.ones(1), 0.1, 1.0)
 
 
+def test_damped_integral_stacked_rows_match_single_rows():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(5, 61))
+    rates = rng.uniform(-0.5, 3.0, size=(5, 60))
+    h = 0.03
+    for rate, row_rate in ((rates, lambda k: rates[k]), (1.3, lambda k: 1.3)):
+        stacked = K.damped_cumulative_integral(v, h, rate)
+        rows = [K.damped_cumulative_integral(v[k], h, row_rate(k)) for k in range(5)]
+        assert np.array_equal(stacked, np.stack(rows))
+
+
+def test_damped_integral_stacked_rejects_mismatched_rates():
+    v = np.ones((4, 11))
+    for rates in (np.ones(10), np.ones((3, 10)), np.ones((4, 11))):
+        with pytest.raises(ValueError, match="each row"):
+            K.damped_cumulative_integral(v, 0.1, rates)
+
+
 # Scalar loop references: the upwind sweep and the depth-first characteristic
 # tracer that the vectorized kernels replaced, kept as written.
 
