@@ -29,8 +29,7 @@ from .semigroups import (LaplaceResult, Semigroup, euler_apply,
 from .generation import (CheckReport, PointFunctional, Witness,
                          check_bi_dissipative, check_dissipative,
                          check_hy_powers, check_resolvent_contraction,
-                         lumer_phillips_verdict, resolvent_defect,
-                         subdifferential_test)
+                         lumer_phillips_verdict, subdifferential_test)
 from .network import (Edge, EdgeState, Network, ValidationError,
                       build_adjacency, defect_budget, initial_state,
                       load_network,
@@ -59,7 +58,7 @@ __all__ = [
     "shift_semigroup",
     "CheckReport", "PointFunctional", "Witness", "check_bi_dissipative",
     "check_dissipative", "check_hy_powers", "check_resolvent_contraction",
-    "lumer_phillips_verdict", "resolvent_defect", "subdifferential_test",
+    "lumer_phillips_verdict", "subdifferential_test",
     "Edge", "EdgeState", "Network", "ValidationError", "build_adjacency",
     "defect_budget", "initial_state", "load_network", "make_network",
     "network_generation_verdict", "network_resolvent", "network_semigroup",

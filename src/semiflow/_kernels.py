@@ -147,6 +147,13 @@ def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
     return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
 
 
+def _frontier_error(t: float, entries) -> ValueError:
+    return ValueError(
+        f"characteristic tracing to t = {t!r} would create {entries} "
+        f"frontier entries, more than the limit of {FRONTIER_LIMIT}; "
+        "choose a smaller t")
+
+
 def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
                     qcum: np.ndarray, h: float, t: float, cap: int) -> np.ndarray:
     """Evaluate the transport flow at time ``t`` by backtracking characteristics.
@@ -162,7 +169,9 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     edge adds its weighted value to its origin node, and every other path
     splits over the children of its edge and continues from their heads.
     A call that would create more than ``FRONTIER_LIMIT`` entries in total
-    raises ``ValueError``.
+    raises ``ValueError``; when every edge has a child, a call whose
+    crossings at the slowest speed alone would pass the limit is rejected
+    before tracing.
     """
     vals = np.asarray(values, dtype=np.float64)
     bc = np.asarray(coupling, dtype=np.float64)
@@ -176,6 +185,14 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     n_children = np.bincount(rows, minlength=n_edges)
     first_child = np.cumsum(n_children) - n_children
     bweight = bc[rows, cols]
+    # Reject up front what the loop would reject.  When every edge has a
+    # child, each node keeps a live path while its remaining time exceeds
+    # 1/min(c), so each of the first ceil(t min c) - 1 levels adds at least
+    # one entry per node; the entries the loop starts with cover a last level
+    # lost to rounding.  Levels past `cap` raise the crossing cap instead.
+    levels = min(np.ceil(t * float(np.min(c))) - 1.0, cap + 1.0)
+    if np.all(n_children > 0) and levels * n_edges * n_nodes > FRONTIER_LIMIT:
+        raise _frontier_error(t, f"at least {int(levels) * n_edges * n_nodes}")
 
     origin = np.arange(n_edges * n_nodes)
     edge = np.repeat(np.arange(n_edges), n_nodes)
@@ -203,10 +220,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
             raise RuntimeError("characteristic tracing exceeded the crossing cap")
         total += size
         if total > FRONTIER_LIMIT:
-            raise ValueError(
-                f"characteristic tracing to t = {t!r} would create {total} "
-                f"frontier entries, more than the limit of {FRONTIER_LIMIT}; "
-                "choose a smaller t")
+            raise _frontier_error(t, total)
         gain = (qcum[e, n] - _lin_interp(qcum, e, pos[go], h)) / ce[go]
         child = (np.repeat(first_child[e], counts) + np.arange(size)
                  - np.repeat(np.cumsum(counts) - counts, counts))

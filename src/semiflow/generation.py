@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, window_mask
 from .operators import Generator, UpwindMatrix
 from .samples import probe_functions
 from .seminorms import CompactSeminormFamily, eval_pn, grid_in_window
@@ -249,11 +249,8 @@ def subdifferential_test(gen: Generator, family: CompactSeminormFamily,
     pn = eval_pn(family, n, f)
     if not pn > 0:
         raise ValueError("subdifferential test needs p_n(f) > 0")
-    lo, hi = family.window(n)
     g = f.grid
-    wtol = 1e-9 * g.h
-    mask = (g.nodes >= lo - wtol) & (g.nodes <= hi + wtol)
-    idx_window = np.nonzero(mask)[0]
+    idx_window = np.nonzero(window_mask(g, *family.window(n)))[0]
     absvals = np.abs(f.values[idx_window])
     i_local = int(np.argmax(absvals == np.max(absvals)))
     i = int(idx_window[i_local])
@@ -283,41 +280,29 @@ def subdifferential_test(gen: Generator, family: CompactSeminormFamily,
         float(tol), witnesses)
 
 
-def lumer_phillips_verdict(gen, family: Optional[CompactSeminormFamily],
+def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
                            samples: Sequence[SampleLike],
                            lambdas: Sequence[float],
-                           surjectivity_probes: Sequence[SampleLike] = (),
-                           range_tol: Optional[float] = None) -> CheckReport:
+                           surjectivity_probes: Sequence[SampleLike] = ()
+                           ) -> CheckReport:
     """Generation verdict: seminorm-wise dissipativity plus a surjectivity
     probe of (lambda - A).
 
     The surjectivity leg solves f = R(lambda) g for each probe g, requires f
     to satisfy the domain predicate and the defect ||lambda f - A f - g|| to
     stay within the consistency budget of the discretization,
-    10 (1 + lambda)^2 h^2 relative by default.
-
-    A transport network (from the network module) is dispatched to the
-    network-specific verdict, which tests the same two legs in the
-    vertex-coupled setting.
+    10 (1 + lambda)^2 h^2 relative.
     """
-    from . import network as _network
-
-    if isinstance(gen, _network.Network):
-        return _network.network_generation_verdict(gen, lambdas)
-
     sub = [check_bi_dissipative(gen, family, samples, lambdas)]
     witnesses = []
     named_probes = _with_ids(surjectivity_probes)
-    range_report = None
     if named_probes and gen.has_resolvent:
         range_witnesses = []
         tol_used = 0.0
         for sid, g in named_probes:
             for lam in lambdas:
                 fsol = gen.resolve(lam, g)
-                tol = range_tol
-                if tol is None:
-                    tol = 10.0 * (1.0 + lam) ** 2 * g.grid.h ** 2 * max(1.0, g.norm())
+                tol = 10.0 * (1.0 + lam) ** 2 * g.grid.h ** 2 * max(1.0, g.norm())
                 tol_used = max(tol_used, tol)
                 if not gen.domain_check(fsol):
                     range_witnesses.append(Witness(f"domain:{sid}", float(lam),
@@ -326,30 +311,21 @@ def lumer_phillips_verdict(gen, family: Optional[CompactSeminormFamily],
                 if defect > tol:
                     range_witnesses.append(Witness(f"range:{sid}", float(lam),
                                                    None, defect, tol))
-        range_report = CheckReport(
+        sub.append(CheckReport(
             "range_density_probe",
             {"generator": gen.label, "lambdas": list(map(float, lambdas)),
              "n_probes": len(named_probes)},
-            tol_used, range_witnesses)
-        sub.append(range_report)
+            tol_used, range_witnesses))
     elif named_probes:
         witnesses.append(Witness("range:resolvent_unavailable", None, None, 1.0, 0.0))
     return CheckReport(
         "lumer_phillips",
-        {"generator": getattr(gen, "label", "network"),
-         "lambdas": list(map(float, lambdas))},
+        {"generator": gen.label, "lambdas": list(map(float, lambdas))},
         sub[0].tolerance, witnesses, sub)
-
-
-def resolvent_defect(gen: Generator, lam: float, g: GridFunction) -> float:
-    """Consistency defect ||lambda R g - A R g - g|| of the resolvent pair."""
-    f = gen.resolve(lam, g)
-    return (f * lam - gen.apply(f) - g).norm()
 
 
 __all__ = [
     "Witness", "CheckReport", "PointFunctional",
     "check_dissipative", "check_bi_dissipative", "check_resolvent_contraction",
     "check_hy_powers", "subdifferential_test", "lumer_phillips_verdict",
-    "resolvent_defect",
 ]

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -113,12 +114,17 @@ def differentiate(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.gradient(f.values, f.grid.h, edge_order=2))
 
 
+def window_mask(grid: Grid, lo: float, hi: float) -> np.ndarray:
+    """Nodes in [lo, hi], widened by 1e-9 h so that endpoints on nodes count."""
+    tol = 1e-9 * grid.h
+    return (grid.nodes >= lo - tol) & (grid.nodes <= hi + tol)
+
+
 def window_sup(f: GridFunction, lo: float, hi: float) -> float:
     """Max of |values| over the grid nodes lying in [lo, hi].
 
     The window is intersected with the grid interval; an empty intersection
-    is rejected.  Node selection uses a tolerance well below the mesh width
-    so window endpoints that coincide with nodes are always included.
+    is rejected.  Nodes are selected by :func:`window_mask`.
     """
     if not lo <= hi:
         raise ValueError("window requires lo <= hi")
@@ -126,20 +132,28 @@ def window_sup(f: GridFunction, lo: float, hi: float) -> float:
     if hi < g.a or lo > g.b:
         raise ValueError(
             f"window [{lo}, {hi}] does not intersect the grid interval [{g.a}, {g.b}]")
-    tol = 1e-9 * g.h
-    mask = (g.nodes >= lo - tol) & (g.nodes <= hi + tol)
+    mask = window_mask(g, lo, hi)
     if not np.any(mask):
         raise ValueError(f"window [{lo}, {hi}] contains no grid node")
     return float(np.max(np.abs(f.values[mask])))
 
 
-def write_csv(f: GridFunction, path) -> None:
-    """Serialize as 'x,value' rows with full double precision."""
+def write_rows(path, header: list[str], rows) -> None:
+    """CSV rows in a new file and directory: strings as given, integers in
+    decimal, every other number with 17 significant digits."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(f.grid.nodes, f.values):
-            writer.writerow([format(x, ".17g"), format(v, ".17g")])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else
+                             (str(v) if isinstance(v, (int, np.integer))
+                              else format(float(v), ".17g")) for v in row])
+
+
+def write_csv(f: GridFunction, path) -> None:
+    """Serialize as 'x,value' rows with full double precision."""
+    write_rows(path, ["x", "value"], zip(f.grid.nodes, f.values))
 
 
 def read_csv(path) -> GridFunction:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._kernels import damped_cumulative_integral, trace_transport, upwind_sweep
 from .generation import CheckReport, Witness
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .samples import sample_functions
 from .semigroups import Semigroup
 
@@ -103,6 +104,14 @@ class Network:
         return bc
 
 
+def _out_edges(tails: Sequence[int]) -> defaultdict[int, list[int]]:
+    """Map each vertex to the edges leaving it, in ascending order."""
+    out = defaultdict(list)
+    for k, v in enumerate(tails):
+        out[v].append(k)
+    return out
+
+
 def make_network(n_vertices: int, edges: Sequence[tuple[int, int]],
                  velocities: Sequence[float],
                  weights: Optional[Sequence[tuple[int, int, float]]] = None,
@@ -112,11 +121,9 @@ def make_network(n_vertices: int, edges: Sequence[tuple[int, int]],
     grid = Grid(0.0, 1.0, n_cells)
     n_edges = len(edge_objs)
     if weights is None:
-        weights = []
-        for j, e in enumerate(edge_objs):
-            outs = [k for k, d in enumerate(edge_objs) if d.tail == e.head]
-            for i in outs:
-                weights.append((i, j, 1.0 / len(outs)))
+        out_edges = _out_edges([e.tail for e in edge_objs])
+        weights = [(i, j, 1.0 / len(out_edges[e.head]))
+                   for j, e in enumerate(edge_objs) for i in out_edges[e.head]]
     q = np.zeros((n_edges, n_cells + 1))
     if absorption is not None:
         q_arr = np.asarray(absorption, dtype=np.float64)
@@ -199,9 +206,6 @@ class EdgeState:
     @property
     def n_edges(self) -> int:
         return self.values.shape[0]
-
-    def edge_function(self, j: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[j])
 
     def norm(self) -> float:
         """Sup over x of the l1 norm across edges (the natural state norm)."""
@@ -416,15 +420,14 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     if bc_residual > 1e-9:
         raise RuntimeError(
             f"boundary condition residual {bc_residual!r} exceeds 1e-9")
-    dfdx = np.gradient(f, h, axis=1, edge_order=2)
-    defect = lam * f - (c[:, None] * dfdx + q * f) - g.values
+    fstate = EdgeState(net.grid, f, g.t)
+    worst = resolvent_defect_norm(net, lam, g, fstate)
     tol = defect_budget(net, lam, f, g.values)
-    worst = float(np.max(np.abs(defect)))
     if worst > tol:
         raise RuntimeError(
             f"resolvent consistency defect {worst!r} exceeds the scheme "
             f"budget {tol!r}")
-    return EdgeState(net.grid, f, g.t)
+    return fstate
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
@@ -532,12 +535,12 @@ def random_flow_network(n_edges: int, seed: int, n_cells: int = 50,
         if b >= a:
             b += 1
         edges.append((a, b))
+    out_edges = _out_edges([tail for tail, _ in edges])
     weights = []
     for j, (_, head) in enumerate(edges):
-        outs = [i for i, (tail, _) in enumerate(edges) if tail == head]
-        raw = rng.uniform(0.5, 1.5, len(outs))
+        raw = rng.uniform(0.5, 1.5, len(out_edges[head]))
         raw /= raw.sum()
-        weights.extend((i, j, float(w)) for i, w in zip(outs, raw))
+        weights.extend((i, j, float(w)) for i, w in zip(out_edges[head], raw))
     velocities = rng.uniform(velocity_range[0], velocity_range[1], n_edges)
     return make_network(n_vertices, edges, velocities, weights, None, n_cells)
 

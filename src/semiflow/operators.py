@@ -103,26 +103,24 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _minus_derivative(f: GridFunction) -> GridFunction:
+    """A f = -f', shared by both translation generators."""
+    return -differentiate(f)
+
+
 def left_shift_generator(grid: Grid) -> Generator:
     """Left shift A f = -f' with domain {f : f(a) = 0}."""
-
-    def apply(f: GridFunction) -> GridFunction:
-        return -differentiate(f)
 
     def domain_check(f: GridFunction) -> bool:
         return abs(float(f.values[0])) <= 1e-12
 
-    return Generator("left_shift", apply, resolvent_shift, domain_check)
+    return Generator("left_shift", _minus_derivative, resolvent_shift, domain_check)
 
 
 def right_translation_generator(grid: Grid) -> Generator:
     """Translation generator A f = -f' without boundary condition."""
-
-    def apply(f: GridFunction) -> GridFunction:
-        return -differentiate(f)
-
-    return Generator("right_translation", apply, right_translation_resolvent,
-                     lambda f: True)
+    return Generator("right_translation", _minus_derivative,
+                     right_translation_resolvent, lambda f: True)
 
 
 def laplacian_generator(grid: Grid) -> Generator:

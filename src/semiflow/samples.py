@@ -46,11 +46,7 @@ def _one_sample(grid: Grid, kind: str, rng: np.random.Generator,
         width = span * rng.uniform(0.1, 0.4)
         center = rng.uniform(a + 0.6 * width, b - 0.6 * width)
         amp = rng.uniform(0.2, 2.0)
-        r = (x - center) / (width / 2.0)
-        out = np.zeros_like(x)
-        inside = np.abs(r) < 1.0
-        out[inside] = amp * np.cos(0.5 * np.pi * r[inside]) ** 2
-        return out
+        return smooth_bump(grid, center, width, amp).values
     if kind == "expdecay":
         rate = rng.uniform(0.2, 2.0) / span
         amp = rng.uniform(0.2, 2.0)

@@ -28,39 +28,33 @@ class Semigroup:
 
     label: str
     apply: Callable[[float, Any], Any]
-    contraction: bool = True
 
 
-def _translate_values(values: np.ndarray, h: float, t: float, fill_left: float) -> np.ndarray:
-    n = values.shape[0] - 1
-    x = np.arange(n + 1) * h
-    return np.interp(x - t, x, values, left=fill_left)
+def _translation_semigroup(label: str,
+                           inflow: Callable[[GridFunction], float]) -> Semigroup:
+    """Translation (T(t) f)(x) = f(x - t) on the grid nodes, linearly
+    interpolated, with the value ``inflow(f)`` entering at the left end."""
+
+    def apply(t: float, f: GridFunction) -> GridFunction:
+        if t < 0:
+            raise ValueError("semigroup time must be nonnegative")
+        x = np.arange(f.grid.n_cells + 1) * f.grid.h
+        return GridFunction(f.grid, np.interp(x - t, x, f.values, left=inflow(f)))
+
+    return Semigroup(label, apply)
 
 
 def shift_semigroup(grid: Grid) -> Semigroup:
     """Left-translation semigroup (T(t) f)(x) = f(x - t), zero inflow at the
     left boundary.  Linear interpolation between nodes keeps each T(t) a
     sup-norm contraction."""
-
-    def apply(t: float, f: GridFunction) -> GridFunction:
-        if t < 0:
-            raise ValueError("semigroup time must be nonnegative")
-        return GridFunction(f.grid, _translate_values(f.values, f.grid.h, t, 0.0))
-
-    return Semigroup("shift", apply)
+    return _translation_semigroup("shift", lambda f: 0.0)
 
 
 def right_translation_semigroup(grid: Grid) -> Semigroup:
     """Translation semigroup on an interval cut off at the left, with the
     off-grid part extended constantly by the leftmost value."""
-
-    def apply(t: float, f: GridFunction) -> GridFunction:
-        if t < 0:
-            raise ValueError("semigroup time must be nonnegative")
-        return GridFunction(
-            f.grid, _translate_values(f.values, f.grid.h, t, float(f.values[0])))
-
-    return Semigroup("right_translation", apply)
+    return _translation_semigroup("right_translation", lambda f: float(f.values[0]))
 
 
 def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFunction:

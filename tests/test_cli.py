@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, pinned JSON values,
 CSV artifacts, and byte-level determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semiflow
-from semiflow.cli import main
+from semiflow.cli import build_parser, main
 
 TWO_CYCLE = Path(__file__).resolve().parents[1] / "configs" / "two_cycle.json"
 
@@ -183,6 +184,35 @@ def test_unsolvable_network_input_exits_two(argv):
     assert proc.returncode == 2, proc.stderr
     assert "error: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "inf"),
+    ("resolvent", "--lambda", "inf"),
+    ("check", "--network", str(TWO_CYCLE), "--lambda", "inf"),
+], ids=["simulate_t", "resolvent_lambda", "check_lambda"])
+def test_non_finite_numbers_exit_two(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_float_option_rejects_non_finite(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, sub in commands.items():
+        for action in sub._actions:
+            assert action.type is not float, (name, action.dest)
+    for text in ("nan", "-inf", "1e999"):
+        with pytest.raises(SystemExit) as info:
+            main(["heat", f"--lambda={text}"])
+        assert info.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["heat", "--lambda", "abc"])
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_check_network(tmp_path, capsys):

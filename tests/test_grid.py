@@ -5,6 +5,7 @@ import pytest
 
 from semiflow import (Grid, GridFunction, differentiate, integrate, read_csv,
                       supnorm, window_sup, write_csv)
+from semiflow.grid import window_mask, write_rows
 
 
 def test_grid_basic_properties():
@@ -86,3 +87,34 @@ def test_csv_rejects_nonuniform(tmp_path):
     path.write_text("x,value\n0.0,1.0\n0.1,1.0\n0.35,1.0\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    # write_csv before it shared write_rows with the CLI, as written
+    import csv
+
+    g = Grid(-1.0, 1.0, 37)
+    f = GridFunction.from_callable(g, lambda x: np.exp(x) * np.sin(5 * x) / 3.0)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "value"])
+        for x, v in zip(f.grid.nodes, f.values):
+            writer.writerow([format(x, ".17g"), format(v, ".17g")])
+    got = tmp_path / "sub" / "got.csv"
+    write_csv(f, got)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_write_rows_formats_each_kind(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, ["s", "i", "f"], [("a", 3, 0.1), ("b", np.int64(-2), np.float64(1 / 3))])
+    assert path.read_text().splitlines() == [
+        "s,i,f", "a,3,0.10000000000000001", "b,-2,0.33333333333333331"]
+
+
+def test_window_mask_includes_endpoints_within_tolerance():
+    g = Grid(0.0, 1.0, 10)
+    assert np.nonzero(window_mask(g, 0.2, 0.5))[0].tolist() == [2, 3, 4, 5]
+    assert np.nonzero(window_mask(g, 0.2 + 1e-12, 0.5 - 1e-12))[0].tolist() == [2, 3, 4, 5]
+    assert np.nonzero(window_mask(g, 0.21, 0.49))[0].tolist() == [3, 4]

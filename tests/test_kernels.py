@@ -296,6 +296,53 @@ def test_trace_frontier_limit_rejects_branching_blowup():
     assert time.perf_counter() - start < 1.0
 
 
+def test_trace_rejects_fully_fed_graph_before_tracing():
+    # the two-cycle of configs/two_cycle.json: 2 x 401 nodes, each crossing
+    # once per unit time, so t = 5300 passes 2**22 entries
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=400)
+    st = semiflow.initial_state(net)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="t = 5300.0 would create at least"):
+        semiflow.step_characteristics(net, st, 5300.0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_trace_crossing_cap_precedes_up_front_rejection():
+    # a caller's small cap ends the trace first, as the loop would
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=400)
+    qcum = _absorption_cumulative(net)
+    vals = semiflow.initial_state(net).values
+    with pytest.raises(RuntimeError, match="crossing cap"):
+        K.trace_transport(vals, net.coupling, net.velocities, qcum,
+                          net.grid.h, 5300.0, 3)
+
+
+@pytest.mark.parametrize("edges,velocities", [
+    ([(0, 1), (1, 0)], [1.0, 1.0]),
+    ([(0, 1), (1, 0)], [1.0, 2.5]),
+    ([(0, 1), (1, 2), (2, 0), (1, 0)], [0.7, 1.3, 2.0, 1.0]),
+], ids=["two_cycle", "two_speeds", "branching"])
+def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
+                                                           velocities):
+    # with a small limit, scan t upward: the first rejection must come from
+    # the loop, and every later t stays rejected
+    monkeypatch.setattr(K, "FRONTIER_LIMIT", 600)
+    net = semiflow.make_network(1 + max(max(e) for e in edges), edges,
+                                velocities, n_cells=4)
+    st = semiflow.initial_state(net)
+    outcomes = []
+    for t in np.arange(0.5, 120.0, 0.25):
+        try:
+            semiflow.step_characteristics(net, st, float(t))
+            outcomes.append("traced")
+        except ValueError as exc:
+            outcomes.append("up_front" if "at least" in str(exc) else "loop")
+    assert "up_front" in outcomes
+    first = outcomes.index("loop")
+    assert "up_front" not in outcomes[:first]
+    assert "traced" not in outcomes[first:]
+
+
 def test_linear_interpolation_clamps():
     v = np.array([[0.0, 1.0, 4.0]])
     edge = np.zeros(4, np.int64)

@@ -430,3 +430,72 @@ def test_edge_state_norm_and_arithmetic():
     assert d.norm() == 0.0
     half = 0.5 * a
     assert half.norm() == pytest.approx(0.5 * a.norm())
+
+
+# The O(E^2) out-edge scans that the vertex-to-out-edges map replaced, as
+# written.
+
+def _even_split_reference(edges):
+    weights = []
+    for j, (_, head) in enumerate(edges):
+        outs = [k for k, (tail, _) in enumerate(edges) if tail == head]
+        for i in outs:
+            weights.append((i, j, 1.0 / len(outs)))
+    return tuple(weights)
+
+
+def _random_flow_network_reference(n_edges, seed, n_cells=50,
+                                   velocity_range=(0.5, 4.0)):
+    rng = np.random.default_rng(seed)
+    n_vertices = int(rng.integers(2, n_edges + 1))
+    edges = [(v, (v + 1) % n_vertices) for v in range(n_vertices)]
+    for _ in range(n_edges - n_vertices):
+        a = int(rng.integers(0, n_vertices))
+        b = int(rng.integers(0, n_vertices - 1))
+        if b >= a:
+            b += 1
+        edges.append((a, b))
+    weights = []
+    for j, (_, head) in enumerate(edges):
+        outs = [i for i, (tail, _) in enumerate(edges) if tail == head]
+        raw = rng.uniform(0.5, 1.5, len(outs))
+        raw /= raw.sum()
+        weights.extend((i, j, float(w)) for i, w in zip(outs, raw))
+    velocities = rng.uniform(velocity_range[0], velocity_range[1], n_edges)
+    return make_network(n_vertices, edges, velocities, weights, None, n_cells)
+
+
+def test_even_split_weights_match_reference():
+    graphs = [[(0, 1), (1, 0)],
+              [(0, 1), (0, 1), (1, 0), (1, 0)],
+              [(0, 1), (1, 2), (1, 0), (2, 0), (2, 1), (0, 2)],
+              [(0, 1), (1, 2)]]  # vertex 2 is a sink: no weights from edge 1
+    for seed in range(10):
+        net = random_flow_network(3 + 4 * seed, seed=seed, n_cells=4)
+        graphs.append([(e.tail, e.head) for e in net.edges])
+    for edges in graphs:
+        n_vertices = 1 + max(max(e) for e in edges)
+        net = make_network(n_vertices, edges, [1.0] * len(edges), n_cells=4)
+        assert net.weights == _even_split_reference(edges), edges
+
+
+@pytest.mark.parametrize("n_edges", [2, 3, 5, 8, 16, 64])
+def test_random_flow_network_matches_reference(n_edges):
+    for seed in range(5):
+        got = random_flow_network(n_edges, seed=seed, n_cells=10)
+        ref = _random_flow_network_reference(n_edges, seed, n_cells=10)
+        assert got.n_vertices == ref.n_vertices
+        assert got.edges == ref.edges
+        assert got.weights == ref.weights
+        assert np.array_equal(got.velocities, ref.velocities)
+
+
+def test_resolvent_defect_check_uses_resolvent_defect_norm(monkeypatch):
+    import semiflow.network as network_module
+    net = random_flow_network(6, seed=2, n_cells=120)
+    g = sample_states(net, 1, 4)[0][1]
+    worst = resolvent_defect_norm(net, 6.0, g, network_resolvent(net, 6.0, g))
+    monkeypatch.setattr(network_module, "defect_budget", lambda *args: -1.0)
+    with pytest.raises(RuntimeError, match="consistency defect") as info:
+        network_resolvent(net, 6.0, g)
+    assert f"defect {worst!r} exceeds" in str(info.value)

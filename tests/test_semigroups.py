@@ -136,3 +136,29 @@ def test_right_translation_euler_converges():
     e16 = eval_pn(fam, 5, euler_apply(gen, 1.0, 16, f) - exact)
     e128 = eval_pn(fam, 5, euler_apply(gen, 1.0, 128, f) - exact)
     assert e128 < e16
+
+
+def _translate_reference(values, h, t, fill_left):
+    # the translation formula before the two semigroups shared one factory,
+    # as written
+    n = values.shape[0] - 1
+    x = np.arange(n + 1) * h
+    return np.interp(x - t, x, values, left=fill_left)
+
+
+@pytest.mark.parametrize("grid", [Grid(0.0, 20.0, 400), Grid(-6.0, 0.0, 4000),
+                                  Grid(-1.0, 2.0, 7)], ids=["right", "left", "coarse"])
+def test_translation_semigroups_match_reference(grid):
+    rng = np.random.default_rng(11)
+    f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
+    shift, right = shift_semigroup(grid), right_translation_semigroup(grid)
+    assert (shift.label, right.label) == ("shift", "right_translation")
+    for t in (0.0, 0.05, 0.37, 1.0, 2.5, 50.0):
+        assert np.array_equal(shift.apply(t, f).values,
+                              _translate_reference(f.values, grid.h, t, 0.0)), t
+        assert np.array_equal(right.apply(t, f).values,
+                              _translate_reference(f.values, grid.h, t,
+                                                   float(f.values[0]))), t
+    for sg in (shift, right):
+        with pytest.raises(ValueError):
+            sg.apply(-0.1, f)
