@@ -84,27 +84,20 @@ def _emit_json(doc: dict, out_dir, name: str) -> None:
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
 
+def _translation_setup(name: str, n_cells: int, length: float):
+    """Grid, generator, semigroup and window orientation of ``left_shift``
+    on [0, length] or ``right_translation`` on [-length, 0]."""
+    if name == "left_shift":
+        grid = Grid(0.0, length, n_cells)
+        return grid, left_shift_generator(grid), shift_semigroup(grid), WindowOrientation.RIGHT
+    grid = Grid(-length, 0.0, n_cells)
+    sg = right_translation_semigroup(grid)
+    return grid, right_translation_generator(grid), sg, WindowOrientation.LEFT
+
+
 def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
     """Generator, seminorm family, check samples and range probes for one of
     the named model operators."""
-    if name == "left_shift":
-        grid = Grid(0.0, 20.0, n_cells)
-        gen = left_shift_generator(grid)
-        family = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
-        samples = sample_functions(grid, n_samples, seed, vanish_left=True)
-        probes = sample_functions(grid, max(2, n_samples // 2), seed + 1)
-        return gen, family, samples, probes
-    if name == "right_translation":
-        grid = Grid(-10.0, 0.0, n_cells)
-        gen = right_translation_generator(grid)
-        family = CompactSeminormFamily(WindowOrientation.LEFT, 5)
-        samples = sample_functions(grid, n_samples, seed)
-        # the plateau ramp's resolvent is the witness input: every window
-        # seminorm of the ramp vanishes while its resolvent is positive there
-        ramp = plateau_ramp(grid, 2)
-        samples = samples + [("ramp_resolvent", right_translation_resolvent(1.0, ramp))]
-        probes = sample_functions(grid, max(2, n_samples // 2), seed + 1)
-        return gen, family, samples, probes
     if name == "laplacian":
         grid = Grid(-2.0, 2.0, n_cells)
         gen = laplacian_generator(grid)
@@ -112,7 +105,17 @@ def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
         samples = sample_functions(grid, n_samples, seed)
         samples = samples + [("parabola", GridFunction(grid, grid.nodes ** 2))]
         return gen, family, samples, []
-    raise ValueError(f"unknown operator '{name}'")
+    left = name == "left_shift"
+    grid, gen, _, orientation = _translation_setup(name, n_cells, 20.0 if left else 10.0)
+    family = CompactSeminormFamily(orientation, 10 if left else 5)
+    samples = sample_functions(grid, n_samples, seed, vanish_left=left)
+    if not left:
+        # the plateau ramp's resolvent is the witness input: every window
+        # seminorm of the ramp vanishes while its resolvent is positive there
+        ramp = plateau_ramp(grid, 2)
+        samples = samples + [("ramp_resolvent", right_translation_resolvent(1.0, ramp))]
+    probes = sample_functions(grid, max(2, n_samples // 2), seed + 1)
+    return gen, family, samples, probes
 
 
 def cmd_check(args) -> int:
@@ -137,21 +140,13 @@ def cmd_euler(args) -> int:
     ladder = [int(v) for v in args.m_ladder.split(",") if v.strip()]
     if not ladder or any(m < 1 for m in ladder):
         raise ValueError("the m ladder needs positive integers")
-    n_cells = args.grid or 4000
     x_max = args.x_max
-    if args.operator == "left_shift":
-        grid = Grid(0.0, x_max, n_cells)
-        gen = left_shift_generator(grid)
-        sg = shift_semigroup(grid)
-        f = smooth_bump(grid, min(2.5, 0.45 * x_max), min(1.0, 0.2 * x_max))
-    else:
-        grid = Grid(-x_max, 0.0, n_cells)
-        gen = right_translation_generator(grid)
-        sg = right_translation_semigroup(grid)
-        f = smooth_bump(grid, -x_max / 2.0, min(1.0, 0.2 * x_max))
-    family = CompactSeminormFamily(
-        WindowOrientation.RIGHT if args.operator == "left_shift"
-        else WindowOrientation.LEFT, args.n_max)
+    grid, gen, sg, orientation = _translation_setup(args.operator,
+                                                    args.grid or 4000, x_max)
+    center = (min(2.5, 0.45 * x_max) if args.operator == "left_shift"
+              else -x_max / 2.0)
+    f = smooth_bump(grid, center, min(1.0, 0.2 * x_max))
+    family = CompactSeminormFamily(orientation, args.n_max)
     exact = sg.apply(args.t, f)
     rows = []
     summary_errors = []
@@ -260,15 +255,9 @@ def cmd_resolvent(args) -> int:
     lam = args.lam
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    n_cells = args.grid or 2000
-    if args.operator == "left_shift":
-        grid = Grid(0.0, 20.0, n_cells)
-        gen = left_shift_generator(grid)
-        sg = shift_semigroup(grid)
-    else:
-        grid = Grid(-10.0, 0.0, n_cells)
-        gen = right_translation_generator(grid)
-        sg = right_translation_semigroup(grid)
+    grid, gen, sg, _ = _translation_setup(
+        args.operator, args.grid or 2000,
+        20.0 if args.operator == "left_shift" else 10.0)
     if args.input == "ones":
         g = GridFunction(grid, np.ones(grid.n_cells + 1))
     elif args.input == "bump":
@@ -380,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

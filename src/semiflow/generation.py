@@ -291,8 +291,11 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
     The surjectivity leg solves f = R(lambda) g for each probe g, requires f
     to satisfy the domain predicate and the defect ||lambda f - A f - g|| to
     stay within the consistency budget of the discretization,
-    10 (1 + lambda)^2 h^2 relative.
+    10 (1 + lambda)^2 h^2 relative.  A verdict over no sample certifies
+    nothing, so an empty sample list is rejected.
     """
+    if not samples:
+        raise ValueError("the generation verdict needs at least one sample")
     sub = [check_bi_dissipative(gen, family, samples, lambdas)]
     witnesses = []
     named_probes = _with_ids(surjectivity_probes)

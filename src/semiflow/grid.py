@@ -50,8 +50,9 @@ class Grid:
 class GridFunction:
     """Immutable node samples of a function on a grid.
 
-    Supports pointwise linear arithmetic (same grid required), which is what
-    the operator and semigroup routines need.
+    Supports pointwise linear arithmetic (same grid and value shape
+    required, result of the left operand's type), which is what the
+    operator and semigroup routines need.
     """
 
     grid: Grid
@@ -59,13 +60,16 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.float64, copy=True)
+        self._check_values(v)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    def _check_values(self, v: np.ndarray) -> None:
         if v.shape != (self.grid.n_cells + 1,):
             raise ValueError(
                 f"expected {self.grid.n_cells + 1} node values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("node values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
@@ -76,27 +80,27 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch in GridFunction arithmetic")
+        if self.grid != other.grid or self.values.shape != other.values.shape:
+            raise ValueError("grid or shape mismatch in GridFunction arithmetic")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
+        return type(self)(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
+        return type(self)(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(scalar))
+        return type(self)(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values / float(scalar))
+        return type(self)(self.grid, self.values / float(scalar))
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
+        return type(self)(self.grid, -self.values)
 
 
 def supnorm(f: GridFunction) -> float:

@@ -178,7 +178,12 @@ def run_cli_process(*argv):
     ("check", "--network", str(TWO_CYCLE), "--lambda", "1e-12"),
     # the exact tracer would follow ~1e9 vertex crossings per point
     ("simulate", "--network", str(TWO_CYCLE), "--t", "1e9"),
-], ids=["resolvent_breakdown", "tracing_over_budget"])
+    # 1e8 output times of 802 values each, rejected before the time grid
+    ("simulate", "--network", str(TWO_CYCLE), "--outputs", "100000000"),
+    # the upwind march would take ~3.6e14 cell-steps
+    ("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "1e9"),
+], ids=["resolvent_breakdown", "tracing_over_budget", "too_many_outputs",
+        "upwind_over_budget"])
 def test_unsolvable_network_input_exits_two(argv):
     proc = run_cli_process(*argv)
     assert proc.returncode == 2, proc.stderr
@@ -196,6 +201,16 @@ def test_non_finite_numbers_exit_two(argv):
     assert proc.returncode == 2, proc.stderr
     assert "error: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_without_samples_exits_two(samples):
+    # a certificate over no sample would pass vacuously
+    proc = run_cli_process("check", "--operator", "left_shift", "--samples", samples)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_every_float_option_rejects_non_finite(capsys):

@@ -196,6 +196,14 @@ def test_verdict_left_shift_generator():
     assert "bi_dissipative" in names and "range_density_probe" in names
 
 
+def test_verdict_rejects_no_samples():
+    # a certificate over no input would pass vacuously
+    g, gen, fam = _left_shift_setup(n_cells=200)
+    probes = sample_functions(g, 2, seed=1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        lumer_phillips_verdict(gen, fam, [], [1.0], probes)
+
+
 def test_verdict_laplacian_fails_first_leg():
     g = Grid(-2.0, 2.0, 4000)
     gen = laplacian_generator(g)

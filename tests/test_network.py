@@ -2,11 +2,13 @@
 both solvers, the coupled resolvent, and the network generation verdict."""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from semiflow import (EdgeState, Grid, ValidationError, build_adjacency,
+from semiflow import (EdgeState, Grid, GridFunction, ValidationError,
+                      build_adjacency,
                       damped_cumulative_integral, defect_budget,
                       initial_state, laplace_resolvent, load_network,
                       make_network, network_generation_verdict,
@@ -289,7 +291,7 @@ def _network_resolvent_per_edge(net, lam, g):
         raise RuntimeError(
             f"resolvent consistency defect {worst!r} exceeds the scheme "
             f"budget {tol!r}")
-    return EdgeState(net.grid, f, g.t)
+    return EdgeState(net.grid, f)
 
 
 def _absorbing(net, seed):
@@ -430,6 +432,112 @@ def test_edge_state_norm_and_arithmetic():
     assert d.norm() == 0.0
     half = 0.5 * a
     assert half.norm() == pytest.approx(0.5 * a.norm())
+
+
+# The edge-state arithmetic that subclassing GridFunction replaced, as
+# written, less the time stamp that no caller read.
+
+@dataclass(frozen=True, eq=False)
+class _ReferenceEdgeState:
+    grid: Grid
+    values: np.ndarray
+
+    def norm(self):
+        return float(np.max(np.sum(np.abs(self.values), axis=0)))
+
+    def _check_compatible(self, other):
+        if self.grid != other.grid or self.values.shape != other.values.shape:
+            raise ValidationError("edge state mismatch in arithmetic")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return _ReferenceEdgeState(self.grid, self.values + other.values)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return _ReferenceEdgeState(self.grid, self.values - other.values)
+
+    def __mul__(self, scalar):
+        return _ReferenceEdgeState(self.grid, self.values * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _ReferenceEdgeState(self.grid, -self.values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_state_arithmetic_matches_reference(seed):
+    net = random_flow_network(3 + 5 * seed, seed=seed, n_cells=30)
+    (_, a), (_, b) = sample_states(net, 2, seed)
+    ra, rb = (_ReferenceEdgeState(s.grid, s.values) for s in (a, b))
+    scalar = float(np.random.default_rng(seed).uniform(-3.0, 3.0))
+    pairs = [(a + b, ra + rb), (a - b, ra - rb), (a * scalar, ra * scalar),
+             (scalar * a, scalar * ra), (-a, -ra)]
+    for got, ref in pairs:
+        assert type(got) is EdgeState
+        assert np.array_equal(got.values, ref.values)
+        assert got.norm() == ref.norm()
+    assert a.norm() == ra.norm() and b.norm() == rb.norm()
+
+
+def test_edge_state_is_a_grid_function_with_one_row_per_edge():
+    net = two_cycle(n_cells=20)
+    state = initial_state(net)
+    assert isinstance(state, GridFunction)
+    assert state.values.shape == (net.n_edges, 21) and not hasattr(state, "t")
+    with pytest.raises(ValidationError, match="shape"):
+        EdgeState(net.grid, np.ones(21))
+    with pytest.raises(ValidationError, match="finite"):
+        EdgeState(net.grid, np.full((2, 21), np.nan))
+
+
+def test_edge_state_rows_must_match_in_arithmetic():
+    net = two_cycle(n_cells=20)
+    one = EdgeState(net.grid, np.ones((1, 21)))
+    two = EdgeState(net.grid, np.ones((2, 21)))
+    for left, right in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="mismatch"):
+            left - right
+    with pytest.raises(ValueError, match="mismatch"):
+        GridFunction(net.grid, np.ones(21)) + one
+
+
+def test_one_row_edge_state_norm_is_the_sup_norm():
+    net = two_cycle(n_cells=40)
+    row = sample_states(net, 1, 7)[0][1].values[1]
+    assert EdgeState(net.grid, row[None, :]).norm() == GridFunction(net.grid, row).norm()
+
+
+def test_simulate_rejects_too_many_outputs_before_allocating():
+    net = two_cycle(n_cells=400)
+    st = initial_state(net)
+    for solver in ("characteristics", "upwind"):
+        with pytest.raises(ValueError, match="stored values"):
+            simulate_flow(net, st, 1.0, solver, n_outputs=100_000_000)
+
+
+def test_simulate_upwind_cell_step_limit(monkeypatch):
+    import semiflow.network as network_module
+    net = two_cycle(n_cells=40)
+    st = initial_state(net)
+    with pytest.raises(ValueError, match="cell-steps"):
+        simulate_flow(net, st, 1e9, "upwind")
+    # t = 1, cfl 0.5, h = 1/40: 80 steps over 2 outputs of 2 x 41 values
+    monkeypatch.setattr(network_module, "UPWIND_CELL_STEP_LIMIT", 80 * 82)
+    simulate_flow(net, st, 1.0, "upwind", cfl=0.5, n_outputs=3)
+    monkeypatch.setattr(network_module, "UPWIND_CELL_STEP_LIMIT", 80 * 82 - 1)
+    with pytest.raises(ValueError, match="6560 cell-steps"):
+        simulate_flow(net, st, 1.0, "upwind", cfl=0.5, n_outputs=3)
+
+
+def test_network_verdict_rejects_no_samples():
+    net = two_cycle(n_cells=40)
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            network_generation_verdict(net, [1.0], n_samples=n_samples)
 
 
 # The O(E^2) out-edge scans that the vertex-to-out-edges map replaced, as
