@@ -1,4 +1,4 @@
-"""Hot numeric kernels, written with NumPy and SciPy.
+"""Hot numeric kernels, written with NumPy.
 
 Kernels:
 
@@ -22,7 +22,6 @@ Kernels:
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 # Most frontier entries one ``trace_transport`` call may create, summed over
 # all vertex crossings.  The frontier holds every live path at once, and the
@@ -62,24 +61,6 @@ def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 # damped cumulative integral
 
 
-def _damped_cumsum_py(values, d, wa, wb):
-    out = np.empty_like(values)
-    out[..., 0] = 0.0
-    for i in range(1, values.shape[-1]):
-        out[..., i] = (d[..., i - 1] * out[..., i - 1] + wa[..., i - 1] * values[..., i - 1]
-                       + wb[..., i - 1] * values[..., i])
-    return out
-
-
-def _damped_cumsum_lfilter(values, d, wa, wb):
-    # y[i] = wb x[i] + wa x[i-1] + d y[i-1]; the initial condition forces
-    # y[0] = 0 so the filter matches the scalar-rate recurrence.
-    b = np.array([wb, wa])
-    a = np.array([1.0, -d])
-    y, _ = lfilter(b, a, values, axis=-1, zi=-wb * values[..., :1])
-    return y
-
-
 def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray:
     """Cumulative solution of y' = -rate(x) y + v(x), y = 0 at the left end,
     along the last axis of one row or of a stack of rows.
@@ -104,10 +85,27 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     rate_arr = np.asarray(rate, dtype=np.float64)
     if rate_arr.ndim and rate_arr.shape != v.shape[:-1] + (n,):
         raise ValueError("rate must be a scalar or one value per panel of each row")
+    panel = rate_arr.ndim > 0
     d, a, b = panel_decay_weights(rate_arr * h)
-    if rate_arr.ndim == 0:
-        return _damped_cumsum_lfilter(v, float(d), float(a) * h, float(b) * h)
-    return _damped_cumsum_py(v, d, a * h, b * h)
+    if not panel:
+        d, a, b = float(d), float(a), float(b)
+    w = (a * h) * v[..., :-1] + (b * h) * v[..., 1:]
+    # y_{i+1} = d_i y_i + w_i by recursive doubling.  Before the pass with
+    # step s, w_i sums the recurrence over the s panels ending at panel i and
+    # d_i is their decay; the pass doubles both spans.  A scalar factor stays
+    # one float, squared each pass, and its underflow to 0 ends the passes.
+    # Negative rates give d > 1: a product over 2s panels can overflow, and
+    # inf times an exact-zero partial sum is nan.  No caller returns such a
+    # row: EdgeState rejects non-finite values, so network_resolvent raises.
+    s = 1
+    while s < n and (panel or d):
+        w[..., s:] += (d[..., s:] if panel else d) * w[..., :-s]
+        if panel:
+            d[..., s:] *= d[..., :-s]
+        else:
+            d *= d
+        s *= 2
+    return np.concatenate([np.zeros_like(v[..., :1]), w], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,28 @@ def _emit_json(doc: dict, out_dir, name: str) -> None:
 
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
+# Count options are bounded before any work.  Measured on 2 cores, one orbit
+# step, resolve or seminorm evaluation costs 15-30 ns per grid node plus
+# 13-45 us of fixed overhead (about 2**10 nodes' worth), and one check sample
+# about as much as 2**6 such passes.  WORK_LIMIT passes x nodes keeps a run
+# under about a minute (20-40 s near the limit); GRID_LIMIT keeps one state
+# at 8 MB.
+GRID_LIMIT = 2 ** 20
+PASS_NODES_MIN = 2 ** 10
+SAMPLE_PASSES = 2 ** 6
+WORK_LIMIT = 2 ** 30
+
+
+def _bound_work(n_cells: int, passes: int = 1, what: str = "") -> None:
+    """Reject a grid of more than GRID_LIMIT cells, and ``passes`` sweeps of
+    it (counted by ``what``) that would pass WORK_LIMIT node visits."""
+    if n_cells > GRID_LIMIT:
+        raise ValueError(f"--grid {n_cells} exceeds the limit of {GRID_LIMIT} cells")
+    work = passes * max(n_cells + 1, PASS_NODES_MIN)
+    if work > WORK_LIMIT:
+        raise ValueError(f"{what} would take {work} grid-node visits, more than the "
+                         f"limit of {WORK_LIMIT}; use a coarser grid or smaller counts")
+
 
 def _translation_setup(name: str, n_cells: int, length: float):
     """Grid, generator, semigroup and window orientation of ``left_shift``
@@ -128,6 +150,7 @@ def cmd_check(args) -> int:
         label = "network"
     else:
         n_cells = args.grid or (4000 if args.operator == "laplacian" else 2000)
+        _bound_work(n_cells, args.samples * SAMPLE_PASSES, f"--samples {args.samples}")
         gen, family, samples, probes = _operator_setup(
             args.operator, n_cells, args.seed, args.samples)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
@@ -140,9 +163,11 @@ def cmd_euler(args) -> int:
     ladder = [int(v) for v in args.m_ladder.split(",") if v.strip()]
     if not ladder or any(m < 1 for m in ladder):
         raise ValueError("the m ladder needs positive integers")
+    n_cells = args.grid or 4000
+    _bound_work(n_cells, sum(ladder) + len(ladder) * args.n_max,
+                "the --m-ladder resolves and --n-max seminorms")
     x_max = args.x_max
-    grid, gen, sg, orientation = _translation_setup(args.operator,
-                                                    args.grid or 4000, x_max)
+    grid, gen, sg, orientation = _translation_setup(args.operator, n_cells, x_max)
     center = (min(2.5, 0.45 * x_max) if args.operator == "left_shift"
               else -x_max / 2.0)
     f = smooth_bump(grid, center, min(1.0, 0.2 * x_max))
@@ -175,7 +200,9 @@ def cmd_counterexample(args) -> int:
     if not lam > 0:
         raise ValueError("lambda must be positive")
     x_min = max(10.0, args.n + 2.0)
-    grid = Grid(-x_min, 0.0, args.grid or 4000)
+    n_cells = args.grid or 4000
+    _bound_work(n_cells)
+    grid = Grid(-x_min, 0.0, n_cells)
     f = plateau_ramp(grid, args.n)
     family = CompactSeminormFamily(WindowOrientation.LEFT, max(args.n, 1))
     p_n_f = eval_pn(family, args.n, f)
@@ -198,7 +225,9 @@ def cmd_heat(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     n = args.n
-    grid = Grid(-float(n), float(n), args.grid or 4000)
+    n_cells = args.grid or 4000
+    _bound_work(n_cells)
+    grid = Grid(-float(n), float(n), n_cells)
     gen = laplacian_generator(grid)
     family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, n)
     f = GridFunction(grid, grid.nodes ** 2)
@@ -255,9 +284,11 @@ def cmd_resolvent(args) -> int:
     lam = args.lam
     if not lam > 0:
         raise ValueError("lambda must be positive")
+    n_cells = args.grid or 2000
+    _bound_work(n_cells, 1 if args.horizon is None else args.steps + 2,
+                f"--steps {args.steps}")
     grid, gen, sg, _ = _translation_setup(
-        args.operator, args.grid or 2000,
-        20.0 if args.operator == "left_shift" else 10.0)
+        args.operator, n_cells, 20.0 if args.operator == "left_shift" else 10.0)
     if args.input == "ones":
         g = GridFunction(grid, np.ones(grid.n_cells + 1))
     elif args.input == "bump":

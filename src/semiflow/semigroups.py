@@ -83,14 +83,16 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
 
 def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
                      damping: Callable[[float], float]) -> Any:
-    """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds."""
+    """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds, summed on
+    node values into one state of the orbit's type."""
     acc = None
     for k in range(int(steps) + 1):
         s = k * ds
         w = 0.5 if k in (0, steps) else 1.0
-        term = sg.apply(s, f) * (w * damping(s))
+        state = sg.apply(s, f)
+        term = state.values * (w * damping(s))
         acc = term if acc is None else acc + term
-    return acc * ds
+    return type(state)(state.grid, acc * ds)
 
 
 class LaplaceResult(NamedTuple):

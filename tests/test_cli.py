@@ -192,6 +192,28 @@ def test_unsolvable_network_input_exits_two(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # one orbit evaluation per step: ~1e10 node visits
+    ("resolvent", "--grid", "100", "--horizon", "15", "--steps", "100000000"),
+    ("check", "--operator", "left_shift", "--grid", "100000000"),
+    ("check", "--operator", "laplacian", "--samples", "100000000"),
+    ("euler", "--m-ladder", "4,16,100000000"),
+    ("euler", "--n-max", "100000000"),
+    ("euler", "--grid", "100000000"),
+    ("counterexample", "--grid", "100000000"),
+    ("heat", "--grid", "100000000"),
+    ("resolvent", "--grid", "100000000"),
+], ids=["resolvent_steps", "check_grid", "check_samples", "euler_ladder",
+        "euler_n_max", "euler_grid", "counterexample_grid", "heat_grid",
+        "resolvent_grid"])
+def test_count_options_over_budget_exit_two(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
     ("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "inf"),
     ("resolvent", "--lambda", "inf"),
     ("check", "--network", str(TWO_CYCLE), "--lambda", "inf"),

@@ -3,12 +3,13 @@ every subcommand and over small network documents, ``main`` returns 0, 1 or
 2 (or argparse exits 2), and no other exception escapes.
 
 Options are drawn with huge, tiny, negative and malformed values.  The run
-time of some options grows with their value and is not bounded by the
-program (``--grid``, ``--samples``, ``--steps``, ``--n-max``, the m ladder,
-``--outputs`` below the storage limit, and the characteristics time on a
-graph with an unfed edge, ROADMAP item 4).  Those are drawn from ranges that
-keep one call within milliseconds, plus the huge values the program rejects
-before it starts, so that the test exercises the contract, not the limits.
+time of some options grows with their value, and the program bounds it
+only at limits that still admit runs of up to about a minute (``--grid``,
+``--samples``, ``--steps``, ``--n-max``, the m ladder, ``--outputs`` below
+the storage limit) or not at all (the characteristics time on a graph with
+an unfed edge, ROADMAP item 4).  Those are drawn from ranges that keep one
+call within milliseconds, plus the huge values the program rejects before
+it starts, so that the test exercises the contract, not the limits.
 """
 
 import contextlib

@@ -317,6 +317,21 @@ def test_resolvent_matches_per_edge_reference(n_edges):
                                   ref.values), lam
 
 
+@pytest.mark.parametrize("profile", ["growth_then_decay", "growth"])
+def test_resolvent_raises_where_edge_growth_overflows(profile):
+    # absorption far above lambda makes each panel factor of the damped
+    # integral exceed 1, and products over a few panels overflow; a zero
+    # right-hand side on the growing part turns them into nan, not 0
+    x = np.linspace(0.0, 1.0, 41)
+    q = np.where(x > 0.5, 3000.0, -3000.0) if profile == "growth_then_decay" \
+        else np.full(41, 3000.0)
+    net = two_cycle(n_cells=40, absorption=np.stack([q, q]))
+    for g in (np.zeros((2, 41)), np.ones((2, 41)), np.tile(x <= 0.5, (2, 1))):
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("ignore")
+            network_resolvent(net, 1.0, EdgeState(net.grid, g))
+
+
 def test_coupling_built_once_per_network(monkeypatch):
     import semiflow.network as network_module
     built = []

@@ -1,15 +1,19 @@
 """Exact translation semigroups, resolvent power approximation, Laplace
 transforms, and the orbit-integral identity."""
 
+import math
+
 import numpy as np
 import pytest
 
 from semiflow import (CompactSeminormFamily, Grid, GridFunction,
                       WindowOrientation, euler_apply, eval_pn,
                       laplace_resolvent, left_shift_generator,
-                      orbit_integral_residual, right_translation_generator,
-                      right_translation_semigroup, shift_semigroup,
-                      smooth_bump, supnorm)
+                      network_semigroup, orbit_integral_residual,
+                      random_flow_network, right_translation_generator,
+                      right_translation_semigroup, sample_states,
+                      shift_semigroup, smooth_bump, supnorm)
+from semiflow.semigroups import _trapezoid_orbit
 
 
 def hat(grid, lo, hi):
@@ -162,3 +166,34 @@ def test_translation_semigroups_match_reference(grid):
     for sg in (shift, right):
         with pytest.raises(ValueError):
             sg.apply(-0.1, f)
+
+
+def _trapezoid_orbit_reference(sg, f, ds, steps, damping):
+    # the orbit quadrature before it summed node arrays, as written
+    acc = None
+    for k in range(int(steps) + 1):
+        s = k * ds
+        w = 0.5 if k in (0, steps) else 1.0
+        term = sg.apply(s, f) * (w * damping(s))
+        acc = term if acc is None else acc + term
+    return acc * ds
+
+
+def test_trapezoid_orbit_matches_reference():
+    grid = Grid(-3.0, 4.0, 350)
+    rng = np.random.default_rng(5)
+    f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
+    net = random_flow_network(4, seed=2, n_cells=30)
+    g = sample_states(net, 1, 4)[0][1]
+    cases = [(shift_semigroup(grid), f), (right_translation_semigroup(grid), f),
+             # all values -0.0: the sum must keep the sign of zero
+             (right_translation_semigroup(grid), -GridFunction(grid, np.zeros(351))),
+             (network_semigroup(net), g)]
+    for sg, state in cases:
+        for ds, steps, damping in ((0.01, 300, lambda s: math.exp(-1.3 * s)),
+                                   (0.37, 7, lambda s: 1.0), (0.5, 1, lambda s: 2.0)):
+            got = _trapezoid_orbit(sg, state, ds, steps, damping)
+            ref = _trapezoid_orbit_reference(sg, state, ds, steps, damping)
+            assert type(got) is type(ref) and got.grid == ref.grid
+            assert np.array_equal(got.values, ref.values), (sg.label, ds)
+            assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
