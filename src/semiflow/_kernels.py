@@ -49,9 +49,9 @@ def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
     d = np.exp(-z)
-    u = -np.expm1(-zs)  # 1 - exp(-z), no cancellation
-    a_big = (u / zs - np.exp(-zs)) / zs
-    b_big = (1.0 - u / zs) / zs
+    q = -np.expm1(-zs) / zs  # (1 - exp(-z))/z, no cancellation
+    a_big = (q - d) / zs     # zs == z wherever this branch is kept
+    b_big = (1.0 - q) / zs
     a_ser = 0.5 - z / 3.0 + z * z / 8.0
     b_ser = 0.5 - z / 6.0 + z * z / 24.0
     return d, np.where(small, a_ser, a_big), np.where(small, b_ser, b_big)
@@ -167,9 +167,8 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     edge adds its weighted value to its origin node, and every other path
     splits over the children of its edge and continues from their heads.
     A call that would create more than ``FRONTIER_LIMIT`` entries in total
-    raises ``ValueError``; when every edge has a child, a call whose
-    crossings at the slowest speed alone would pass the limit is rejected
-    before tracing.
+    raises ``ValueError``; a call whose crossings at the slowest speed from
+    the live edges alone would pass the limit is rejected before tracing.
     """
     vals = np.asarray(values, dtype=np.float64)
     bc = np.asarray(coupling, dtype=np.float64)
@@ -183,14 +182,21 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     n_children = np.bincount(rows, minlength=n_edges)
     first_child = np.cumsum(n_children) - n_children
     bweight = bc[rows, cols]
-    # Reject up front what the loop would reject.  When every edge has a
-    # child, each node keeps a live path while its remaining time exceeds
-    # 1/min(c), so each of the first ceil(t min c) - 1 levels adds at least
-    # one entry per node; the entries the loop starts with cover a last level
-    # lost to rounding.  Levels past `cap` raise the crossing cap instead.
+    # Reject up front what the loop would reject.  An edge is live when it
+    # has an infinite backward walk, that is when it has a live child: the
+    # fixpoint below, reached in at most n_edges passes.  Each node of a live
+    # edge keeps a path through live children while its remaining time
+    # exceeds 1/min(c), so each of the first ceil(t min c) - 1 levels adds at
+    # least one entry per such node; the entries the loop starts with cover
+    # a last level lost to rounding.  Levels past `cap` raise the crossing
+    # cap instead.
+    live = n_children > 0
+    while not np.array_equal(fed := (bc != 0) @ live, live):
+        live = fed
     levels = min(np.ceil(t * float(np.min(c))) - 1.0, cap + 1.0)
-    if np.all(n_children > 0) and levels * n_edges * n_nodes > FRONTIER_LIMIT:
-        raise _frontier_error(t, f"at least {int(levels) * n_edges * n_nodes}")
+    bound = levels * np.count_nonzero(live) * n_nodes
+    if bound > FRONTIER_LIMIT:
+        raise _frontier_error(t, f"at least {int(bound)}")
 
     origin = np.arange(n_edges * n_nodes)
     edge = np.repeat(np.arange(n_edges), n_nodes)

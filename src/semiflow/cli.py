@@ -294,10 +294,8 @@ def cmd_resolvent(args) -> int:
     elif args.input == "bump":
         mid = 0.5 * (grid.a + grid.b)
         g = smooth_bump(grid, mid, 0.25 * (grid.b - grid.a))
-    elif args.input == "expdecay":
+    else:  # expdecay
         g = GridFunction(grid, np.exp(-(grid.nodes - grid.a)))
-    else:
-        raise ValueError(f"unknown input kind '{args.input}'")
     f = gen.resolve(lam, g)
     doc = {
         "operator": args.operator, "lambda": float(lam), "input": args.input,

@@ -69,9 +69,6 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
         raise ValueError("Euler step count m must be an integer >= 1")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if not gen.has_resolvent:
-        # surface the standard error from the generator
-        gen.resolve(1.0, f)
     if t == 0:
         return f
     lam = m / t

@@ -81,6 +81,28 @@ def test_bi_dissipative_laplacian_fails_with_witness():
     assert pair[0][1] == pytest.approx(4.0, abs=1e-12)
 
 
+def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
+    # p_n(f) is shared by every lambda and by the norming check, so each
+    # sample costs one pass for f plus one per lambda for (lambda - A) f
+    import semiflow.generation as generation
+
+    calls = []
+
+    def counting_eval_pn(family, n, f):
+        calls.append(n)
+        return eval_pn(family, n, f)
+
+    monkeypatch.setattr(generation, "eval_pn", counting_eval_pn)
+    g = Grid(0.0, 10.0, 500)
+    gen = left_shift_generator(g)
+    fam = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
+    samples = sample_functions(g, 3, seed=0, vanish_left=True)
+    lambdas = [0.5, 2.0]
+    rep = check_bi_dissipative(gen, fam, samples, lambdas)
+    assert rep.passed
+    assert len(calls) == len(samples) * fam.max_index * (1 + len(lambdas))
+
+
 def test_bi_dissipative_zero_sample():
     g, gen, fam = _left_shift_setup(500)
     z = GridFunction(g, np.zeros(501))

@@ -39,6 +39,36 @@ def test_panel_decay_weights_high_precision_reference():
         assert abs(wb[0] - float(b_ref)) < 1e-11 * float(b_ref)
 
 
+def _panel_decay_weights_two_exp(z):
+    # the earlier form, which evaluated exp(-z) and u/z twice each
+    z = np.asarray(z, dtype=np.float64)
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    d = np.exp(-z)
+    u = -np.expm1(-zs)
+    a_big = (u / zs - np.exp(-zs)) / zs
+    b_big = (1.0 - u / zs) / zs
+    a_ser = 0.5 - z / 3.0 + z * z / 8.0
+    b_ser = 0.5 - z / 6.0 + z * z / 24.0
+    return d, np.where(small, a_ser, a_big), np.where(small, b_ser, b_big)
+
+
+def test_panel_decay_weights_bit_identical_to_two_exp_form():
+    rng = np.random.default_rng(7)
+    switch = np.nextafter(1e-4, [0.0, 1.0])  # either side of the switch
+    inputs = [
+        rng.uniform(-0.5, 20.0, (64, 400)) * 0.05,
+        np.concatenate([np.linspace(-3e-4, 3e-4, 1001), switch, -switch]),
+        np.array([1e-4, -1e-4, 0.0, -0.0, 700.0, -3.0]),
+        rng.uniform(-1e-4, 1e-4, 500),
+        np.geomspace(1e-12, 50.0, 400),
+    ]
+    for z in inputs:
+        for new, old in zip(K.panel_decay_weights(z), _panel_decay_weights_two_exp(z)):
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
 def test_panel_decay_weights_negative_rate():
     # growth panels (negative z) must use the closed form, not the series
     z = np.array([-0.5])
@@ -360,6 +390,17 @@ def test_trace_rejects_fully_fed_graph_before_tracing():
     assert time.perf_counter() - start < 0.5
 
 
+def test_trace_rejects_graph_with_source_edge_before_tracing():
+    # edge 0 leaves a vertex no edge enters: it is not live, but the loop on
+    # edge 1 still yields a lower bound that rejects t = 1e8 up front
+    net = semiflow.make_network(2, [(0, 1), (1, 1)], [1.0, 1.0], n_cells=20)
+    st = semiflow.initial_state(net)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at least"):
+        semiflow.step_characteristics(net, st, 1e8)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_trace_crossing_cap_precedes_up_front_rejection():
     # a caller's small cap ends the trace first, as the loop would
     net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=400)
@@ -374,7 +415,8 @@ def test_trace_crossing_cap_precedes_up_front_rejection():
     ([(0, 1), (1, 0)], [1.0, 1.0]),
     ([(0, 1), (1, 0)], [1.0, 2.5]),
     ([(0, 1), (1, 2), (2, 0), (1, 0)], [0.7, 1.3, 2.0, 1.0]),
-], ids=["two_cycle", "two_speeds", "branching"])
+    ([(0, 1), (1, 2), (2, 1)], [1.0, 1.0, 1.0]),
+], ids=["two_cycle", "two_speeds", "branching", "source_fed_cycle"])
 def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
                                                            velocities):
     # with a small limit, scan t upward: the first rejection must come from
