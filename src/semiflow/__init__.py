@@ -26,7 +26,7 @@ from .samples import (plateau_ramp, probe_functions, sample_functions,
 from .semigroups import (LaplaceResult, Semigroup, euler_apply,
                          laplace_resolvent, orbit_integral_residual,
                          right_translation_semigroup, shift_semigroup)
-from .generation import (CheckReport, PointFunctional, Witness,
+from .generation import (CheckReport, Witness,
                          check_bi_dissipative, check_dissipative,
                          check_hy_powers, check_resolvent_contraction,
                          lumer_phillips_verdict, subdifferential_test)
@@ -56,7 +56,7 @@ __all__ = [
     "LaplaceResult", "Semigroup", "euler_apply", "laplace_resolvent",
     "orbit_integral_residual", "right_translation_semigroup",
     "shift_semigroup",
-    "CheckReport", "PointFunctional", "Witness", "check_bi_dissipative",
+    "CheckReport", "Witness", "check_bi_dissipative",
     "check_dissipative", "check_hy_powers", "check_resolvent_contraction",
     "lumer_phillips_verdict", "subdifferential_test",
     "Edge", "EdgeState", "Network", "ValidationError", "build_adjacency",

@@ -204,7 +204,7 @@ def cmd_counterexample(args) -> int:
     _bound_work(n_cells)
     grid = Grid(-x_min, 0.0, n_cells)
     f = plateau_ramp(grid, args.n)
-    family = CompactSeminormFamily(WindowOrientation.LEFT, max(args.n, 1))
+    family = CompactSeminormFamily(WindowOrientation.LEFT, args.n)
     p_n_f = eval_pn(family, args.n, f)
     rf = right_translation_resolvent(lam, f)
     p_1_rf = eval_pn(family, 1, rf)

@@ -43,6 +43,15 @@ from .semigroups import Semigroup
 # a march under about 2-13 s.  The default CLI march takes 1.4e6.
 UPWIND_CELL_STEP_LIMIT = 2 ** 28
 
+# Largest network a JSON document may describe, checked before anything is
+# allocated.  On 2 cores, ``check --network`` on a ring of 10 cells per edge
+# takes 4-6 s at 1000 edges and 37 s at 2048 (the E x E coupling solves grow
+# like E^3); on the two-cycle it takes 8-9 s and 365 MB at 2^21 node values
+# and 22 s and 677 MB at 2^22.  ``make_network`` stays unbounded: its callers
+# are code, not documents.
+DOCUMENT_EDGE_LIMIT = 2 ** 10
+DOCUMENT_VALUE_LIMIT = 2 ** 21
+
 
 class ValidationError(ValueError):
     """A network description violates a structural invariant."""
@@ -471,13 +480,14 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
 
     Three legs: resolvent contraction in the velocity-weighted sup-l1 norm
     (the dissipativity consequence in this setting; the velocity weighting
-    is what makes the vertex redistribution non-expansive), the exact
-    fixed-vector identity of the adjoint coupling (the vertex-level pairing
-    identity), and the surjectivity probe, whose defect and boundary-condition
-    residuals ``network_resolvent`` enforces by raising ``RuntimeError``.
-    Positive absorption values shift the contraction bound:
-    (lambda - max(0, sup q)) replaces lambda, and lambda values at or below
-    the shift are skipped for that leg.  At least one sample is required.
+    is what makes the vertex redistribution non-expansive), the fixed-vector
+    identity of the adjoint coupling (the vertex-level pairing identity)
+    within 1e-12 max(1, max c), and the surjectivity probe, whose defect and
+    boundary-condition residuals ``network_resolvent`` enforces by raising
+    ``RuntimeError``.  Positive absorption values shift the contraction
+    bound: (lambda - max(0, sup q)) replaces lambda, and lambda values at or
+    below the shift are skipped for that leg.  At least one sample is
+    required.
     """
     if n_samples < 1:
         raise ValueError("the network verdict needs at least one sample")
@@ -500,17 +510,20 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
             range_tol = max(range_tol, defect_budget(net, lam, fstate.values,
                                                      gstate.values))
+    # the residual c_j |sum_i B_ij - 1| has the units of a velocity, and
+    # build_adjacency admits column sums within 1e-12 of 1
     identity_wit = []
     fixed_res = velocity_fixed_vector_residual(net)
-    if fixed_res > 1e-12:
+    fixed_tol = 1e-12 * max(1.0, float(np.max(net.velocities)))
+    if fixed_res > fixed_tol:
         identity_wit.append(Witness("velocity_fixed_vector", None, None,
-                                    fixed_res, 1e-12))
+                                    fixed_res, fixed_tol))
     sub = [
         CheckReport("network_resolvent_contraction",
                     {"lambdas": list(map(float, lambdas)), "n_samples": n_samples,
                      "seed": seed}, 1e-6, contraction_wit),
         CheckReport("adjoint_fixed_vector",
-                    {"n_edges": net.n_edges}, 1e-12, identity_wit),
+                    {"n_edges": net.n_edges}, fixed_tol, identity_wit),
         CheckReport("network_range_probe",
                     {"lambdas": list(map(float, lambdas)), "n_samples": n_samples},
                     range_tol, []),
@@ -584,6 +597,15 @@ def load_network(source) -> Network:
     except (TypeError, AttributeError) as exc:
         raise ValidationError(
             f"malformed velocities, grid or absorption: {exc}") from exc
+    if len(edges) > DOCUMENT_EDGE_LIMIT:
+        raise ValidationError(
+            f"network document has {len(edges)} edges, more than the limit of "
+            f"{DOCUMENT_EDGE_LIMIT}")
+    n_values = len(edges) * (n_cells + 1)
+    if n_values > DOCUMENT_VALUE_LIMIT:
+        raise ValidationError(
+            f"network document asks for {n_values} node values ({len(edges)} edges "
+            f"of {n_cells + 1} nodes), more than the limit of {DOCUMENT_VALUE_LIMIT}")
     net = make_network(n_vertices, edges, velocities, weights, absorption, n_cells)
     net.coupling  # surface structural problems immediately
     return net

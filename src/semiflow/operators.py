@@ -44,10 +44,6 @@ class Generator:
     resolvent: Optional[Callable[[float, GridFunction], GridFunction]]
     domain_check: Callable[[GridFunction], bool]
 
-    @property
-    def has_resolvent(self) -> bool:
-        return self.resolvent is not None
-
     def resolve(self, lam: float, g: GridFunction) -> GridFunction:
         if self.resolvent is None:
             raise ResolventUnavailableError(

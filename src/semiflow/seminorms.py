@@ -84,10 +84,3 @@ def norming_residual(family: CompactSeminormFamily, f: GridFunction) -> float:
     otherwise the truncation artifact of stopping the family at max_index."""
     best = max(eval_pn(family, n, f) for n in range(1, family.max_index + 1))
     return abs(best - f.norm())
-
-
-def grid_in_window(family: CompactSeminormFamily, f: GridFunction) -> bool:
-    """True when the largest window of the family covers f's grid interval."""
-    lo, hi = family.window(family.max_index)
-    tol = 1e-9 * f.grid.h
-    return lo - tol <= f.grid.a and f.grid.b <= hi + tol

@@ -1,6 +1,6 @@
 """Acceptance gate: ten desk-scale criteria, each with pinned tolerances and
-a wall-clock budget.  Every test prints one summary line; the JIT kernels are
-compiled by the session fixture before any timer starts."""
+a wall-clock budget.  Every test prints one summary line; the kernels are
+plain numpy, so nothing is compiled before a timer starts."""
 
 import json
 import time

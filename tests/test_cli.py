@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import semiflow
+from semiflow import load_network, network
 from semiflow.cli import build_parser, main
 
 TWO_CYCLE = Path(__file__).resolve().parents[1] / "configs" / "two_cycle.json"
@@ -189,6 +191,47 @@ def test_unsolvable_network_input_exits_two(argv):
     assert proc.returncode == 2, proc.stderr
     assert "error: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _ring_document(n_edges, n_cells):
+    return {"vertices": n_edges,
+            "edges": [{"tail": v, "head": (v + 1) % n_edges} for v in range(n_edges)],
+            "grid": {"n_cells": n_cells}}
+
+
+def _two_cycle_document(n_cells):
+    return {"vertices": 2,
+            "edges": [{"tail": 0, "head": 1}, {"tail": 1, "head": 0}],
+            "grid": {"n_cells": n_cells}}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("doc", [
+    # one edge over the edge bound; the coupling solves grow like E^3
+    _ring_document(network.DOCUMENT_EDGE_LIMIT + 1, 10),
+    # one cell over the node-value bound: 2 (2^20 + 1) values
+    _two_cycle_document(network.DOCUMENT_VALUE_LIMIT // 2),
+], ids=["ring_edges", "two_cycle_values"])
+def test_oversized_network_document_exits_two(tmp_path, command, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    proc = run_cli_process(command, "--network", str(path))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: network document ")
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_network_document_at_the_bounds_loads():
+    ring = load_network(_ring_document(
+        network.DOCUMENT_EDGE_LIMIT,
+        network.DOCUMENT_VALUE_LIMIT // network.DOCUMENT_EDGE_LIMIT - 1))
+    cycle = load_network(_two_cycle_document(network.DOCUMENT_VALUE_LIMIT // 2 - 1))
+    assert ring.n_edges == network.DOCUMENT_EDGE_LIMIT
+    for net in (ring, cycle):
+        assert net.n_edges * (net.grid.n_cells + 1) == network.DOCUMENT_VALUE_LIMIT
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,13 @@ and the combined verdict."""
 import numpy as np
 import pytest
 
-from semiflow import (CheckReport, CompactSeminormFamily, Grid, GridFunction,
-                      Witness, WindowOrientation, check_bi_dissipative,
-                      check_dissipative, check_hy_powers,
+from semiflow import (CheckReport, CompactSeminormFamily, Generator, Grid,
+                      GridFunction, Witness, WindowOrientation,
+                      check_bi_dissipative, check_dissipative, check_hy_powers,
                       check_resolvent_contraction, eval_pn,
                       laplacian_generator, left_shift_generator,
-                      lumer_phillips_verdict, right_translation_generator,
+                      lumer_phillips_verdict, plateau_ramp,
+                      right_translation_generator,
                       right_translation_resolvent, sample_functions,
                       smooth_bump, subdifferential_test, upwind_discretize,
                       zero_generator)
@@ -82,8 +83,8 @@ def test_bi_dissipative_laplacian_fails_with_witness():
 
 
 def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
-    # p_n(f) is shared by every lambda and by the norming check, so each
-    # sample costs one pass for f plus one per lambda for (lambda - A) f
+    # p_n(f) is evaluated once and shared by every lambda, so each sample
+    # costs one pass for f plus one per lambda for (lambda - A) f
     import semiflow.generation as generation
 
     calls = []
@@ -138,6 +139,21 @@ def test_windowed_contraction_counterexample_ramp():
     p1 = eval_pn(fam, 1, rf)
     assert p1 >= E_MINUS_3 - 1e-6
     assert p1 > 0.0
+
+
+def test_contraction_reports_ramp_witnesses():
+    # p_1 and p_2 of the plateau ramp vanish, while its half-line resolvent
+    # is e^{-1}(1 - e^{-1}) at x = -1 and 1 - e^{-1} at x = -2
+    g = Grid(-10.0, 0.0, 2000)
+    gen = right_translation_generator(g)
+    fam = CompactSeminormFamily(WindowOrientation.LEFT, 2)
+    rep = check_resolvent_contraction(gen, fam, [("ramp", plateau_ramp(g, 2))], [1.0])
+    assert not rep.passed
+    assert [(w.input_id, w.lam, w.n, w.rhs) for w in rep.witnesses] == [
+        ("ramp", 1.0, 1, 0.0), ("ramp", 1.0, 2, 0.0)]
+    one_minus = 1.0 - np.exp(-1.0)
+    assert rep.witnesses[0].lhs == pytest.approx(np.exp(-1.0) * one_minus, abs=1e-9)
+    assert rep.witnesses[1].lhs == pytest.approx(one_minus, abs=1e-9)
 
 
 def test_hy_powers_upwind_passes():
@@ -216,6 +232,22 @@ def test_verdict_left_shift_generator():
     assert rep.passed
     names = [s.check_name for s in rep.sub_reports]
     assert "bi_dissipative" in names and "range_density_probe" in names
+
+
+def test_verdict_range_leg_reports_domain_and_range_witnesses():
+    # g / lambda solves no resolvent equation of the shift: it breaks the
+    # boundary condition f(0) = 0 and leaves a defect of order ||g'||
+    g, ls, fam = _left_shift_setup()
+    bad = Generator("bad_left_shift", ls.apply, lambda lam, h: h / lam,
+                    ls.domain_check)
+    samples = sample_functions(g, 2, seed=0, vanish_left=True)
+    probes = sample_functions(g, 2, seed=1)
+    rep = lumer_phillips_verdict(bad, fam, samples, [1.0], probes)
+    dissipative, range_leg = rep.sub_reports
+    assert dissipative.check_name == "bi_dissipative" and dissipative.passed
+    assert range_leg.check_name == "range_density_probe" and not range_leg.passed
+    kinds = {w.input_id.split(":")[0] for w in range_leg.witnesses}
+    assert kinds == {"domain", "range"}
 
 
 def test_verdict_rejects_no_samples():

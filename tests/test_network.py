@@ -410,6 +410,18 @@ def test_network_generation_verdict_passes():
                      "network_range_probe"]
 
 
+def test_adjoint_fixed_vector_tolerance_scales_with_speed():
+    # exact column sums: the residual c_j |sum_i B_ij - 1| is rounding of
+    # order ulp(max c), here 3.6e-12, which an absolute 1e-12 would flag
+    net = random_flow_network(4, seed=1, n_cells=40, velocity_range=(5e3, 4e4))
+    assert velocity_fixed_vector_residual(net) > 1e-12
+    rep = network_generation_verdict(net, [1e5])
+    leg = rep.sub_reports[1]
+    assert leg.check_name == "adjoint_fixed_vector"
+    assert leg.tolerance == 1e-12 * float(np.max(net.velocities))
+    assert rep.passed
+
+
 def test_load_network_roundtrip_and_errors(tmp_path):
     import json
     cfg = {

@@ -152,7 +152,7 @@ def test_laplacian_sin():
 def test_laplacian_has_no_resolvent():
     g = Grid(-2.0, 2.0, 40)
     gen = laplacian_generator(g)
-    assert not gen.has_resolvent
+    assert gen.resolvent is None
     f = GridFunction(g, np.zeros(41))
     with pytest.raises(ResolventUnavailableError):
         gen.resolve(1.0, f)
