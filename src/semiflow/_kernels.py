@@ -15,8 +15,8 @@ Kernels:
 
 ``trace_transport``
     Exact evolution of edge transport by backtracking characteristics
-    through vertices (one vectorized frontier, weights from the coupling
-    matrix).
+    through vertices, to one time or a block of times (one vectorized
+    frontier, weights from the coupling matrix).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 # Most frontier entries one ``trace_transport`` call may create, summed over
-# all vertex crossings.  The frontier holds every live path at once, and the
-# path count grows exponentially with t on a branching graph.  At about 100
-# bytes per entry of the largest level this keeps one call below ~400 MB.
+# all vertex crossings and all times of the call.  The frontier holds every
+# live path at once, and the path count grows exponentially with t on a
+# branching graph.  At about 100 bytes per entry of the largest level this
+# keeps one call below ~400 MB.
 FRONTIER_LIMIT = 2 ** 22
 
 
@@ -145,36 +146,55 @@ def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
     return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
 
 
-def _frontier_error(t: float, entries) -> ValueError:
-    return ValueError(
+class FrontierLimitError(ValueError):
+    """A tracing call would create more than ``FRONTIER_LIMIT`` entries."""
+
+
+def _frontier_error(t: float, entries) -> FrontierLimitError:
+    return FrontierLimitError(
         f"characteristic tracing to t = {t!r} would create {entries} "
         f"frontier entries, more than the limit of {FRONTIER_LIMIT}; "
         "choose a smaller t")
 
 
 def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
-                    qcum: np.ndarray, h: float, t: float, cap: int) -> np.ndarray:
+                    qcum: np.ndarray, h: float, t, cap: int) -> np.ndarray:
     """Evaluate the transport flow at time ``t`` by backtracking characteristics.
 
-    ``coupling`` is the velocity-weighted redistribution matrix: its row j
-    lists the incoming edges feeding edge j's tail.  ``qcum`` holds per-edge
-    cumulative integrals of the zero-order coefficient, used for the
-    exponential gain along each characteristic segment.  ``cap`` bounds the
-    number of vertex crossings per traced point (``RuntimeError`` beyond it).
+    ``t`` is one time or a 1-D array of times; the result has shape
+    ``np.shape(t) + values.shape``, one state per time.  ``coupling`` is the
+    velocity-weighted redistribution matrix: its row j lists the incoming
+    edges feeding edge j's tail.  ``qcum`` holds per-edge cumulative
+    integrals of the zero-order coefficient, used for the exponential gain
+    along each characteristic segment.  ``cap`` bounds the number of vertex
+    crossings per traced point (``RuntimeError`` beyond it).
 
-    All nodes are traced at once as a frontier of paths.  Each iteration
-    advances every path by one edge segment: a path whose foot lies on its
-    edge adds its weighted value to its origin node, and every other path
-    splits over the children of its edge and continues from their heads.
-    A call that would create more than ``FRONTIER_LIMIT`` entries in total
-    raises ``ValueError``; a call whose crossings at the slowest speed from
-    the live edges alone would pass the limit is rejected before tracing.
+    All nodes at all times are traced at once as a frontier of paths.  Each
+    iteration advances every path by one edge segment: a path whose foot
+    lies on its edge adds its weighted value to its origin (time, edge,
+    node), and every other path splits over the children of its edge and
+    continues from their heads.  Each entry does the same arithmetic as in a
+    one-time call, so every row equals the call for its time alone, bit for
+    bit.  ``FRONTIER_LIMIT`` counts the entries of every time in the call: a
+    call that would create more raises ``FrontierLimitError`` (a
+    ``ValueError``) naming its largest time, and a call whose crossings at
+    the slowest speed from the live edges alone, summed over its times,
+    would pass the limit is rejected before tracing.
     """
+    return trace_with_count(values, coupling, c, qcum, h, t, cap)[0]
+
+
+def trace_with_count(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
+                     qcum: np.ndarray, h: float, t, cap: int
+                     ) -> tuple[np.ndarray, int]:
+    """``trace_transport`` and the number of frontier entries it created."""
     vals = np.asarray(values, dtype=np.float64)
     bc = np.asarray(coupling, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     qcum = np.asarray(qcum, dtype=np.float64)
-    h, t = float(h), float(t)
+    h = float(h)
+    times = np.asarray(t, dtype=np.float64)
+    t_max = float(np.max(times))
     n_edges, n_nodes = vals.shape
     n = n_nodes - 1
     # CSR of the rows of the coupling matrix (children of each edge)
@@ -189,19 +209,20 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     # exceeds 1/min(c), so each of the first ceil(t min c) - 1 levels adds at
     # least one entry per such node; the entries the loop starts with cover
     # a last level lost to rounding.  Levels past `cap` raise the crossing
-    # cap instead.
+    # cap instead.  The times of a block trace apart, so their bounds add.
     live = n_children > 0
     while not np.array_equal(fed := (bc != 0) @ live, live):
         live = fed
-    levels = min(np.ceil(t * float(np.min(c))) - 1.0, cap + 1.0)
-    bound = levels * np.count_nonzero(live) * n_nodes
+    levels = np.clip(np.ceil(times * float(np.min(c))) - 1.0, 0.0, cap + 1.0)
+    bound = float(np.sum(levels)) * np.count_nonzero(live) * n_nodes
     if bound > FRONTIER_LIMIT:
-        raise _frontier_error(t, f"at least {int(bound)}")
+        raise _frontier_error(t_max, f"at least {int(bound)}")
 
-    origin = np.arange(n_edges * n_nodes)
-    edge = np.repeat(np.arange(n_edges), n_nodes)
-    pos = np.tile(np.arange(n_nodes) * h, n_edges)
-    trem = np.full(origin.size, t)
+    per_time = n_edges * n_nodes
+    origin = np.arange(times.size * per_time)
+    edge = np.tile(np.repeat(np.arange(n_edges), n_nodes), times.size)
+    pos = np.tile(np.arange(n_nodes) * h, n_edges * times.size)
+    trem = np.repeat(times.ravel(), per_time)
     weight = np.ones(origin.size)
     out = np.zeros(origin.size)
     total = origin.size
@@ -224,7 +245,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
             raise RuntimeError("characteristic tracing exceeded the crossing cap")
         total += size
         if total > FRONTIER_LIMIT:
-            raise _frontier_error(t, total)
+            raise _frontier_error(t_max, total)
         gain = (qcum[e, n] - _lin_interp(qcum, e, pos[go], h)) / ce[go]
         child = (np.repeat(first_child[e], counts) + np.arange(size)
                  - np.repeat(np.cumsum(counts) - counts, counts))
@@ -234,4 +255,4 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         edge = cols[child]
         pos = np.zeros(size)
         level += 1
-    return out.reshape(n_edges, n_nodes)
+    return out.reshape(times.shape + (n_edges, n_nodes)), total

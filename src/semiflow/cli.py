@@ -83,12 +83,13 @@ def _emit_json(doc: dict, out_dir, name: str) -> None:
 
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
-# Count options are bounded before any work.  Measured on 2 cores, one orbit
-# step, resolve or seminorm evaluation costs 15-30 ns per grid node plus
-# 13-45 us of fixed overhead (about 2**10 nodes' worth), and one check sample
-# about as much as 2**6 such passes.  WORK_LIMIT passes x nodes keeps a run
-# under about a minute (20-40 s near the limit); GRID_LIMIT keeps one state
-# at 8 MB.
+# Count options are bounded before any work.  Measured on 2 cores, one
+# resolve or seminorm evaluation costs 15-30 ns per grid node plus 13-45 us
+# of fixed overhead (about 2**10 nodes' worth), one step of a blocked orbit
+# 8-20 ns per node plus about 4 us, and one check sample about as much as
+# 2**6 resolve passes.  WORK_LIMIT passes x nodes keeps a run under about a
+# minute (20-40 s near the limit, 5-25 s for orbit steps); GRID_LIMIT keeps
+# one state at 8 MB.
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10
 SAMPLE_PASSES = 2 ** 6

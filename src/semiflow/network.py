@@ -24,16 +24,17 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import (FRONTIER_LIMIT, damped_cumulative_integral,
-                       trace_transport, upwind_sweep)
+from . import _kernels
+from ._kernels import (FrontierLimitError, damped_cumulative_integral,
+                       trace_transport, trace_with_count, upwind_sweep)
 from .generation import CheckReport, Witness
 from .grid import Grid, GridFunction
 from .samples import sample_functions
-from .semigroups import Semigroup
+from .semigroups import Semigroup, orbit_semigroup, time_blocks
 
 
 # Most cell-steps (edge nodes times time steps) one ``simulate_flow`` upwind
@@ -263,25 +264,50 @@ def _absorption_cumulative(net: Network) -> np.ndarray:
     return qc
 
 
+def characteristics_orbit(net: Network, state: EdgeState,
+                          times: Sequence[float]) -> Iterator[np.ndarray]:
+    """Yield the exact flow of ``state`` at ``times`` in blocks of node
+    values, shape (block, n_edges, n_cells + 1), in the order of ``times``.
+
+    Each block is traced in one ``trace_transport`` call.  A block whose
+    frontier goes over ``FRONTIER_LIMIT`` traces its largest time alone:
+    that raises ``FrontierLimitError`` if this time alone is over the
+    limit, and otherwise counts N entries, which bound every smaller time
+    (the count grows with t), so the block is traced again in chunks of
+    ``FRONTIER_LIMIT // N`` times.
+    """
+    if state.values.shape != (net.n_edges, net.grid.n_cells + 1):
+        raise ValidationError("state does not match the network")
+    args = (state.values, net.coupling, net.velocities,
+            _absorption_cumulative(net), net.grid.h)
+    c_max = float(np.max(net.velocities))
+    for block in time_blocks(times, state.values.size):
+        # vertex crossings per traced point are capped at ceil(t c_max) + 2
+        # for the block's largest t, which covers every time in the block
+        cap = int(math.ceil(float(np.max(block)) * c_max)) + 2
+        try:
+            values = trace_transport(*args, block, cap)
+        except FrontierLimitError:
+            if block.size == 1:
+                raise
+            _, entries = trace_with_count(*args, block[[np.argmax(block)]], cap)
+            per = _kernels.FRONTIER_LIMIT // entries
+            values = np.concatenate([trace_transport(*args, block[k:k + per], cap)
+                                     for k in range(0, block.size, per)])
+        yield values
+
+
 def step_characteristics(net: Network, state: EdgeState, t: float) -> EdgeState:
     """Evolve the state by time t exactly, backtracking characteristics
-    through the vertex coupling.  The number of vertex crossings per traced
-    point is capped at ceil(t * c_max) + 2."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if state.values.shape[0] != net.n_edges:
-        raise ValidationError("state does not match the network")
-    cap = int(math.ceil(t * float(np.max(net.velocities)))) + 2
-    new_vals = trace_transport(state.values, net.coupling, net.velocities,
-                               _absorption_cumulative(net), net.grid.h,
-                               float(t), cap)
-    return EdgeState(net.grid, new_vals)
+    through the vertex coupling: the one-time case of
+    ``characteristics_orbit``."""
+    return EdgeState(net.grid, next(characteristics_orbit(net, state, [t]))[0])
 
 
 def network_semigroup(net: Network) -> Semigroup:
     """The transport flow as a semigroup acting on edge states."""
-    return Semigroup("network_transport",
-                     lambda t, st: step_characteristics(net, st, t))
+    return orbit_semigroup("network_transport",
+                           lambda times, st: characteristics_orbit(net, st, times))
 
 
 def step_upwind(net: Network, state: EdgeState, dt: float) -> EdgeState:
@@ -304,8 +330,9 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
                   ) -> tuple[np.ndarray, list[EdgeState]]:
     """Evolve ``state`` to a ladder of output times.
 
-    The characteristics solver evaluates the exact flow at each output time
-    directly from the given state; the upwind solver marches with a uniform
+    The characteristics solver evaluates the exact flow from the given state
+    along the orbit of all output times, traced in blocks of times
+    (``characteristics_orbit``); the upwind solver marches with a uniform
     step chosen so every output time is a step multiple and the CFL target
     is respected.
     """
@@ -314,10 +341,10 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     if n_outputs < 2:
         raise ValueError("need at least two output times")
     n_values = net.n_edges * (net.grid.n_cells + 1)
-    if n_outputs * n_values > FRONTIER_LIMIT:
+    if n_outputs * n_values > _kernels.FRONTIER_LIMIT:
         raise ValueError(
             f"{n_outputs} output times of {n_values} values each exceed the "
-            f"limit of {FRONTIER_LIMIT} stored values; request fewer outputs")
+            f"limit of {_kernels.FRONTIER_LIMIT} stored values; request fewer outputs")
     if solver == "upwind":
         if not 0 < cfl <= 1.0:
             raise ValueError("CFL target must lie in (0, 1]")
@@ -334,7 +361,8 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     times = np.linspace(0.0, t_final, n_outputs)
     if solver == "characteristics":
-        return times, [step_characteristics(net, state, float(t)) for t in times]
+        return times, [EdgeState(net.grid, values) for block in
+                       characteristics_orbit(net, state, times) for values in block]
     # k_steps rounds seg / dt_max up, less a 1e-9 slack for rounding, so
     # max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
     dt = seg / k_steps

@@ -1,6 +1,10 @@
 """Semigroup actions and the approximation formulas connecting them to
 generators and resolvents.
 
+A semigroup acts on one time with ``apply(t, f)`` and along an orbit with
+``orbit(times, f)``, which yields the node values of T(t) f for many times
+in blocks of rows; ``apply`` is its one-time case.
+
 The three bridges verified at desk scale:
 
 * Euler formula: T(t) f is the m-fold application of (m/t) R(m/t, A).
@@ -14,20 +18,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from itertools import chain
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .grid import Grid, GridFunction
 from .operators import Generator
 
+# Most state values one orbit block holds (at least one state per block).
+ORBIT_BLOCK_VALUES = 2 ** 12
+
 
 @dataclass(frozen=True)
 class Semigroup:
-    """A labeled one-parameter family t -> T(t) acting on states."""
+    """A labeled one-parameter family t -> T(t) acting on states.
+
+    ``apply(t, f)`` returns the state T(t) f.  ``orbit(times, f)`` yields
+    the node values of T(t) f for each t in ``times`` as blocks of rows, one
+    row per time in the order of ``times``, each row equal bit for bit to
+    ``apply(t, f).values``; a block holds at most ``ORBIT_BLOCK_VALUES``
+    values or a single state.
+    """
 
     label: str
     apply: Callable[[float, Any], Any]
+    orbit: Callable[[Sequence[float], Any], Iterator[np.ndarray]]
+
+
+def orbit_semigroup(label: str,
+                    orbit: Callable[[Sequence[float], Any], Iterator[np.ndarray]]
+                    ) -> Semigroup:
+    """The semigroup whose ``apply`` is the one-time case of ``orbit``."""
+
+    def apply(t: float, f: Any) -> Any:
+        return type(f)(f.grid, next(orbit([t], f))[0])
+
+    return Semigroup(label, apply, orbit)
+
+
+def time_blocks(times: Sequence[float], state_size: int) -> Iterator[np.ndarray]:
+    """Split nonnegative ``times`` into consecutive blocks of at most
+    ``ORBIT_BLOCK_VALUES // state_size`` times (at least one)."""
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times < 0):
+        raise ValueError("semigroup time must be nonnegative")
+    per = max(1, ORBIT_BLOCK_VALUES // state_size)
+    return (times[k:k + per] for k in range(0, times.size, per))
 
 
 def _translation_semigroup(label: str,
@@ -35,13 +72,13 @@ def _translation_semigroup(label: str,
     """Translation (T(t) f)(x) = f(x - t) on the grid nodes, linearly
     interpolated, with the value ``inflow(f)`` entering at the left end."""
 
-    def apply(t: float, f: GridFunction) -> GridFunction:
-        if t < 0:
-            raise ValueError("semigroup time must be nonnegative")
+    def orbit(times: Sequence[float], f: GridFunction) -> Iterator[np.ndarray]:
         x = np.arange(f.grid.n_cells + 1) * f.grid.h
-        return GridFunction(f.grid, np.interp(x - t, x, f.values, left=inflow(f)))
+        fill = inflow(f)
+        for block in time_blocks(times, x.size):
+            yield np.interp(x - block[:, None], x, f.values, left=fill)
 
-    return Semigroup(label, apply)
+    return orbit_semigroup(label, orbit)
 
 
 def shift_semigroup(grid: Grid) -> Semigroup:
@@ -81,15 +118,14 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
 def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
                      damping: Callable[[float], float]) -> Any:
     """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds, summed on
-    node values into one state of the orbit's type."""
+    node values in time order into one state of the type of ``f``."""
+    times = [k * ds for k in range(int(steps) + 1)]
     acc = None
-    for k in range(int(steps) + 1):
-        s = k * ds
+    for k, values in enumerate(chain.from_iterable(sg.orbit(times, f))):
         w = 0.5 if k in (0, steps) else 1.0
-        state = sg.apply(s, f)
-        term = state.values * (w * damping(s))
+        term = values * (w * damping(times[k]))
         acc = term if acc is None else acc + term
-    return type(state)(state.grid, acc * ds)
+    return type(f)(f.grid, acc * ds)
 
 
 class LaplaceResult(NamedTuple):

@@ -353,6 +353,50 @@ def test_trace_paths_agree():
             assert err <= 1e-15 * np.max(np.abs(ref)), (name, t, err)
 
 
+def test_simulate_characteristics_matches_per_time_steps():
+    for name, make, seed, times in TRACE_CASES:
+        net = make()
+        st = semiflow.sample_states(net, 1, seed)[0][1]
+        out_times, states = semiflow.simulate_flow(net, st, max(times),
+                                                   "characteristics", n_outputs=7)
+        for t, state in zip(out_times, states):
+            ref = semiflow.step_characteristics(net, st, float(t)).values
+            assert np.array_equal(state.values, ref), (name, t)
+
+
+def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
+    # two-cycle of 4 cells: t = 6 alone creates 68 entries, the whole block
+    # of 12 times 492; with a limit of 150 the block goes over, each time
+    # alone stays under, and the split traces chunks of 150 // 68 = 2 times
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=4)
+    st = semiflow.sample_states(net, 1, 7)[0][1]
+    args = (st.values, net.coupling, net.velocities,
+            _absorption_cumulative(net), net.grid.h)
+    times = np.linspace(6.0, 0.5, 12)
+    per_time = [semiflow.step_characteristics(net, st, float(t)).values
+                for t in times]
+    counts = [K.trace_with_count(*args, t, 10)[1] for t in times]
+    assert (max(counts), sum(counts)) == (68, 492)
+    monkeypatch.setattr(K, "FRONTIER_LIMIT", 150)
+    with pytest.raises(ValueError, match="t = 6.0 "):
+        K.trace_transport(*args, times, 10)
+    calls = []
+
+    def spy(*a):
+        calls.append(np.size(a[5]))
+        return K.trace_transport(*a)
+
+    monkeypatch.setattr(semiflow.network, "trace_transport", spy)
+    sg = semiflow.network_semigroup(net)
+    rows = np.concatenate(list(sg.orbit(times, st)))
+    assert calls == [12] + [2] * 6
+    assert all(np.array_equal(row, ref) for row, ref in zip(rows, per_time))
+    # t = 20 (208 entries) and t = 30 (308) are each over the limit alone;
+    # the error names the block's largest time, not the first failing one
+    with pytest.raises(ValueError, match=r"t = 30\.0 would create"):
+        list(sg.orbit([20.0, 1.0, 30.0, 2.0], st))
+
+
 def test_trace_crossing_cap_raises():
     net = semiflow.make_network(2, [(0, 1), (1, 0)], velocities=[1.0, 1.0],
                                 n_cells=20)

@@ -13,6 +13,7 @@ from semiflow import (CompactSeminormFamily, Grid, GridFunction,
                       random_flow_network, right_translation_generator,
                       right_translation_semigroup, sample_states,
                       shift_semigroup, smooth_bump, supnorm)
+from semiflow import semigroups
 from semiflow.semigroups import _trapezoid_orbit
 
 
@@ -197,3 +198,26 @@ def test_trapezoid_orbit_matches_reference():
             assert type(got) is type(ref) and got.grid == ref.grid
             assert np.array_equal(got.values, ref.values), (sg.label, ds)
             assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
+
+
+@pytest.mark.parametrize("block_values", [None, 250], ids=["default", "small_blocks"])
+def test_orbit_rows_equal_apply(monkeypatch, block_values):
+    # unsorted times, a repeated time and t = 0, over one block and over
+    # several
+    if block_values is not None:
+        monkeypatch.setattr(semigroups, "ORBIT_BLOCK_VALUES", block_values)
+    times = [0.7, 0.0, 2.3, 0.7, 1.1, 3.0, 0.05, 0.0, 1.9, 0.31, 2.3]
+    grid = Grid(-3.0, 4.0, 120)
+    f = GridFunction(grid, np.random.default_rng(8).uniform(-1.0, 1.0, 121))
+    net = random_flow_network(4, seed=2, n_cells=30)
+    g = sample_states(net, 1, 4)[0][1]
+    for sg, state in ((shift_semigroup(grid), f),
+                      (right_translation_semigroup(grid), f),
+                      (network_semigroup(net), g)):
+        blocks = list(sg.orbit(times, state))
+        per = max(1, semigroups.ORBIT_BLOCK_VALUES // state.values.size)
+        assert [len(b) for b in blocks[:-1]] == [per] * (len(blocks) - 1)
+        rows = np.concatenate(blocks)
+        assert rows.shape == (len(times),) + state.values.shape
+        for t, row in zip(times, rows):
+            assert np.array_equal(row, sg.apply(t, state).values), (sg.label, t)
