@@ -11,23 +11,19 @@ scheme.
 """
 
 from ._kernels import damped_cumulative_integral
-from .grid import (Grid, GridFunction, differentiate, integrate, read_csv,
-                   supnorm, window_sup, write_csv)
+from .grid import Grid, GridFunction, differentiate, window_sup, write_csv
 from .seminorms import (CompactSeminormFamily, MixedSeminorm,
-                        WindowOrientation, eval_mixed, eval_pn,
-                        norming_residual)
+                        WindowOrientation, eval_mixed, eval_pn)
 from .operators import (Generator, ResolventUnavailableError, UpwindMatrix,
                         laplacian_generator, left_shift_generator,
                         resolvent_shift, right_translation_generator,
-                        right_translation_resolvent, upwind_discretize,
-                        zero_generator)
+                        right_translation_resolvent, upwind_discretize)
 from .samples import (plateau_ramp, probe_functions, sample_functions,
                       smooth_bump)
 from .semigroups import (LaplaceResult, Semigroup, euler_apply,
                          laplace_resolvent, orbit_integral_residual,
                          right_translation_semigroup, shift_semigroup)
-from .generation import (CheckReport, Witness,
-                         check_bi_dissipative, check_dissipative,
+from .generation import (CheckReport, Witness, check_bi_dissipative,
                          check_hy_powers, check_resolvent_contraction,
                          lumer_phillips_verdict, subdifferential_test)
 from .network import (Edge, EdgeState, Network, ValidationError,
@@ -37,34 +33,32 @@ from .network import (Edge, EdgeState, Network, ValidationError,
                       network_resolvent, network_semigroup,
                       random_flow_network, resolvent_defect_norm,
                       sample_states, simulate_flow, step_characteristics,
-                      step_upwind, supnorm_l1, supnorm_l1_weighted,
-                      total_mass, velocity_fixed_vector_residual, weighted_bc)
+                      supnorm_l1_weighted, total_mass,
+                      velocity_fixed_vector_residual, weighted_bc)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "damped_cumulative_integral",
-    "Grid", "GridFunction", "differentiate", "integrate", "read_csv",
-    "supnorm", "window_sup", "write_csv",
+    "Grid", "GridFunction", "differentiate", "window_sup", "write_csv",
     "CompactSeminormFamily", "MixedSeminorm", "WindowOrientation",
-    "eval_mixed", "eval_pn", "norming_residual",
+    "eval_mixed", "eval_pn",
     "Generator", "ResolventUnavailableError", "UpwindMatrix",
     "laplacian_generator", "left_shift_generator", "resolvent_shift",
     "right_translation_generator", "right_translation_resolvent",
-    "upwind_discretize", "zero_generator",
+    "upwind_discretize",
     "plateau_ramp", "probe_functions", "sample_functions", "smooth_bump",
     "LaplaceResult", "Semigroup", "euler_apply", "laplace_resolvent",
     "orbit_integral_residual", "right_translation_semigroup",
     "shift_semigroup",
     "CheckReport", "Witness", "check_bi_dissipative",
-    "check_dissipative", "check_hy_powers", "check_resolvent_contraction",
+    "check_hy_powers", "check_resolvent_contraction",
     "lumer_phillips_verdict", "subdifferential_test",
     "Edge", "EdgeState", "Network", "ValidationError", "build_adjacency",
     "defect_budget", "initial_state", "load_network", "make_network",
     "network_generation_verdict", "network_resolvent", "network_semigroup",
     "random_flow_network", "resolvent_defect_norm", "sample_states",
-    "simulate_flow", "step_characteristics", "step_upwind", "supnorm_l1",
-    "supnorm_l1_weighted", "total_mass", "velocity_fixed_vector_residual",
-    "weighted_bc",
+    "simulate_flow", "step_characteristics", "supnorm_l1_weighted",
+    "total_mass", "velocity_fixed_vector_residual", "weighted_bc",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .generation import lumer_phillips_verdict
 from .grid import Grid, GridFunction, write_csv, write_rows
 from . import network
 from .network import (ValidationError, initial_state, load_network,
-                      simulate_flow, supnorm_l1, total_mass)
+                      simulate_flow, total_mass)
 from .operators import (laplacian_generator, left_shift_generator,
                         right_translation_generator, right_translation_resolvent)
 from .samples import plateau_ramp, sample_functions, smooth_bump
@@ -259,7 +259,7 @@ def cmd_simulate(args) -> int:
     times, states = simulate_flow(net, state, args.t, args.solver,
                                   cfl=args.cfl, n_outputs=args.outputs)
     masses = [total_mass(st) for st in states]
-    sups = [supnorm_l1(st) for st in states]
+    sups = [st.norm() for st in states]
     m0 = masses[0]
     drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-300)
     if args.out is not None:

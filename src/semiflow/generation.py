@@ -4,16 +4,18 @@ Each check evaluates an inequality family on concrete inputs and returns a
 :class:`CheckReport` whose witnesses record every violating tuple.  The
 checks split into two precision classes:
 
-* exact-arithmetic claims: 1e-9 relative for sup-norm dissipativity, 1e-9
-  absolute for the panel-exact resolvent contraction, and 1e-10 relative
-  (the default) for the matrix resolvent-power bounds;
+* exact-arithmetic claims: 1e-9 absolute for the panel-exact resolvent
+  contraction and 1e-10 relative (the default) for the matrix
+  resolvent-power bounds;
 * discretized-operator claims (anything applying a difference stencil):
   10 h^2 relative, the documented scheme error.
 
-``lumer_phillips_verdict`` combines the seminorm-wise dissipativity check
-with a range/surjectivity probe into a single generation verdict, the
-numerical counterpart of proving that a dissipative operator with dense
-range of (lambda - A) generates a contraction semigroup.
+Dissipativity is checked seminorm by seminorm (``check_bi_dissipative``),
+the form the bi-continuous Lumer-Phillips theorem asks for.
+``lumer_phillips_verdict`` combines that check with a range/surjectivity
+probe into a single generation verdict, the numerical counterpart of
+proving that a dissipative operator with dense range of (lambda - A)
+generates a contraction semigroup.
 """
 
 from __future__ import annotations
@@ -81,29 +83,6 @@ def _check_domain(gen: Generator, samples: Sequence[tuple[str, GridFunction]]) -
         if not gen.domain_check(f):
             raise ValueError(
                 f"sample {k} ('{sid}') is outside the domain of '{gen.label}'")
-
-
-def check_dissipative(gen: Generator, samples: Sequence[tuple[str, GridFunction]],
-                      lambdas: Sequence[float]) -> CheckReport:
-    """Sup-norm dissipativity: ||(lambda - A) f|| >= lambda ||f|| for every
-    domain sample and every lambda, up to a relative tolerance of 1e-9."""
-    rel_tol = 1e-9
-    _check_domain(gen, samples)
-    witnesses = []
-    for sid, f in samples:
-        af = gen.apply(f)
-        for lam in lambdas:
-            if not lam > 0:
-                raise ValueError("lambda values must be positive")
-            lhs = (f * lam - af).norm()
-            rhs = lam * f.norm()
-            if lhs < rhs * (1.0 - rel_tol):
-                witnesses.append(Witness(sid, float(lam), None, lhs, rhs))
-    return CheckReport(
-        "dissipative",
-        {"generator": gen.label, "lambdas": list(map(float, lambdas)),
-         "n_samples": len(samples)},
-        rel_tol, witnesses)
 
 
 def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
@@ -250,11 +229,13 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
     The surjectivity leg solves f = R(lambda) g for each probe g, requires f
     to satisfy the domain predicate and the defect ||lambda f - A f - g|| to
     stay within the consistency budget of the discretization,
-    10 (1 + lambda)^2 h^2 relative.  A verdict over no sample certifies
-    nothing, so an empty sample list is rejected.
+    10 (1 + lambda)^2 h^2 relative.  A verdict over no sample or no lambda
+    certifies nothing, so an empty sample or lambda list is rejected.
     """
     if not samples:
         raise ValueError("the generation verdict needs at least one sample")
+    if len(lambdas) == 0:
+        raise ValueError("the generation verdict needs at least one lambda")
     sub = [check_bi_dissipative(gen, family, samples, lambdas)]
     if surjectivity_probes:
         range_witnesses = []
@@ -284,6 +265,6 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
 
 __all__ = [
     "Witness", "CheckReport",
-    "check_dissipative", "check_bi_dissipative", "check_resolvent_contraction",
+    "check_bi_dissipative", "check_resolvent_contraction",
     "check_hy_powers", "subdifferential_test", "lumer_phillips_verdict",
 ]

@@ -1,9 +1,8 @@
 """Uniform grids on an interval and function samples living on them.
 
 All continuum objects in this package are represented by their values on
-the nodes of a uniform grid.  Calculus on samples uses schemes that are
-exact on low-degree polynomials: trapezoid quadrature (exact on affine
-data) and second-order difference stencils (exact on quadratics).
+the nodes of a uniform grid.  Derivatives of samples use second-order
+difference stencils, exact on quadratics.
 """
 
 from __future__ import annotations
@@ -103,15 +102,6 @@ class GridFunction:
         return type(self)(self.grid, -self.values)
 
 
-def supnorm(f: GridFunction) -> float:
-    return f.norm()
-
-
-def integrate(f: GridFunction) -> float:
-    """Trapezoid quadrature over the whole grid; exact on affine data."""
-    return float(np.trapezoid(f.values, dx=f.grid.h))
-
-
 def differentiate(f: GridFunction) -> GridFunction:
     """First derivative: central differences inside, second-order one-sided
     stencils at both endpoints.  Exact on quadratics."""
@@ -159,20 +149,3 @@ def write_csv(f: GridFunction, path) -> None:
     """Serialize as 'x,value' rows with full double precision."""
     write_rows(path, ["x", "value"], zip(f.grid.nodes, f.values))
 
-
-def read_csv(path) -> GridFunction:
-    """Load a GridFunction written by :func:`write_csv` (uniform x required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "value"]:
-            raise ValueError("expected 'x,value' header")
-        rows = [(float(x), float(v)) for x, v in reader]
-    if len(rows) < 3:
-        raise ValueError("need at least three rows for a grid")
-    x = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    h = (x[-1] - x[0]) / (len(x) - 1)
-    if not np.allclose(np.diff(x), h, rtol=0, atol=1e-9 * max(abs(h), 1.0)):
-        raise ValueError("x column is not a uniform grid")
-    return GridFunction(Grid(float(x[0]), float(x[-1]), len(x) - 1), v)

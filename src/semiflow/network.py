@@ -198,7 +198,7 @@ def weighted_bc(net: Network) -> np.ndarray:
 
 
 def velocity_fixed_vector_residual(net: Network) -> float:
-    """Residual of transpose(weighted_bc) applied to the velocities."""
+    """Residual of transpose(net.coupling) applied to the velocities."""
     c = net.velocities
     return float(np.max(np.abs(net.coupling.T @ c - c)))
 
@@ -225,10 +225,6 @@ class EdgeState(GridFunction):
     def norm(self) -> float:
         """Sup over x of the l1 norm across edges (the natural state norm)."""
         return float(np.max(np.sum(np.abs(self.values), axis=0)))
-
-
-def supnorm_l1(state: EdgeState) -> float:
-    return state.norm()
 
 
 def total_mass(state: EdgeState) -> float:
@@ -310,21 +306,6 @@ def network_semigroup(net: Network) -> Semigroup:
                            lambda times, st: characteristics_orbit(net, st, times))
 
 
-def step_upwind(net: Network, state: EdgeState, dt: float) -> EdgeState:
-    """One explicit upwind step of size dt; rejects CFL violations."""
-    if not dt > 0:
-        raise ValueError("time step must be positive")
-    h = net.grid.h
-    nu = net.velocities * dt / h
-    worst = float(np.max(nu))
-    if worst > 1.0 + 1e-12:
-        raise ValueError(
-            f"CFL violation: max velocity * dt / h = {worst!r} exceeds 1; "
-            f"reduce dt to at most {h / float(np.max(net.velocities))!r}")
-    new_vals = upwind_sweep(state.values, net.coupling, nu, dt * net.absorption, 1)
-    return EdgeState(net.grid, new_vals)
-
-
 def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
                   cfl: float = 0.9, n_outputs: int = 11
                   ) -> tuple[np.ndarray, list[EdgeState]]:
@@ -401,7 +382,7 @@ def defect_budget(net: Network, lam: float, f_values: np.ndarray,
 
 def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     """Solve (lambda - A) f = g with (A f)_j = c_j f_j' + q_j f_j and the
-    vertex boundary condition f(1) = weighted_bc f(0).
+    vertex boundary condition f(1) = net.coupling f(0).
 
     Each edge is integrated backward from the tail with the panel-exact
     damped quadrature (all factors decay for lambda above the absorption),
@@ -514,11 +495,13 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     boundary-condition residuals ``network_resolvent`` enforces by raising
     ``RuntimeError``.  Positive absorption values shift the contraction
     bound: (lambda - max(0, sup q)) replaces lambda, and lambda values at or
-    below the shift are skipped for that leg.  At least one sample is
-    required.
+    below the shift are skipped for that leg.  At least one sample and one
+    lambda are required.
     """
     if n_samples < 1:
         raise ValueError("the network verdict needs at least one sample")
+    if len(lambdas) == 0:
+        raise ValueError("the network verdict needs at least one lambda")
     contraction_wit = []
     states = sample_states(net, n_samples, seed)
     shift = max(0.0, float(np.max(net.absorption)))

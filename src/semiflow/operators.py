@@ -128,18 +128,6 @@ def laplacian_generator(grid: Grid) -> Generator:
     return Generator("laplacian", apply, None, lambda f: True)
 
 
-def zero_generator(grid: Grid) -> Generator:
-    """A = 0 surrogate: dissipative with equality, R(lam) = (1/lam) I."""
-
-    def apply(f: GridFunction) -> GridFunction:
-        return GridFunction(f.grid, np.zeros_like(f.values))
-
-    def resolvent(lam: float, g: GridFunction) -> GridFunction:
-        return g / lam
-
-    return Generator("zero", apply, resolvent, lambda f: True)
-
-
 @dataclass(frozen=True)
 class UpwindMatrix:
     """Dense first-order upwind discretization of the left shift.

@@ -58,11 +58,11 @@ def orbit_semigroup(label: str,
 
 
 def time_blocks(times: Sequence[float], state_size: int) -> Iterator[np.ndarray]:
-    """Split nonnegative ``times`` into consecutive blocks of at most
+    """Split finite nonnegative ``times`` into consecutive blocks of at most
     ``ORBIT_BLOCK_VALUES // state_size`` times (at least one)."""
     times = np.asarray(times, dtype=np.float64)
-    if np.any(times < 0):
-        raise ValueError("semigroup time must be nonnegative")
+    if not np.all((times >= 0) & (times < np.inf)):
+        raise ValueError("semigroup time must be finite and nonnegative")
     per = max(1, ORBIT_BLOCK_VALUES // state_size)
     return (times[k:k + per] for k in range(0, times.size, per))
 
@@ -115,6 +115,11 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
     return out
 
 
+def _check_steps(steps: int) -> None:
+    if int(steps) != steps or steps < 1:
+        raise ValueError("steps must be an integer >= 1")
+
+
 def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
                      damping: Callable[[float], float]) -> Any:
     """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds, summed on
@@ -147,8 +152,7 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
         raise ValueError("lambda must be positive")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if int(steps) != steps or steps < 1:
-        raise ValueError("steps must be an integer >= 1")
+    _check_steps(steps)
     value = _trapezoid_orbit(sg, f, horizon / steps, steps,
                              lambda s: math.exp(-lam * s))
     tail = math.exp(-lam * horizon) * f.norm() / lam
@@ -161,6 +165,7 @@ def orbit_integral_residual(gen: Generator, sg: Semigroup, t: float, f: Any,
     with trapezoid time quadrature for the orbit integral."""
     if t < 0:
         raise ValueError("time must be nonnegative")
+    _check_steps(steps)
     if t == 0:
         return 0.0
     orbit = _trapezoid_orbit(sg, f, t / steps, steps, lambda s: 1.0)

@@ -2,8 +2,7 @@
 
 A compact-window family p_1 <= p_2 <= ... <= p_N takes the sup of |f| over
 a growing chain of windows anchored at the origin.  On spaces of bounded
-continuous functions, the sup over all windows recovers the sup norm; the
-``norming_residual`` measures how far a finite truncation is from that.
+continuous functions, the sup over all windows recovers the sup norm.
 
 Mixed seminorms max_n a_n p_n(f) model the coarser locally convex topology
 generated by countable weighted combinations of the family.
@@ -78,9 +77,3 @@ def eval_mixed(m: MixedSeminorm, f: GridFunction) -> float:
     fam = m.family
     return max(m.weights[n - 1] * eval_pn(fam, n, f) for n in range(1, fam.max_index + 1))
 
-
-def norming_residual(family: CompactSeminormFamily, f: GridFunction) -> float:
-    """|sup_n p_n(f) - sup-norm(f)|: zero when the largest window covers the grid,
-    otherwise the truncation artifact of stopping the family at max_index."""
-    best = max(eval_pn(family, n, f) for n in range(1, family.max_index + 1))
-    return abs(best - f.norm())

@@ -116,7 +116,7 @@ def test_criterion_05_euler_convergence_ladder(capsys):
             for m in ladder]
     elapsed = time.perf_counter() - t0
     monotone = all(b <= a * 1.05 for a, b in zip(errs, errs[1:]))
-    final_ok = errs[-1] <= 0.02 * sf.supnorm(f)
+    final_ok = errs[-1] <= 0.02 * f.norm()
     ok = monotone and final_ok and elapsed < 30.0
     with capsys.disabled():
         _report("criterion 5 (Euler power convergence)", ok,
@@ -155,7 +155,7 @@ def test_criterion_07_orbit_integral_identity(capsys):
     f = sf.smooth_bump(grid, 4.0, 2.0)
     residual = sf.orbit_integral_residual(gen, sg, 0.5, f, steps=2000)
     elapsed = time.perf_counter() - t0
-    bound = 1e-3 * sf.supnorm(f)
+    bound = 1e-3 * f.norm()
     ok = residual <= bound and elapsed < 10.0
     with capsys.disabled():
         _report("criterion 7 (orbit integral identity)", ok,
@@ -219,7 +219,7 @@ def test_criterion_10_network_resolvent_contraction(capsys):
                 for lam in (1.0, 5.0):
                     f = sf.network_resolvent(net, lam, g)
                     worst_ratio = max(worst_ratio,
-                                      lam * sf.supnorm_l1(f) / sf.supnorm_l1(g))
+                                      lam * f.norm() / g.norm())
     cyc = sf.make_network(2, [(0, 1), (1, 0)], velocities=[1.0, 1.0],
                           n_cells=400)
     ones = sf.EdgeState(cyc.grid, np.ones((2, 401)))

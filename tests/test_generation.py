@@ -1,20 +1,19 @@
-"""Certificate-style checks: dissipativity, windowed dissipativity,
-resolvent contraction, resolvent-power bounds, subdifferential membership,
-and the combined verdict."""
+"""Certificate-style checks: windowed dissipativity, resolvent contraction,
+resolvent-power bounds, subdifferential membership, and the combined
+verdict."""
 
 import numpy as np
 import pytest
 
 from semiflow import (CheckReport, CompactSeminormFamily, Generator, Grid,
                       GridFunction, Witness, WindowOrientation,
-                      check_bi_dissipative, check_dissipative, check_hy_powers,
+                      check_bi_dissipative, check_hy_powers,
                       check_resolvent_contraction, eval_pn,
                       laplacian_generator, left_shift_generator,
                       lumer_phillips_verdict, plateau_ramp,
                       right_translation_generator,
                       right_translation_resolvent, sample_functions,
-                      smooth_bump, subdifferential_test, upwind_discretize,
-                      zero_generator)
+                      smooth_bump, subdifferential_test, upwind_discretize)
 
 E_MINUS_3 = 0.049787068367863944        # e^{-3}
 ONE_MINUS_E_MINUS_3 = 0.950212931632136  # 1 - e^{-3}
@@ -27,40 +26,11 @@ def _left_shift_setup(n_cells=2000):
     return g, gen, fam
 
 
-def test_dissipative_left_shift_passes():
-    g, gen, _ = _left_shift_setup()
-    samples = [
-        ("xexp", GridFunction.from_callable(g, lambda x: x * np.exp(-x))),
-        ("sinwin", smooth_bump(g, np.pi / 2, np.pi / 2)),
-    ]
-    rep = check_dissipative(gen, samples, [0.5, 1.0, 2.0])
-    assert rep.passed and not rep.witnesses
-
-
-def test_dissipative_zero_operator_equality():
-    g = Grid(0.0, 10.0, 500)
-    gen = zero_generator(g)
-    samples = sample_functions(g, 4, seed=2)
-    rep = check_dissipative(gen, samples, [0.5, 2.0])
-    assert rep.passed
-
-
 def test_dissipative_rejects_out_of_domain_sample():
-    g, gen, _ = _left_shift_setup(200)
+    g, gen, fam = _left_shift_setup(200)
     bad = GridFunction(g, np.ones(201))
     with pytest.raises(ValueError, match="outside the domain"):
-        check_dissipative(gen, [("ones", bad)], [1.0])
-
-
-def test_second_derivative_witness_pair():
-    g = Grid(-2.0, 2.0, 4000)
-    gen = laplacian_generator(g)
-    f = GridFunction.from_callable(g, lambda x: x ** 2)
-    rep = check_dissipative(gen, [("parabola", f)], [1.0])
-    assert not rep.passed
-    w = rep.witnesses[0]
-    assert w.lhs == pytest.approx(2.0, abs=1e-6)
-    assert w.rhs == pytest.approx(4.0, abs=1e-12)
+        check_bi_dissipative(gen, fam, [("ones", bad)], [1.0])
 
 
 def test_bi_dissipative_left_shift_passes():
@@ -256,6 +226,16 @@ def test_verdict_rejects_no_samples():
     probes = sample_functions(g, 2, seed=1)
     with pytest.raises(ValueError, match="at least one sample"):
         lumer_phillips_verdict(gen, fam, [], [1.0], probes)
+
+
+def test_verdict_rejects_no_lambdas():
+    # with no lambda the dissipativity leg compares nothing, so even the
+    # second derivative, which generates no contraction semigroup, would pass
+    g = Grid(-2.0, 2.0, 400)
+    fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
+    samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
+    with pytest.raises(ValueError, match="at least one lambda"):
+        lumer_phillips_verdict(laplacian_generator(g), fam, samples, [])
 
 
 def test_verdict_laplacian_fails_first_leg():

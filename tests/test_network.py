@@ -15,8 +15,8 @@ from semiflow import (EdgeState, Grid, GridFunction, ValidationError,
                       network_resolvent, network_semigroup,
                       random_flow_network, resolvent_defect_norm,
                       sample_states, simulate_flow, step_characteristics,
-                      step_upwind, supnorm_l1, supnorm_l1_weighted,
-                      total_mass, velocity_fixed_vector_residual, weighted_bc)
+                      supnorm_l1_weighted, total_mass,
+                      velocity_fixed_vector_residual, weighted_bc)
 
 
 def two_cycle(n_cells=400, velocities=(1.0, 1.0), absorption=None):
@@ -76,10 +76,10 @@ def test_total_mass_and_supnorm():
     x = net.grid.nodes
     vals = np.stack([x, 1.0 - x])
     st2 = EdgeState(net.grid, vals)
-    assert supnorm_l1(st2) == pytest.approx(1.0)
+    assert st2.norm() == pytest.approx(1.0)
     st3 = EdgeState(net.grid, np.stack([np.sin(np.pi * x), np.sin(np.pi * x)]))
-    assert supnorm_l1(st3) == pytest.approx(2.0)
-    assert supnorm_l1(EdgeState(net.grid, np.zeros((2, 1001)))) == 0.0
+    assert st3.norm() == pytest.approx(2.0)
+    assert EdgeState(net.grid, np.zeros((2, 1001))).norm() == 0.0
 
 
 def test_characteristics_hop_and_period():
@@ -125,11 +125,9 @@ def test_characteristics_absorption_decay():
 def test_upwind_unit_cfl_matches_characteristics():
     net = two_cycle(n_cells=200)
     st = initial_state(net)
-    dt = net.grid.h  # CFL exactly 1
-    marched = st
-    for _ in range(100):
-        marched = step_upwind(net, marched, dt)
-    traced = step_characteristics(net, st, 100 * dt)
+    t = 100 * net.grid.h  # 100 upwind steps at CFL exactly 1
+    _, (_, marched) = simulate_flow(net, st, t, "upwind", cfl=1.0, n_outputs=2)
+    traced = step_characteristics(net, st, t)
     assert np.max(np.abs(marched.values - traced.values)) < 1e-12
 
 
@@ -137,7 +135,7 @@ def test_upwind_rejects_cfl_violation():
     net = two_cycle(n_cells=100)
     st = initial_state(net)
     with pytest.raises(ValueError, match="CFL"):
-        step_upwind(net, st, 10.0 * net.grid.h)
+        simulate_flow(net, st, 1.0, "upwind", cfl=10.0)
 
 
 def test_upwind_mass_drift_small():
@@ -203,7 +201,7 @@ def test_resolvent_contraction_unit_velocities_plain_norm():
         for _, g in sample_states(net, 2, seed):
             for lam in (1.0, 5.0):
                 f = network_resolvent(net, lam, g)
-                assert lam * supnorm_l1(f) <= supnorm_l1(g) * (1 + 1e-6)
+                assert lam * f.norm() <= g.norm() * (1 + 1e-6)
 
 
 def test_resolvent_contraction_weighted_norm_mixed_velocities():
@@ -228,8 +226,8 @@ def test_plain_norm_contraction_fails_for_mixed_velocities():
     g = EdgeState(net.grid, np.stack([np.zeros_like(x), np.ones_like(x)]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ratios = [lam * supnorm_l1(network_resolvent(net, lam, g))
-                  / supnorm_l1(g) for lam in (4.0, 20.0)]
+        ratios = [lam * network_resolvent(net, lam, g).norm()
+                  / g.norm() for lam in (4.0, 20.0)]
     assert ratios[0] > 1.5
     assert ratios[1] > 1.9
 
@@ -565,6 +563,12 @@ def test_network_verdict_rejects_no_samples():
     for n_samples in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             network_generation_verdict(net, [1.0], n_samples=n_samples)
+
+
+def test_network_verdict_rejects_no_lambdas():
+    # with no lambda no resolvent is solved and the verdict would pass
+    with pytest.raises(ValueError, match="at least one lambda"):
+        network_generation_verdict(two_cycle(n_cells=40), [])
 
 
 # The O(E^2) out-edge scans that the vertex-to-out-edges map replaced, as

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 from semiflow import (Grid, GridFunction, ResolventUnavailableError,
                       laplacian_generator, left_shift_generator,
                       resolvent_shift, right_translation_generator,
-                      right_translation_resolvent, smooth_bump, supnorm,
-                      upwind_discretize, zero_generator)
+                      right_translation_resolvent, smooth_bump,
+                      upwind_discretize)
 
 # frozen oracle values
 ONE_MINUS_E_INV = 0.6321205588285577       # 1 - e^{-1}
@@ -21,7 +21,7 @@ def test_left_shift_apply_linear():
     gen = left_shift_generator(g)
     f = GridFunction.from_callable(g, lambda x: x)
     out = gen.apply(f)
-    assert supnorm(out - GridFunction(g, -np.ones(1001))) < 1e-10
+    assert (out - GridFunction(g, -np.ones(1001))).norm() < 1e-10
 
 
 def test_left_shift_apply_sin():
@@ -30,7 +30,7 @@ def test_left_shift_apply_sin():
     f = GridFunction.from_callable(g, np.sin)
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: -np.cos(x))
-    assert supnorm(out - ref) < 1e-3  # second-order stencil at h = 0.02
+    assert (out - ref).norm() < 1e-3  # second-order stencil at h = 0.02
 
 
 def test_left_shift_domain_check():
@@ -48,7 +48,7 @@ def test_resolvent_shift_ones_lambda_one():
     at_one = f.values[100]  # x = 1
     assert at_one == pytest.approx(ONE_MINUS_E_INV, abs=1e-6)
     ref = GridFunction.from_callable(g, lambda x: -np.expm1(-x))
-    assert supnorm(f - ref) < 1e-6
+    assert (f - ref).norm() < 1e-6
 
 
 def test_resolvent_shift_ones_lambda_two_saturates():
@@ -61,7 +61,7 @@ def test_resolvent_shift_ones_lambda_two_saturates():
 def test_resolvent_shift_zero_input():
     g = Grid(0.0, 20.0, 50)
     z = GridFunction(g, np.zeros(51))
-    assert supnorm(resolvent_shift(3.0, z)) == 0.0
+    assert resolvent_shift(3.0, z).norm() == 0.0
 
 
 def test_resolvent_shift_matches_ode_oracle():
@@ -87,7 +87,7 @@ def test_resolvent_identity_left_shift():
     lam = 2.0
     f = gen.resolve(lam, data)
     recovered = lam * f - gen.apply(f)
-    assert supnorm(recovered - data) < 10 * (1 + lam) ** 2 * g.h ** 2 * 10
+    assert (recovered - data).norm() < 10 * (1 + lam) ** 2 * g.h ** 2 * 10
 
 
 def test_right_translation_resolvent_ones():
@@ -95,7 +95,7 @@ def test_right_translation_resolvent_ones():
     ones = GridFunction(g, np.ones(1001))
     for lam in (0.5, 1.0, 3.0):
         f = right_translation_resolvent(lam, ones)
-        assert supnorm(f - GridFunction(g, np.full(1001, 1.0 / lam))) < 1e-12
+        assert (f - GridFunction(g, np.full(1001, 1.0 / lam))).norm() < 1e-12
 
 
 def test_right_translation_resolvent_ramp_frozen_value():
@@ -115,14 +115,14 @@ def test_laplacian_quadratic_is_exactly_two():
     gen = laplacian_generator(g)
     f = GridFunction.from_callable(g, lambda x: x ** 2)
     out = gen.apply(f)
-    assert supnorm(out - GridFunction(g, np.full(41, 2.0))) < 1e-12
+    assert (out - GridFunction(g, np.full(41, 2.0))).norm() < 1e-12
 
 
 def test_laplacian_constant_is_zero():
     g = Grid(-2.0, 2.0, 40)
     gen = laplacian_generator(g)
     f = GridFunction(g, np.full(41, 7.5))
-    assert supnorm(gen.apply(f)) < 1e-12
+    assert gen.apply(f).norm() < 1e-12
 
 
 def test_laplacian_quartic_ends_exact():
@@ -146,7 +146,7 @@ def test_laplacian_sin():
     f = GridFunction.from_callable(g, np.sin)
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: -np.sin(x))
-    assert supnorm(out - ref) < 1e-6
+    assert (out - ref).norm() < 1e-6
 
 
 def test_laplacian_has_no_resolvent():
@@ -166,15 +166,6 @@ def test_resolve_rejects_nonpositive_lambda():
         gen.resolve(0.0, f)
     with pytest.raises(ValueError):
         gen.resolve(-1.0, f)
-
-
-def test_zero_generator():
-    g = Grid(0.0, 5.0, 100)
-    gen = zero_generator(g)
-    f = GridFunction.from_callable(g, lambda x: np.cos(x))
-    assert supnorm(gen.apply(f)) == 0.0
-    r = gen.resolve(2.0, f)
-    assert supnorm(r - f / 2.0) < 1e-15
 
 
 def test_upwind_matrix_small_cases():

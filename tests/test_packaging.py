@@ -35,3 +35,14 @@ def test_import_leaves_scipy_out():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_resolve():
+    # a definition deleted but left in __all__ breaks the star import
+    import semiflow
+
+    names = semiflow.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from semiflow import *", namespace)
+    assert set(names) <= set(namespace)

@@ -12,7 +12,7 @@ from semiflow import (CompactSeminormFamily, Grid, GridFunction,
                       network_semigroup, orbit_integral_residual,
                       random_flow_network, right_translation_generator,
                       right_translation_semigroup, sample_states,
-                      shift_semigroup, smooth_bump, supnorm)
+                      shift_semigroup, smooth_bump)
 from semiflow import semigroups
 from semiflow.semigroups import _trapezoid_orbit
 
@@ -28,7 +28,7 @@ def test_shift_identity_at_zero():
     g = Grid(0.0, 20.0, 400)
     sg = shift_semigroup(g)
     f = smooth_bump(g, 3.0, 1.0)
-    assert supnorm(sg.apply(0.0, f) - f) == 0.0
+    assert (sg.apply(0.0, f) - f).norm() == 0.0
 
 
 def test_shift_translates_hat():
@@ -38,7 +38,7 @@ def test_shift_translates_hat():
     out = sg.apply(0.5, f)
     # the flow solves u_t = -u_x, so the profile travels toward larger x
     ref = hat(g, 1.5, 2.5)
-    assert supnorm(out - ref) < 1e-14
+    assert (out - ref).norm() < 1e-14
 
 
 def test_shift_semigroup_law_on_aligned_steps():
@@ -47,7 +47,7 @@ def test_shift_semigroup_law_on_aligned_steps():
     f = hat(g, 3.0, 5.0)
     a = sg.apply(0.75, sg.apply(0.5, f))
     b = sg.apply(1.25, f)
-    assert supnorm(a - b) < 1e-14
+    assert (a - b).norm() < 1e-14
 
 
 def test_right_translation_keeps_left_limit():
@@ -57,16 +57,16 @@ def test_right_translation_keeps_left_limit():
     out = sg.apply(2.0, f)
     # material moves right; the far-left value extends by its boundary limit
     ref = np.interp(g.nodes - 2.0, g.nodes, f.values, left=f.values[0])
-    assert supnorm(out - GridFunction(g, ref)) < 1e-15
+    assert (out - GridFunction(g, ref)).norm() < 1e-15
 
 
 def test_euler_zero_input_and_identity_cases():
     g = Grid(0.0, 10.0, 500)
     gen = left_shift_generator(g)
     z = GridFunction(g, np.zeros(501))
-    assert supnorm(euler_apply(gen, 1.0, 16, z)) == 0.0
+    assert euler_apply(gen, 1.0, 16, z).norm() == 0.0
     f = smooth_bump(g, 3.0, 1.0)
-    assert supnorm(euler_apply(gen, 0.0, 4, f) - f) == 0.0
+    assert (euler_apply(gen, 0.0, 4, f) - f).norm() == 0.0
     with pytest.raises(ValueError):
         euler_apply(gen, 1.0, 0, f)
     with pytest.raises(ValueError):
@@ -93,8 +93,8 @@ def test_laplace_resolvent_matches_exact_resolvent():
     f = smooth_bump(g, 2.0, 1.0)
     approx, tail = laplace_resolvent(sg, 1.0, f, 15.0, 3000)
     exact = gen.resolve(1.0, f)
-    assert supnorm(approx - exact) < 1e-3
-    assert tail == pytest.approx(np.exp(-15.0) * supnorm(f) / 1.0, rel=1e-12)
+    assert (approx - exact).norm() < 1e-3
+    assert tail == pytest.approx(np.exp(-15.0) * f.norm() / 1.0, rel=1e-12)
 
 
 def test_laplace_tail_bound_formula():
@@ -111,7 +111,7 @@ def test_orbit_integral_residual_small_t():
     sg = shift_semigroup(g)
     f = smooth_bump(g, 4.0, 2.0)
     r = orbit_integral_residual(gen, sg, 1e-6, f, steps=50)
-    assert r <= 1e-6 * supnorm(f)
+    assert r <= 1e-6 * f.norm()
 
 
 def test_orbit_integral_residual_zero_function():
@@ -128,7 +128,7 @@ def test_orbit_integral_residual_shift_pair():
     sg = shift_semigroup(g)
     f = smooth_bump(g, 4.0, 2.0)
     r = orbit_integral_residual(gen, sg, 0.5, f, steps=2000)
-    assert r <= 1e-3 * supnorm(f)
+    assert r <= 1e-3 * f.norm()
 
 
 def test_right_translation_euler_converges():
@@ -221,3 +221,32 @@ def test_orbit_rows_equal_apply(monkeypatch, block_values):
         assert rows.shape == (len(times),) + state.values.shape
         for t, row in zip(times, rows):
             assert np.array_equal(row, sg.apply(t, state).values), (sg.label, t)
+
+
+def test_orbit_integral_residual_rejects_bad_steps():
+    # checked before the t = 0 shortcut, as laplace_resolvent checks them
+    g = Grid(0.0, 10.0, 200)
+    gen = left_shift_generator(g)
+    sg = shift_semigroup(g)
+    f = smooth_bump(g, 4.0, 2.0)
+    for steps in (2000.5, 0, -1):
+        for t in (0.5, 0.0):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                orbit_integral_residual(gen, sg, t, f, steps=steps)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            laplace_resolvent(sg, 1.0, f, 5.0, steps)
+
+
+def test_semigroups_reject_non_finite_times():
+    grid = Grid(0.0, 10.0, 100)
+    f = smooth_bump(grid, 4.0, 2.0)
+    net = random_flow_network(4, seed=2, n_cells=30)
+    g = sample_states(net, 1, 4)[0][1]
+    for sg, state in ((shift_semigroup(grid), f),
+                      (right_translation_semigroup(grid), f),
+                      (network_semigroup(net), g)):
+        for t in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                sg.apply(t, state)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                next(sg.orbit([0.5, t], state))

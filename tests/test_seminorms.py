@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflow import (CompactSeminormFamily, Grid, GridFunction,
-                      MixedSeminorm, WindowOrientation, eval_mixed, eval_pn,
-                      norming_residual, supnorm)
+                      MixedSeminorm, WindowOrientation, eval_mixed, eval_pn)
 
 
 RIGHT10 = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
@@ -54,7 +53,7 @@ def test_monotone_in_window_index():
     f = GridFunction(g, rng.normal(size=501))
     vals = [eval_pn(RIGHT10, n, f) for n in range(1, 11)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] <= supnorm(f) + 1e-15
+    assert vals[-1] <= f.norm() + 1e-15
 
 
 def test_mixed_seminorm_examples():
@@ -76,19 +75,6 @@ def test_mixed_seminorm_weight_validation():
         MixedSeminorm(RIGHT10, [0.0] * 10)
     with pytest.raises(ValueError):
         MixedSeminorm(RIGHT10, [-1.0] + [1.0] * 9)
-
-
-def test_norming_residual():
-    g10 = Grid(0.0, 10.0, 1000)
-    f = GridFunction.from_callable(g10, lambda x: x)
-    assert norming_residual(RIGHT10, f) == pytest.approx(0.0, abs=1e-12)
-    fam5 = CompactSeminormFamily(WindowOrientation.RIGHT, 5)
-    # window 5 misses the outer growth: documented truncation artifact
-    assert norming_residual(fam5, f) == pytest.approx(5.0)
-    g3 = Grid(0.0, 3.0, 30)
-    c = GridFunction.from_callable(g3, lambda x: np.full_like(x, 5.0))
-    fam3 = CompactSeminormFamily(WindowOrientation.RIGHT, 3)
-    assert norming_residual(fam3, c) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
