@@ -180,14 +180,13 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     ``ValueError``) naming its largest time, and a call whose crossings at
     the slowest speed from the live edges alone, summed over its times,
     would pass the limit is rejected before tracing.
+
+    The up-front bound counts one path per node of a live edge and ignores
+    branching, so on a branching graph the in-loop limit acts late: a call
+    may build a level of nearly ``FRONTIER_LIMIT`` entries before the limit
+    rejects the next one.  One such call (two vertices joined by 8 parallel
+    edges each way, 55 nodes per edge, t = 4.5) took ~370 MB.
     """
-    return trace_with_count(values, coupling, c, qcum, h, t, cap)[0]
-
-
-def trace_with_count(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
-                     qcum: np.ndarray, h: float, t, cap: int
-                     ) -> tuple[np.ndarray, int]:
-    """``trace_transport`` and the number of frontier entries it created."""
     vals = np.asarray(values, dtype=np.float64)
     bc = np.asarray(coupling, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -255,4 +254,4 @@ def trace_with_count(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         edge = cols[child]
         pos = np.zeros(size)
         level += 1
-    return out.reshape(times.shape + (n_edges, n_nodes)), total
+    return out.reshape(times.shape + (n_edges, n_nodes))

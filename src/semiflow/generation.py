@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, window_mask
+from .grid import GridFunction, check_integer, window_mask
 from .operators import Generator, UpwindMatrix
 from .samples import probe_functions
 from .seminorms import CompactSeminormFamily, eval_pn
@@ -150,8 +150,7 @@ def check_hy_powers(matrix: UpwindMatrix, lambdas: Sequence[float], n_max: int,
 
         || (lambda - A)^{-n} ||_inf  <=  (1 + tol) / lambda^n,  n = 1..n_max.
     """
-    if int(n_max) != n_max or n_max < 1:
-        raise ValueError("n_max must be an integer >= 1")
+    n_max = check_integer(n_max, 1, "n_max must be an integer >= 1")
     a = matrix.matrix
     eye = np.eye(matrix.size)
     witnesses = []
@@ -160,7 +159,7 @@ def check_hy_powers(matrix: UpwindMatrix, lambdas: Sequence[float], n_max: int,
             raise ValueError("lambda values must be positive")
         r = np.linalg.solve(lam * eye - a, eye)
         power = eye
-        for n in range(1, int(n_max) + 1):
+        for n in range(1, n_max + 1):
             power = power @ r
             norm = float(np.max(np.sum(np.abs(power), axis=1)))
             bound = lam ** (-n)
@@ -170,7 +169,7 @@ def check_hy_powers(matrix: UpwindMatrix, lambdas: Sequence[float], n_max: int,
     return CheckReport(
         "hy_powers",
         {"size": matrix.size, "h": matrix.h,
-         "lambdas": list(map(float, lambdas)), "n_max": int(n_max)},
+         "lambdas": list(map(float, lambdas)), "n_max": n_max},
         rel_tol, witnesses)
 
 

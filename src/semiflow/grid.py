@@ -17,6 +17,18 @@ from typing import Callable
 import numpy as np
 
 
+def check_integer(value, low: int, message: str, high: float = math.inf) -> int:
+    """``value`` as an int; ``ValueError(message)`` unless it is an integer in
+    [low, high] (inf and nan are not integers)."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        raise ValueError(message) from None
+    if n != value or not low <= n <= high:
+        raise ValueError(message)
+    return n
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [a, b] into n_cells panels."""
@@ -30,9 +42,8 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValueError("grid requires a < b")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
-            raise ValueError("grid requires an integer n_cells >= 2")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", check_integer(
+            self.n_cells, 2, "grid requires an integer n_cells >= 2"))
 
     @property
     def h(self) -> float:

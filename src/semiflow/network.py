@@ -22,15 +22,14 @@ import json
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import (FrontierLimitError, damped_cumulative_integral,
-                       trace_transport, trace_with_count, upwind_sweep)
+                       trace_transport, upwind_sweep)
 from .generation import CheckReport, Witness
 from .grid import Grid, GridFunction
 from .samples import sample_functions
@@ -66,7 +65,10 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Directed metric graph with redistribution weights and edge velocities."""
+    """Directed metric graph with redistribution weights and edge velocities,
+    checked when built.  Also stores, read-only, the coupling matrix
+    C^{-1} B C of the boundary condition and the cumulative trapezoid
+    integral of the absorption along each edge."""
 
     n_vertices: int
     edges: tuple[Edge, ...]
@@ -74,6 +76,8 @@ class Network:
     velocities: np.ndarray
     absorption: np.ndarray  # per-edge node samples of q, shape (E, n_cells + 1)
     grid: Grid
+    coupling: np.ndarray = field(init=False, repr=False)
+    absorption_integral: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_vertices < 1:
@@ -98,29 +102,17 @@ class Network:
                 f"absorption must have shape ({n_edges}, {self.grid.n_cells + 1})")
         if not np.all(np.isfinite(q)):
             raise ValidationError("absorption values must be finite")
-        for i, j, w in self.weights:
-            if not (0 <= i < n_edges and 0 <= j < n_edges):
-                raise ValidationError(f"weight entry ({i}, {j}) references unknown edge")
-            if not math.isfinite(w) or w < 0:
-                raise ValidationError(f"weight for (into={i}, from={j}) must be >= 0")
-        c.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "velocities", c)
-        object.__setattr__(self, "absorption", q)
+        bc = build_adjacency(self) * (c[None, :] / c[:, None])
+        qc = np.zeros_like(q)
+        qc[:, 1:] = np.cumsum(0.5 * self.grid.h * (q[:, :-1] + q[:, 1:]), axis=1)
+        for name, arr in (("velocities", c), ("absorption", q), ("coupling", bc),
+                          ("absorption_integral", qc)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def coupling(self) -> np.ndarray:
-        """Velocity-weighted coupling matrix C^{-1} B C used in the boundary
-        condition, read-only; ``build_adjacency`` validates the weights when
-        it is first read."""
-        c = self.velocities
-        bc = build_adjacency(self) * (c[None, :] / c[:, None])
-        bc.setflags(write=False)
-        return bc
 
 
 def _out_edges(tails: Sequence[int]) -> defaultdict[int, list[int]]:
@@ -161,13 +153,19 @@ def make_network(n_vertices: int, edges: Sequence[tuple[int, int]],
 
 def build_adjacency(net: Network) -> np.ndarray:
     """Weighted adjacency matrix B of the line graph: B[i, j] = w when edge j
-    feeds vertex tail(i) = head(j).  Rejects sinks and non-stochastic columns.
+    feeds vertex tail(i) = head(j).  Rejects weights that are negative,
+    not finite, name an unknown edge, link non-adjacent edges or repeat an
+    entry, and also sinks and non-stochastic columns.
     """
     n = net.n_edges
     b = np.zeros((n, n))
     tails = {e.tail for e in net.edges}
     seen = set()
     for i, j, w in net.weights:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValidationError(f"weight entry ({i}, {j}) references unknown edge")
+        if not math.isfinite(w) or w < 0:
+            raise ValidationError(f"weight for (into={i}, from={j}) must be >= 0")
         if net.edges[j].head != net.edges[i].tail:
             raise ValidationError(
                 f"weight (into={i}, from={j}) links non-adjacent edges: edge {j} "
@@ -252,12 +250,14 @@ def initial_state(net: Network, profile=None) -> EdgeState:
     return EdgeState(net.grid, vals)
 
 
-def _absorption_cumulative(net: Network) -> np.ndarray:
-    q = net.absorption
-    h = net.grid.h
-    qc = np.zeros_like(q)
-    qc[:, 1:] = np.cumsum(0.5 * h * (q[:, :-1] + q[:, 1:]), axis=1)
-    return qc
+def _check_state(net: Network, state: EdgeState) -> None:
+    """Reject a state that does not live on ``net``: its edge count, node
+    count and grid must all be the network's."""
+    expected = (net.n_edges, net.grid.n_cells + 1)
+    if state.values.shape != expected or state.grid != net.grid:
+        raise ValidationError(
+            f"state does not match the network: shape {state.values.shape} on "
+            f"{state.grid}, expected {expected} on {net.grid}")
 
 
 def characteristics_orbit(net: Network, state: EdgeState,
@@ -266,16 +266,13 @@ def characteristics_orbit(net: Network, state: EdgeState,
     values, shape (block, n_edges, n_cells + 1), in the order of ``times``.
 
     Each block is traced in one ``trace_transport`` call.  A block whose
-    frontier goes over ``FRONTIER_LIMIT`` traces its largest time alone:
-    that raises ``FrontierLimitError`` if this time alone is over the
-    limit, and otherwise counts N entries, which bound every smaller time
-    (the count grows with t), so the block is traced again in chunks of
-    ``FRONTIER_LIMIT // N`` times.
+    frontier goes over ``FRONTIER_LIMIT`` is traced again one time per call,
+    the largest time first: the entry count grows with t, so if any time is
+    over the limit on its own, the ``FrontierLimitError`` names the largest.
     """
-    if state.values.shape != (net.n_edges, net.grid.n_cells + 1):
-        raise ValidationError("state does not match the network")
-    args = (state.values, net.coupling, net.velocities,
-            _absorption_cumulative(net), net.grid.h)
+    _check_state(net, state)
+    args = (state.values, net.coupling, net.velocities, net.absorption_integral,
+            net.grid.h)
     c_max = float(np.max(net.velocities))
     for block in time_blocks(times, state.values.size):
         # vertex crossings per traced point are capped at ceil(t c_max) + 2
@@ -286,10 +283,9 @@ def characteristics_orbit(net: Network, state: EdgeState,
         except FrontierLimitError:
             if block.size == 1:
                 raise
-            _, entries = trace_with_count(*args, block[[np.argmax(block)]], cap)
-            per = _kernels.FRONTIER_LIMIT // entries
-            values = np.concatenate([trace_transport(*args, block[k:k + per], cap)
-                                     for k in range(0, block.size, per)])
+            values = np.empty(block.shape + state.values.shape)
+            for k in np.argsort(block)[::-1]:
+                values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
         yield values
 
 
@@ -317,8 +313,9 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     step chosen so every output time is a step multiple and the CFL target
     is respected.
     """
-    if not t_final > 0:
-        raise ValueError("final time must be positive")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"final time must be positive and finite, got {t_final!r}")
+    _check_state(net, state)
     if n_outputs < 2:
         raise ValueError("need at least two output times")
     n_values = net.n_edges * (net.grid.n_cells + 1)
@@ -397,8 +394,7 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    if g.values.shape[0] != net.n_edges or g.grid != net.grid:
-        raise ValidationError("right-hand side does not match the network")
+    _check_state(net, g)
     h = net.grid.h
     n = net.grid.n_cells
     c = net.velocities
@@ -419,7 +415,8 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
     cond = float(np.linalg.cond(m))
     if mu_min <= col_norm:
-        # series sufficiency for invertibility fails; solve directly anyway
+        # the Neumann series no longer guarantees that m is invertible; the
+        # solve below is direct either way
         warnings.warn(
             "vertex coupling is not strictly damped (min exp growth factor "
             f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
@@ -617,6 +614,4 @@ def load_network(source) -> Network:
         raise ValidationError(
             f"network document asks for {n_values} node values ({len(edges)} edges "
             f"of {n_cells + 1} nodes), more than the limit of {DOCUMENT_VALUE_LIMIT}")
-    net = make_network(n_vertices, edges, velocities, weights, absorption, n_cells)
-    net.coupling  # surface structural problems immediately
-    return net
+    return make_network(n_vertices, edges, velocities, weights, absorption, n_cells)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import damped_cumulative_integral
-from .grid import Grid, GridFunction, differentiate
+from .grid import Grid, GridFunction, check_integer, differentiate
 
 
 class ResolventUnavailableError(RuntimeError):
@@ -149,11 +149,9 @@ class UpwindMatrix:
 
 def upwind_discretize(n: int, h: float) -> UpwindMatrix:
     """Build the n-by-n upwind matrix for mesh width h."""
-    if int(n) != n or n < 1:
-        raise ValueError("matrix size must be an integer >= 1")
+    n = check_integer(n, 1, "matrix size must be an integer >= 1")
     if not h > 0:
         raise ValueError("mesh width must be positive")
-    n = int(n)
     m = np.zeros((n, n))
     np.fill_diagonal(m, -1.0 / h)
     idx = np.arange(1, n)

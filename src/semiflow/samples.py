@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, check_integer
 
 
 def smooth_bump(grid: Grid, center: float, width: float, amplitude: float = 1.0) -> GridFunction:
@@ -30,8 +30,7 @@ def plateau_ramp(grid: Grid, n: int) -> GridFunction:
     half-line resolvent of the profile is strictly positive there, which is
     the counterexample input for the translation generator.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("ramp index n must be an integer >= 1")
+    check_integer(n, 1, "ramp index n must be an integer >= 1")
     x = grid.nodes
     out = np.clip(-x - n, 0.0, 1.0)
     return GridFunction(grid, out)

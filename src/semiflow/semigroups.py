@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, check_integer
 from .operators import Generator
 
 # Most state values one orbit block holds (at least one state per block).
@@ -102,22 +102,20 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
     applied as m sequential resolvent evaluations.  Requires a generator
     with a resolvent; t = 0 returns f unchanged.
     """
-    if int(m) != m or m < 1:
-        raise ValueError("Euler step count m must be an integer >= 1")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    m = check_integer(m, 1, "Euler step count m must be an integer >= 1")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     if t == 0:
         return f
     lam = m / t
     out = f
-    for _ in range(int(m)):
+    for _ in range(m):
         out = gen.resolve(lam, out) * lam
     return out
 
 
 def _check_steps(steps: int) -> None:
-    if int(steps) != steps or steps < 1:
-        raise ValueError("steps must be an integer >= 1")
+    check_integer(steps, 1, "steps must be an integer >= 1")
 
 
 def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridFunction, window_sup
+from .grid import GridFunction, check_integer, window_sup
 
 
 class WindowOrientation(Enum):
@@ -34,13 +34,12 @@ class CompactSeminormFamily:
     max_index: int
 
     def __post_init__(self) -> None:
-        if int(self.max_index) != self.max_index or self.max_index < 1:
-            raise ValueError("max_index must be an integer >= 1")
-        object.__setattr__(self, "max_index", int(self.max_index))
+        object.__setattr__(self, "max_index", check_integer(
+            self.max_index, 1, "max_index must be an integer >= 1"))
 
     def window(self, n: int) -> tuple[float, float]:
-        if int(n) != n or not 1 <= n <= self.max_index:
-            raise ValueError(f"seminorm index must lie in 1..{self.max_index}, got {n}")
+        check_integer(n, 1, f"seminorm index must lie in 1..{self.max_index}, got {n}",
+                      self.max_index)
         if self.orientation is WindowOrientation.RIGHT:
             return (0.0, float(n))
         if self.orientation is WindowOrientation.LEFT:

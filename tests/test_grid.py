@@ -1,9 +1,16 @@
-"""Grid containers, arithmetic, differentiation, windows and the CSV writer."""
+"""Grid containers, arithmetic, differentiation, windows, the CSV writer
+and the integer check that count arguments share."""
+
+import math
 
 import numpy as np
 import pytest
 
-from semiflow import Grid, GridFunction, differentiate, window_sup, write_csv
+from semiflow import (CompactSeminormFamily, Grid, GridFunction,
+                      WindowOrientation, check_hy_powers, differentiate,
+                      euler_apply, laplace_resolvent, left_shift_generator,
+                      orbit_integral_residual, plateau_ramp, shift_semigroup,
+                      smooth_bump, upwind_discretize, window_sup, write_csv)
 from semiflow.grid import window_mask, write_rows
 
 
@@ -99,3 +106,37 @@ def test_window_mask_includes_endpoints_within_tolerance():
     assert np.nonzero(window_mask(g, 0.2, 0.5))[0].tolist() == [2, 3, 4, 5]
     assert np.nonzero(window_mask(g, 0.2 + 1e-12, 0.5 - 1e-12))[0].tolist() == [2, 3, 4, 5]
     assert np.nonzero(window_mask(g, 0.21, 0.49))[0].tolist() == [3, 4]
+
+
+# each count argument, called with a value, and the message it rejects with
+_G = Grid(0.0, 10.0, 100)
+_F = smooth_bump(_G, 4.0, 2.0)
+_GEN, _SG = left_shift_generator(_G), shift_semigroup(_G)
+INTEGER_ENTRIES = {
+    "Grid.n_cells": (lambda v: Grid(0.0, 1.0, v),
+                     "grid requires an integer n_cells >= 2"),
+    "max_index": (lambda v: CompactSeminormFamily(WindowOrientation.RIGHT, v),
+                  "max_index must be an integer >= 1"),
+    "window": (CompactSeminormFamily(WindowOrientation.RIGHT, 3).window,
+               "seminorm index must lie in 1..3"),
+    "plateau_ramp": (lambda v: plateau_ramp(_G, v),
+                     "ramp index n must be an integer >= 1"),
+    "upwind_discretize": (lambda v: upwind_discretize(v, 0.1),
+                          "matrix size must be an integer >= 1"),
+    "check_hy_powers": (lambda v: check_hy_powers(upwind_discretize(5, 0.1), [1.0], v),
+                        "n_max must be an integer >= 1"),
+    "euler_apply": (lambda v: euler_apply(_GEN, 1.0, v, _F),
+                    "Euler step count m must be an integer >= 1"),
+    "laplace_steps": (lambda v: laplace_resolvent(_SG, 1.0, _F, 5.0, v),
+                      "steps must be an integer >= 1"),
+    "orbit_integral_steps": (lambda v: orbit_integral_residual(_GEN, _SG, 0.5, _F, v),
+                             "steps must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_arguments_reject_non_finite_values(entry, value):
+    call, message = INTEGER_ENTRIES[entry]
+    with pytest.raises(ValueError, match=message):
+        call(value)

@@ -10,7 +10,6 @@ from scipy.signal import lfilter
 
 import semiflow
 from semiflow import _kernels as K
-from semiflow.network import _absorption_cumulative
 
 
 def test_panel_decay_weights_match_closed_form():
@@ -343,7 +342,7 @@ def test_trace_paths_agree():
         net = make()
         st = semiflow.sample_states(net, 1, seed)[0][1]
         indptr, colind, bw = _csr(semiflow.weighted_bc(net))
-        qc = _absorption_cumulative(net)
+        qc = net.absorption_integral
         for t in times:
             cap = int(np.ceil(t * np.max(net.velocities))) + 2
             new = semiflow.step_characteristics(net, st, t).values
@@ -367,34 +366,35 @@ def test_simulate_characteristics_matches_per_time_steps():
 def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
     # two-cycle of 4 cells: t = 6 alone creates 68 entries, the whole block
     # of 12 times 492; with a limit of 150 the block goes over, each time
-    # alone stays under, and the split traces chunks of 150 // 68 = 2 times
+    # alone stays under, and the block is traced again one time per call,
+    # the largest time first
     net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=4)
     st = semiflow.sample_states(net, 1, 7)[0][1]
-    args = (st.values, net.coupling, net.velocities,
-            _absorption_cumulative(net), net.grid.h)
+    args = (st.values, net.coupling, net.velocities, net.absorption_integral,
+            net.grid.h)
     times = np.linspace(6.0, 0.5, 12)
     per_time = [semiflow.step_characteristics(net, st, float(t)).values
                 for t in times]
-    counts = [K.trace_with_count(*args, t, 10)[1] for t in times]
-    assert (max(counts), sum(counts)) == (68, 492)
     monkeypatch.setattr(K, "FRONTIER_LIMIT", 150)
     with pytest.raises(ValueError, match="t = 6.0 "):
         K.trace_transport(*args, times, 10)
     calls = []
 
     def spy(*a):
-        calls.append(np.size(a[5]))
+        calls.append(np.asarray(a[5]).tolist())
         return K.trace_transport(*a)
 
     monkeypatch.setattr(semiflow.network, "trace_transport", spy)
     sg = semiflow.network_semigroup(net)
     rows = np.concatenate(list(sg.orbit(times, st)))
-    assert calls == [12] + [2] * 6
+    assert calls == [times.tolist()] + [[t] for t in sorted(times, reverse=True)]
     assert all(np.array_equal(row, ref) for row, ref in zip(rows, per_time))
     # t = 20 (208 entries) and t = 30 (308) are each over the limit alone;
     # the error names the block's largest time, not the first failing one
+    calls.clear()
     with pytest.raises(ValueError, match=r"t = 30\.0 would create"):
         list(sg.orbit([20.0, 1.0, 30.0, 2.0], st))
+    assert calls == [[20.0, 1.0, 30.0, 2.0], [30.0]]
 
 
 def test_trace_crossing_cap_raises():
@@ -402,7 +402,7 @@ def test_trace_crossing_cap_raises():
                                 n_cells=20)
     st = semiflow.initial_state(net)
     bc = semiflow.weighted_bc(net)
-    c, qc, h = net.velocities, _absorption_cumulative(net), net.grid.h
+    c, qc, h = net.velocities, net.absorption_integral, net.grid.h
     # at t = 5 the node next to each head crosses 5 vertices, the last one
     # from crossing level 4
     for cap in (2, 3):
@@ -448,7 +448,7 @@ def test_trace_rejects_graph_with_source_edge_before_tracing():
 def test_trace_crossing_cap_precedes_up_front_rejection():
     # a caller's small cap ends the trace first, as the loop would
     net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=400)
-    qcum = _absorption_cumulative(net)
+    qcum = net.absorption_integral
     vals = semiflow.initial_state(net).values
     with pytest.raises(RuntimeError, match="crossing cap"):
         K.trace_transport(vals, net.coupling, net.velocities, qcum,

@@ -1,14 +1,15 @@
 """Graph transport flows: adjacency assembly, conservation, periodicity,
 both solvers, the coupled resolvent, and the network generation verdict."""
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from semiflow import (EdgeState, Grid, GridFunction, ValidationError,
-                      build_adjacency,
+from semiflow import (Edge, EdgeState, Grid, GridFunction, Network,
+                      ValidationError, build_adjacency,
                       damped_cumulative_integral, defect_budget,
                       initial_state, laplace_resolvent, load_network,
                       make_network, network_generation_verdict,
@@ -47,19 +48,74 @@ def test_adjacency_rejects_sink():
 
 
 def test_adjacency_rejects_bad_column_sums():
-    net = make_network(2, [(0, 1), (1, 0)],
-                       weights=[(1, 0, 0.5), (0, 1, 1.0)],
-                       velocities=[1.0, 1.0])
     with pytest.raises(ValidationError, match="sum to 0.5, expected 1"):
-        build_adjacency(net)
+        build_adjacency(make_network(2, [(0, 1), (1, 0)],
+                                     weights=[(1, 0, 0.5), (0, 1, 1.0)],
+                                     velocities=[1.0, 1.0]))
 
 
 def test_adjacency_rejects_non_adjacent_weight():
-    net = make_network(3, [(0, 1), (1, 2), (2, 0)],
-                       weights=[(0, 0, 1.0), (1, 0, 1.0), (2, 1, 1.0)],
-                       velocities=[1.0, 1.0, 1.0])
     with pytest.raises(ValidationError, match="non-adjacent"):
-        build_adjacency(net)
+        build_adjacency(make_network(3, [(0, 1), (1, 2), (2, 0)],
+                                     weights=[(0, 0, 1.0), (1, 0, 1.0), (2, 1, 1.0)],
+                                     velocities=[1.0, 1.0, 1.0]))
+
+
+# (vertices, edges, weights, message) of networks that break one structural
+# invariant each
+STRUCTURE_FAULTS = {
+    "sink": (3, [(0, 1), (1, 2)], [(1, 0, 1.0)], "flow sink"),
+    "column_sum": (2, [(0, 1), (1, 0)], [(1, 0, 0.5), (0, 1, 1.0)],
+                   "sum to 0.5, expected 1"),
+    "non_adjacent": (3, [(0, 1), (1, 2), (2, 0)],
+                     [(0, 0, 1.0), (1, 0, 1.0), (2, 1, 1.0)], "non-adjacent"),
+    "duplicate": (2, [(0, 1), (1, 0)], [(1, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0)],
+                  "duplicate weight"),
+}
+
+
+@pytest.mark.parametrize("build", ["make_network", "Network"])
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_structure_is_rejected_when_the_network_is_built(build, fault):
+    n_vertices, edges, weights, message = STRUCTURE_FAULTS[fault]
+    with pytest.raises(ValidationError, match=message):
+        if build == "make_network":
+            make_network(n_vertices, edges, [1.0] * len(edges), weights, n_cells=10)
+        else:
+            Network(n_vertices, tuple(Edge(t, h) for t, h in edges), tuple(weights),
+                    np.ones(len(edges)), np.zeros((len(edges), 11)), Grid(0.0, 1.0, 10))
+
+
+STATE_ENTRIES = {
+    "orbit": lambda net, st: list(network_semigroup(net).orbit([0.5, 1.0], st)),
+    "step_characteristics": lambda net, st: step_characteristics(net, st, 1.0),
+    "semigroup_apply": lambda net, st: network_semigroup(net).apply(1.0, st),
+    "simulate_characteristics": lambda net, st: simulate_flow(
+        net, st, 1.0, "characteristics", n_outputs=3),
+    "simulate_upwind": lambda net, st: simulate_flow(net, st, 1.0, "upwind",
+                                                     n_outputs=3),
+    "resolvent": lambda net, st: network_resolvent(net, 1.0, st),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["other_grid", "edge_count"])
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRIES))
+def test_state_off_the_network_is_rejected(entry, mismatch):
+    net = two_cycle(n_cells=20)
+    if mismatch == "other_grid":
+        st = EdgeState(Grid(0.0, 2.0, 20), np.ones((2, 21)))
+    else:
+        st = EdgeState(net.grid, np.ones((3, 21)))
+    with pytest.raises(ValidationError, match="state does not match the network"):
+        STATE_ENTRIES[entry](net, st)
+
+
+@pytest.mark.parametrize("solver", ["characteristics", "upwind"])
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_simulate_flow_rejects_non_finite_time(solver, t):
+    net = two_cycle(n_cells=20)
+    with pytest.raises(ValueError, match=f"final time must be positive and finite, got {t}"):
+        simulate_flow(net, initial_state(net), t, solver)
 
 
 def test_network_grid_must_be_unit_interval():
@@ -607,8 +663,7 @@ def _random_flow_network_reference(n_edges, seed, n_cells=50,
 def test_even_split_weights_match_reference():
     graphs = [[(0, 1), (1, 0)],
               [(0, 1), (0, 1), (1, 0), (1, 0)],
-              [(0, 1), (1, 2), (1, 0), (2, 0), (2, 1), (0, 2)],
-              [(0, 1), (1, 2)]]  # vertex 2 is a sink: no weights from edge 1
+              [(0, 1), (1, 2), (1, 0), (2, 0), (2, 1), (0, 2)]]
     for seed in range(10):
         net = random_flow_network(3 + 4 * seed, seed=seed, n_cells=4)
         graphs.append([(e.tail, e.head) for e in net.edges])
@@ -616,6 +671,9 @@ def test_even_split_weights_match_reference():
         n_vertices = 1 + max(max(e) for e in edges)
         net = make_network(n_vertices, edges, [1.0] * len(edges), n_cells=4)
         assert net.weights == _even_split_reference(edges), edges
+    # vertex 2 is a sink: edge 1 gets no weights, and the network is refused
+    with pytest.raises(ValidationError, match="flow sink"):
+        make_network(3, [(0, 1), (1, 2)], [1.0, 1.0], n_cells=4)
 
 
 @pytest.mark.parametrize("n_edges", [2, 3, 5, 8, 16, 64])

@@ -237,6 +237,14 @@ def test_orbit_integral_residual_rejects_bad_steps():
             laplace_resolvent(sg, 1.0, f, 5.0, steps)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_euler_apply_rejects_non_finite_time(t):
+    g = Grid(0.0, 10.0, 100)
+    f = smooth_bump(g, 4.0, 2.0)
+    with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got {t}"):
+        euler_apply(left_shift_generator(g), t, 4, f)
+
+
 def test_semigroups_reject_non_finite_times():
     grid = Grid(0.0, 10.0, 100)
     f = smooth_bump(grid, 4.0, 2.0)
