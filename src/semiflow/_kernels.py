@@ -97,7 +97,7 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     # one float, squared each pass, and its underflow to 0 ends the passes.
     # Negative rates give d > 1: a product over 2s panels can overflow, and
     # inf times an exact-zero partial sum is nan.  No caller returns such a
-    # row: EdgeState rejects non-finite values, so network_resolvent raises.
+    # row: network_resolvent checks that its solution is finite and raises.
     s = 1
     while s < n and (panel or d):
         w[..., s:] += (d[..., s:] if panel else d) * w[..., :-s]

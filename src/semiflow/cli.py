@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .generation import lumer_phillips_verdict
-from .grid import Grid, GridFunction, write_csv, write_rows
+from .grid import Grid, GridFunction, check_lambda, write_csv, write_rows
 from . import network
 from .network import (ValidationError, initial_state, load_network,
                       simulate_flow, total_mass)
@@ -197,9 +197,7 @@ def cmd_euler(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
-    lam = args.lam
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    lam = check_lambda(args.lam)
     x_min = max(10.0, args.n + 2.0)
     n_cells = args.grid or 4000
     _bound_work(n_cells)
@@ -212,7 +210,7 @@ def cmd_counterexample(args) -> int:
     lower = math.exp(-lam * (args.n + 1)) / lam
     passed = (p_n_f <= 1e-12) and (p_1_rf >= lower - 1e-6) and (p_1_rf > 0)
     _emit_json({
-        "lambda": float(lam), "n": int(args.n),
+        "lambda": lam, "n": int(args.n),
         "p_n_of_f": p_n_f, "p_1_of_Rf": p_1_rf, "lower_bound": lower,
         "passed": passed,
     }, args.out, "counterexample.json")
@@ -220,9 +218,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    lam = args.lam
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    lam = check_lambda(args.lam)
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     n = args.n
@@ -241,7 +237,7 @@ def cmd_heat(args) -> int:
               and abs(p_scaled - expected_scaled) <= 1e-12
               and p_shifted < p_scaled)
     _emit_json({
-        "lambda": float(lam), "n": int(n),
+        "lambda": lam, "n": int(n),
         "p2_shifted": p_shifted, "inv_lambda_p2_f": p_scaled,
         "expected_shifted": expected_shifted, "expected_scaled": expected_scaled,
         "passed": passed,
@@ -282,9 +278,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
-    lam = args.lam
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    lam = check_lambda(args.lam)
     n_cells = args.grid or 2000
     _bound_work(n_cells, 1 if args.horizon is None else args.steps + 2,
                 f"--steps {args.steps}")
@@ -299,7 +293,7 @@ def cmd_resolvent(args) -> int:
         g = GridFunction(grid, np.exp(-(grid.nodes - grid.a)))
     f = gen.resolve(lam, g)
     doc = {
-        "operator": args.operator, "lambda": float(lam), "input": args.input,
+        "operator": args.operator, "lambda": lam, "input": args.input,
         "sup_of_result": f.norm(),
     }
     if args.horizon is not None:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, check_integer, window_mask
+from .grid import GridFunction, check_integer, check_lambdas, window_mask
 from .operators import Generator, UpwindMatrix
 from .samples import probe_functions
 from .seminorms import CompactSeminormFamily, eval_pn
@@ -94,6 +94,7 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     The tolerance is 10 h^2 relative (difference-stencil claim), with h the
     first sample's grid step.
     """
+    lambdas = check_lambdas(lambdas)
     _check_domain(gen, samples)
     witnesses = []
     tol = 10.0 * samples[0][1].grid.h ** 2 if samples else 0.0
@@ -102,18 +103,16 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
         pf = [eval_pn(family, n, f) for n in indices]
         af = gen.apply(f)
         for lam in lambdas:
-            if not lam > 0:
-                raise ValueError("lambda values must be positive")
             shifted = f * lam - af
             for n, pn in zip(indices, pf):
                 lhs = eval_pn(family, n, shifted)
                 rhs = lam * pn
                 if lhs < rhs * (1.0 - tol):
-                    witnesses.append(Witness(sid, float(lam), n, lhs, rhs))
+                    witnesses.append(Witness(sid, lam, n, lhs, rhs))
     return CheckReport(
         "bi_dissipative",
         {"generator": gen.label, "orientation": family.orientation.value,
-         "max_index": family.max_index, "lambdas": list(map(float, lambdas)),
+         "max_index": family.max_index, "lambdas": lambdas,
          "n_samples": len(samples)},
         float(tol), witnesses)
 
@@ -126,6 +125,7 @@ def check_resolvent_contraction(gen: Generator, family: CompactSeminormFamily,
     makes this hold structurally for the shift; failures are genuine
     counterexamples (e.g. the plateau ramp under the translation without a
     boundary condition)."""
+    lambdas = check_lambdas(lambdas)
     abs_tol = 1e-9
     witnesses = []
     for sid, f in samples:
@@ -135,11 +135,11 @@ def check_resolvent_contraction(gen: Generator, family: CompactSeminormFamily,
                 lhs = lam * eval_pn(family, n, rf)
                 rhs = eval_pn(family, n, f)
                 if lhs > rhs + abs_tol:
-                    witnesses.append(Witness(sid, float(lam), n, lhs, rhs))
+                    witnesses.append(Witness(sid, lam, n, lhs, rhs))
     return CheckReport(
         "resolvent_contraction",
         {"generator": gen.label, "orientation": family.orientation.value,
-         "max_index": family.max_index, "lambdas": list(map(float, lambdas)),
+         "max_index": family.max_index, "lambdas": lambdas,
          "n_samples": len(samples)},
         abs_tol, witnesses)
 
@@ -151,12 +151,11 @@ def check_hy_powers(matrix: UpwindMatrix, lambdas: Sequence[float], n_max: int,
         || (lambda - A)^{-n} ||_inf  <=  (1 + tol) / lambda^n,  n = 1..n_max.
     """
     n_max = check_integer(n_max, 1, "n_max must be an integer >= 1")
+    lambdas = check_lambdas(lambdas)
     a = matrix.matrix
     eye = np.eye(matrix.size)
     witnesses = []
     for lam in lambdas:
-        if not lam > 0:
-            raise ValueError("lambda values must be positive")
         r = np.linalg.solve(lam * eye - a, eye)
         power = eye
         for n in range(1, n_max + 1):
@@ -164,12 +163,12 @@ def check_hy_powers(matrix: UpwindMatrix, lambdas: Sequence[float], n_max: int,
             norm = float(np.max(np.sum(np.abs(power), axis=1)))
             bound = lam ** (-n)
             if norm > bound * (1.0 + rel_tol):
-                witnesses.append(Witness(f"matrix:size={matrix.size}", float(lam),
+                witnesses.append(Witness(f"matrix:size={matrix.size}", lam,
                                          n, norm, bound))
     return CheckReport(
         "hy_powers",
         {"size": matrix.size, "h": matrix.h,
-         "lambdas": list(map(float, lambdas)), "n_max": n_max},
+         "lambdas": lambdas, "n_max": n_max},
         rel_tol, witnesses)
 
 
@@ -233,8 +232,7 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
     """
     if not samples:
         raise ValueError("the generation verdict needs at least one sample")
-    if len(lambdas) == 0:
-        raise ValueError("the generation verdict needs at least one lambda")
+    lambdas = check_lambdas(lambdas)
     sub = [check_bi_dissipative(gen, family, samples, lambdas)]
     if surjectivity_probes:
         range_witnesses = []
@@ -245,20 +243,20 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
                 tol = 10.0 * (1.0 + lam) ** 2 * g.grid.h ** 2 * max(1.0, g.norm())
                 tol_used = max(tol_used, tol)
                 if not gen.domain_check(fsol):
-                    range_witnesses.append(Witness(f"domain:{sid}", float(lam),
+                    range_witnesses.append(Witness(f"domain:{sid}", lam,
                                                    None, 1.0, 0.0))
                 defect = (fsol * lam - gen.apply(fsol) - g).norm()
                 if defect > tol:
-                    range_witnesses.append(Witness(f"range:{sid}", float(lam),
+                    range_witnesses.append(Witness(f"range:{sid}", lam,
                                                    None, defect, tol))
         sub.append(CheckReport(
             "range_density_probe",
-            {"generator": gen.label, "lambdas": list(map(float, lambdas)),
+            {"generator": gen.label, "lambdas": lambdas,
              "n_probes": len(surjectivity_probes)},
             tol_used, range_witnesses))
     return CheckReport(
         "lumer_phillips",
-        {"generator": gen.label, "lambdas": list(map(float, lambdas))},
+        {"generator": gen.label, "lambdas": lambdas},
         sub[0].tolerance, [], sub)
 
 

@@ -29,6 +29,20 @@ def check_integer(value, low: int, message: str, high: float = math.inf) -> int:
     return n
 
 
+def check_lambda(lam) -> float:
+    """Resolvent parameter ``lam`` as a float; ``ValueError`` unless finite and > 0."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+    return float(lam)
+
+
+def check_lambdas(lambdas) -> list[float]:
+    """:func:`check_lambda` of each entry of a list that must not be empty."""
+    if len(lambdas) == 0:
+        raise ValueError("need at least one lambda, got none")
+    return [check_lambda(lam) for lam in lambdas]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [a, b] into n_cells panels."""

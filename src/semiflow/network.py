@@ -31,7 +31,7 @@ from . import _kernels
 from ._kernels import (FrontierLimitError, damped_cumulative_integral,
                        trace_transport, upwind_sweep)
 from .generation import CheckReport, Witness
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, check_lambda, check_lambdas
 from .samples import sample_functions
 from .semigroups import Semigroup, orbit_semigroup, time_blocks
 
@@ -374,7 +374,11 @@ def defect_budget(net: Network, lam: float, f_values: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(f_values))),
                 float(np.max(np.abs(g_values))))
     roundoff = 100.0 * np.finfo(float).eps * (lam + q_max + c_max / h) * scale
-    return 4.0 * h * h * c_max * t3 + roundoff
+    return float(4.0 * h * h * c_max * t3 + roundoff)
+
+
+def _breakdown(lam: float, what: str) -> RuntimeError:
+    return RuntimeError(f"network resolvent breaks down at lambda {lam!r}: {what}")
 
 
 def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
@@ -387,13 +391,12 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
 
         (I - diag(nu) Bc) f(0) = r,   nu_j = exp(-(lambda - qbar_j) / c_j),
 
-    the well-scaled equivalent of the tail-side coupling system.  The
-    boundary condition holds to 1e-9 by construction and the consistency
-    defect of the returned solution is verified against the documented
-    scheme budget.
+    the well-scaled equivalent of the tail-side coupling system.  A solve
+    that breaks down raises ``RuntimeError`` naming what broke: a singular
+    coupling system, a non-finite solution, a boundary residual over 1e-9 or
+    a consistency defect over the scheme budget (a nan residual is over).
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    lam = check_lambda(lam)
     _check_state(net, g)
     h = net.grid.h
     n = net.grid.n_cells
@@ -410,38 +413,32 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
 
     nu = suffix[:, 0]
     bc = net.coupling
-    m = np.eye(n_edges) - nu[:, None] * bc
     mu_min = float(np.min(1.0 / nu))
     col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
-    cond = float(np.linalg.cond(m))
     if mu_min <= col_norm:
-        # the Neumann series no longer guarantees that m is invertible; the
-        # solve below is direct either way
+        # the Neumann series no longer guarantees that the system is
+        # invertible; the solve below is direct either way
         warnings.warn(
             "vertex coupling is not strictly damped (min exp growth factor "
             f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
-            f"direct solve, condition number {cond:.6e}; increase lambda for "
-            "a guaranteed solve", RuntimeWarning, stacklevel=2)
-    if cond > 1e8:
-        warnings.warn(
-            f"vertex coupling system is ill-conditioned (cond = {cond:.3e}); "
-            "increase lambda", RuntimeWarning, stacklevel=2)
-    rhs = backward[:, 0] / c
-    f0 = np.linalg.solve(m, rhs)
-    f1 = bc @ f0
-    f = suffix * f1[:, None] + backward / c[:, None]
-
+            "direct solve; increase lambda for a guaranteed solve",
+            RuntimeWarning, stacklevel=2)
+    try:
+        f0 = np.linalg.solve(np.eye(n_edges) - nu[:, None] * bc, backward[:, 0] / c)
+    except np.linalg.LinAlgError:
+        raise _breakdown(lam, "the vertex coupling system is singular") from None
+    f = suffix * (bc @ f0)[:, None] + backward / c[:, None]
+    if not np.all(np.isfinite(f)):
+        raise _breakdown(lam, "the solution is not finite")
     bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
-    if bc_residual > 1e-9:
-        raise RuntimeError(
-            f"boundary condition residual {bc_residual!r} exceeds 1e-9")
+    if not bc_residual <= 1e-9:
+        raise _breakdown(lam, f"boundary condition residual {bc_residual!r} exceeds 1e-9")
     fstate = EdgeState(net.grid, f)
     worst = resolvent_defect_norm(net, lam, g, fstate)
     tol = defect_budget(net, lam, f, g.values)
-    if worst > tol:
-        raise RuntimeError(
-            f"resolvent consistency defect {worst!r} exceeds the scheme "
-            f"budget {tol!r}")
+    if not worst <= tol:
+        raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
+                         f"scheme budget {tol!r}")
     return fstate
 
 
@@ -497,22 +494,19 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     """
     if n_samples < 1:
         raise ValueError("the network verdict needs at least one sample")
-    if len(lambdas) == 0:
-        raise ValueError("the network verdict needs at least one lambda")
+    lambdas = check_lambdas(lambdas)
     contraction_wit = []
     states = sample_states(net, n_samples, seed)
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
     for lam in lambdas:
-        if not lam > 0:
-            raise ValueError("lambda values must be positive")
         for sid, gstate in states:
             fstate = network_resolvent(net, lam, gstate)
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
                 rhs = supnorm_l1_weighted(gstate, net.velocities)
                 if lhs > rhs * (1.0 + 1e-6):
-                    contraction_wit.append(Witness(sid, float(lam), None, lhs, rhs))
+                    contraction_wit.append(Witness(sid, lam, None, lhs, rhs))
             # the solve has enforced both range residuals, the defect within
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
@@ -528,17 +522,17 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
                                     fixed_res, fixed_tol))
     sub = [
         CheckReport("network_resolvent_contraction",
-                    {"lambdas": list(map(float, lambdas)), "n_samples": n_samples,
+                    {"lambdas": lambdas, "n_samples": n_samples,
                      "seed": seed}, 1e-6, contraction_wit),
         CheckReport("adjoint_fixed_vector",
                     {"n_edges": net.n_edges}, fixed_tol, identity_wit),
         CheckReport("network_range_probe",
-                    {"lambdas": list(map(float, lambdas)), "n_samples": n_samples},
+                    {"lambdas": lambdas, "n_samples": n_samples},
                     range_tol, []),
     ]
     return CheckReport("lumer_phillips_network",
                        {"n_edges": net.n_edges, "n_vertices": net.n_vertices,
-                        "lambdas": list(map(float, lambdas))},
+                        "lambdas": lambdas},
                        1e-6, [], sub)
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import damped_cumulative_integral
-from .grid import Grid, GridFunction, check_integer, differentiate
+from .grid import Grid, GridFunction, check_integer, check_lambda, differentiate
 
 
 class ResolventUnavailableError(RuntimeError):
@@ -48,9 +48,7 @@ class Generator:
         if self.resolvent is None:
             raise ResolventUnavailableError(
                 f"generator '{self.label}' has no resolvent")
-        if not lam > 0:
-            raise ValueError("resolvent parameter lambda must be positive")
-        return self.resolvent(lam, g)
+        return self.resolvent(check_lambda(lam), g)
 
 
 def resolvent_shift(lam: float, g: GridFunction) -> GridFunction:
@@ -62,8 +60,7 @@ def resolvent_shift(lam: float, g: GridFunction) -> GridFunction:
     result vanishes at the left endpoint, satisfies the boundary condition
     of the domain, and obeys lam * sup|R g| <= sup|g| exactly.
     """
-    if not lam > 0:
-        raise ValueError("resolvent parameter lambda must be positive")
+    lam = check_lambda(lam)
     vals = damped_cumulative_integral(g.values, g.grid.h, lam)
     return GridFunction(g.grid, vals)
 
@@ -77,8 +74,7 @@ def right_translation_resolvent(lam: float, g: GridFunction) -> GridFunction:
     with g extended constantly by its leftmost value.  The cutoff tail is
     integrated in closed form, the on-grid part with the damped quadrature.
     """
-    if not lam > 0:
-        raise ValueError("resolvent parameter lambda must be positive")
+    lam = check_lambda(lam)
     grid = g.grid
     main = damped_cumulative_integral(g.values, grid.h, lam)
     tail = (g.values[0] / lam) * np.exp(-lam * (grid.nodes - grid.a))

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, check_integer
+from .grid import Grid, GridFunction, check_integer, check_lambda
 from .operators import Generator
 
 # Most state values one orbit block holds (at least one state per block).
@@ -146,8 +146,7 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
     exp(-lambda H) * ||f|| / lambda dominates the discarded integral for a
     contraction semigroup.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    lam = check_lambda(lam)
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     _check_steps(steps)

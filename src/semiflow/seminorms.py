@@ -38,8 +38,11 @@ class CompactSeminormFamily:
             self.max_index, 1, "max_index must be an integer >= 1"))
 
     def window(self, n: int) -> tuple[float, float]:
-        check_integer(n, 1, f"seminorm index must lie in 1..{self.max_index}, got {n}",
-                      self.max_index)
+        try:  # the message is built only when n fails
+            check_integer(n, 1, "", self.max_index)
+        except ValueError:
+            raise ValueError(
+                f"seminorm index must lie in 1..{self.max_index}, got {n}") from None
         if self.orientation is WindowOrientation.RIGHT:
             return (0.0, float(n))
         if self.orientation is WindowOrientation.LEFT:

@@ -175,22 +175,37 @@ def run_cli_process(*argv):
                           timeout=120)
 
 
-@pytest.mark.parametrize("argv", [
-    # the coupling system is singular to working precision at this lambda
-    ("check", "--network", str(TWO_CYCLE), "--lambda", "1e-12"),
+@pytest.mark.parametrize("argv, names", [
+    # the coupling system is nearly singular at this lambda, and the solve
+    # misses the boundary condition
+    (("check", "--network", str(TWO_CYCLE), "--lambda", "1e-12"),
+     "network resolvent breaks down at lambda 1e-12: boundary condition residual"),
+    # exp(-1e-17) rounds to 1, so the coupling system is exactly singular
+    (("check", "--network", str(TWO_CYCLE), "--lambda", "1e-17"),
+     "network resolvent breaks down at lambda 1e-17: the vertex coupling system is singular"),
+    # edge growth exp(3000 - lambda) overflows ({absorbing}: the two-cycle
+    # with absorption 3000)
+    (("check", "--network", "{absorbing}"),
+     "network resolvent breaks down at lambda 0.1: the solution is not finite"),
     # the exact tracer would follow ~1e9 vertex crossings per point
-    ("simulate", "--network", str(TWO_CYCLE), "--t", "1e9"),
+    (("simulate", "--network", str(TWO_CYCLE), "--t", "1e9"), "characteristic tracing"),
     # 1e8 output times of 802 values each, rejected before the time grid
-    ("simulate", "--network", str(TWO_CYCLE), "--outputs", "100000000"),
+    (("simulate", "--network", str(TWO_CYCLE), "--outputs", "100000000"),
+     "100000000 output times"),
     # the upwind march would take ~3.6e14 cell-steps
-    ("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "1e9"),
-], ids=["resolvent_breakdown", "tracing_over_budget", "too_many_outputs",
-        "upwind_over_budget"])
-def test_unsolvable_network_input_exits_two(argv):
-    proc = run_cli_process(*argv)
+    (("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "1e9"),
+     "the upwind march"),
+], ids=["resolvent_breakdown", "singular_coupling", "absorption_overflow",
+        "tracing_over_budget", "too_many_outputs", "upwind_over_budget"])
+def test_unsolvable_network_input_exits_two(argv, names, tmp_path):
+    absorbing = tmp_path / "absorbing.json"
+    absorbing.write_text(json.dumps(dict(json.loads(TWO_CYCLE.read_text()),
+                                         absorption=3000.0)))
+    proc = run_cli_process(*(a.replace("{absorbing}", str(absorbing)) for a in argv))
     assert proc.returncode == 2, proc.stderr
-    assert "error: " in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert f"error: {names}" in proc.stderr
+    for leak in ("Traceback", "SVD", "Singular matrix", "np.float64("):
+        assert leak not in proc.stderr
 
 
 def _ring_document(n_edges, n_cells):

@@ -10,6 +10,8 @@ the storage limit) or not at all (the characteristics time on a graph with
 an unfed edge, ROADMAP item 4).  Those are drawn from ranges that keep one
 call within milliseconds, plus the huge values the program rejects before
 it starts, so that the test exercises the contract, not the limits.
+Lambdas of 1e-17 and 1e-12, absorptions of 50 to 3000 and well-formed ring
+documents lead ``check --network`` into resolvent breakdowns.
 """
 
 import contextlib
@@ -83,7 +85,9 @@ def network_docs(draw):
         "weights": optional(st.lists(optional(st.fixed_dictionaries({
             "into_edge": st.integers(-1, 4), "from_edge": st.integers(-1, 4),
             "w": st.floats(-0.5, 1.5, allow_nan=False)})), max_size=4)),
-        "absorption": optional(st.one_of(floats, st.lists(floats, max_size=5))),
+        # absorption from 50 up makes the resolvent break down on small grids
+        "absorption": optional(st.one_of(floats, st.lists(floats, max_size=5),
+                                         st.sampled_from([50.0, 800.0, 3000.0]))),
         "grid": optional(st.fixed_dictionaries({"n_cells": optional(st.integers(-1, 12))})),
         "initial": optional(st.lists(optional(floats), max_size=5)),
     }))
@@ -91,7 +95,19 @@ def network_docs(draw):
     return draw(st.one_of(st.just(doc), JUNK))
 
 
-LAMBDAS = st.lists(number(-2.0, 20.0).map(lambda v: f"--lambda={v}"), max_size=3)
+@st.composite
+def solvable_docs(draw):
+    """A well-formed ring document, so that the run reaches the solvers."""
+    n_vertices, edges = draw(ring_edges())
+    absorption = st.one_of(st.floats(-1.0, 2.0, allow_nan=False),
+                           st.sampled_from([50.0, 800.0, 3000.0]))
+    return {"vertices": n_vertices, "edges": edges, "absorption": draw(absorption),
+            "grid": {"n_cells": draw(st.integers(2, 12))}}
+
+
+# 1e-12 and 1e-17 make the network coupling system nearly and exactly singular
+LAMBDA = number(-2.0, 20.0, EXTREME + [1e-17, 1e-12])
+LAMBDAS = st.lists(LAMBDA.map(lambda v: f"--lambda={v}"), max_size=3)
 
 
 @st.composite
@@ -108,7 +124,8 @@ def invocations(draw):
                                              seed=count(-2, 2 ** 40)))
         return argv, None
     if command == "check-network":
-        return ["check", "--network={doc}"] + draw(LAMBDAS), draw(network_docs())
+        return (["check", "--network={doc}"] + draw(LAMBDAS),
+                draw(st.one_of(network_docs(), solvable_docs())))
     if command == "euler":
         ladder = st.one_of(st.lists(st.integers(-1, 20), max_size=4).map(
             lambda ms: ",".join(map(str, ms))), st.sampled_from(["a,4", " ", "4,,8"]))
@@ -118,7 +135,7 @@ def invocations(draw):
             n_max=count(-1, 4))), None
     if command in ("counterexample", "heat"):
         return [command, f"--grid={draw(GRID)}"] + draw(options(
-            **{"lambda": number(-1.0, 20.0)}, n=count(-1, 6, ["10000000000"]))), None
+            **{"lambda": LAMBDA}, n=count(-1, 6, ["10000000000"]))), None
     if command == "simulate":
         solver = draw(st.sampled_from(["characteristics", "upwind"]))
         # tracing time is exponential in t on a branching graph; long times
@@ -132,7 +149,7 @@ def invocations(draw):
         return argv, draw(network_docs())
     return ["resolvent", f"--grid={draw(GRID)}"] + draw(options(
         operator=st.sampled_from(["left_shift", "right_translation"]),
-        **{"lambda": number(-1.0, 20.0)},
+        **{"lambda": LAMBDA},
         input=st.sampled_from(["ones", "bump", "expdecay", "other"]),
         horizon=number(-1.0, 30.0), steps=count(-1, 40))), None
 

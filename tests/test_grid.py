@@ -1,15 +1,20 @@
-"""Grid containers, arithmetic, differentiation, windows, the CSV writer
-and the integer check that count arguments share."""
+"""Grid containers, arithmetic, differentiation, windows, the CSV writer,
+the integer check that count arguments share and the lambda check that
+every resolvent entry shares."""
 
 import math
 
 import numpy as np
 import pytest
 
-from semiflow import (CompactSeminormFamily, Grid, GridFunction,
-                      WindowOrientation, check_hy_powers, differentiate,
-                      euler_apply, laplace_resolvent, left_shift_generator,
-                      orbit_integral_residual, plateau_ramp, shift_semigroup,
+from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
+                      WindowOrientation, check_bi_dissipative, check_hy_powers,
+                      check_resolvent_contraction, differentiate, euler_apply,
+                      laplace_resolvent, left_shift_generator,
+                      lumer_phillips_verdict, make_network,
+                      network_generation_verdict, network_resolvent,
+                      orbit_integral_residual, plateau_ramp, resolvent_shift,
+                      right_translation_resolvent, shift_semigroup,
                       smooth_bump, upwind_discretize, window_sup, write_csv)
 from semiflow.grid import window_mask, write_rows
 
@@ -140,3 +145,45 @@ def test_integer_arguments_reject_non_finite_values(entry, value):
     call, message = INTEGER_ENTRIES[entry]
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+# each lambda entry: the single ones take one lambda, the list ones a list
+_FAMILY = CompactSeminormFamily(WindowOrientation.RIGHT, 3)
+_SAMPLES = [("bump", _F)]
+_NET = make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=20)
+_STATE = EdgeState(_NET.grid, np.ones((2, 21)))
+SINGLE_LAMBDA_ENTRIES = {
+    "Generator.resolve": lambda lam: _GEN.resolve(lam, _F),
+    "resolvent_shift": lambda lam: resolvent_shift(lam, _F),
+    "right_translation_resolvent": lambda lam: right_translation_resolvent(lam, _F),
+    "laplace_resolvent": lambda lam: laplace_resolvent(_SG, lam, _F, 5.0, 10),
+    "network_resolvent": lambda lam: network_resolvent(_NET, lam, _STATE),
+}
+LAMBDA_LIST_ENTRIES = {
+    "check_bi_dissipative": lambda lams: check_bi_dissipative(_GEN, _FAMILY, _SAMPLES, lams),
+    "check_resolvent_contraction":
+        lambda lams: check_resolvent_contraction(_GEN, _FAMILY, _SAMPLES, lams),
+    "check_hy_powers": lambda lams: check_hy_powers(upwind_discretize(5, 0.1), lams, 2),
+    "lumer_phillips_verdict":
+        lambda lams: lumer_phillips_verdict(_GEN, _FAMILY, _SAMPLES, lams, _SAMPLES),
+    "network_generation_verdict": lambda lams: network_generation_verdict(_NET, lams, 1),
+}
+
+
+def _lambda_cases():
+    for name, call in sorted(SINGLE_LAMBDA_ENTRIES.items()):
+        for lam in (math.inf, math.nan, 0.0, -1.0):
+            yield pytest.param(call, lam, f"lambda must be finite and positive, got {lam}",
+                               id=f"{name}-{lam}")
+    for name, call in sorted(LAMBDA_LIST_ENTRIES.items()):
+        for lam in (math.inf, math.nan, 0.0, -1.0):
+            yield pytest.param(call, [lam], f"lambda must be finite and positive, got {lam}",
+                               id=f"{name}-{lam}")
+        yield pytest.param(call, [], "need at least one lambda, got none", id=f"{name}-empty")
+
+
+@pytest.mark.parametrize("call, arg, message", list(_lambda_cases()))
+def test_lambda_entries_reject_non_positive_or_non_finite_lambda(call, arg, message):
+    with pytest.raises(ValueError) as info:
+        call(arg)
+    assert str(info.value) == message

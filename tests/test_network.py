@@ -2,6 +2,7 @@
 both solvers, the coupled resolvent, and the network generation verdict."""
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -371,17 +372,23 @@ def test_resolvent_matches_per_edge_reference(n_edges):
                                   ref.values), lam
 
 
+def _growth_absorption(profile, n_cells):
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    q = np.where(x > 0.5, 3000.0, -3000.0) if profile == "growth_then_decay" \
+        else np.full(n_cells + 1, 3000.0)
+    return np.stack([q, q])
+
+
 @pytest.mark.parametrize("profile", ["growth_then_decay", "growth"])
 def test_resolvent_raises_where_edge_growth_overflows(profile):
     # absorption far above lambda makes each panel factor of the damped
     # integral exceed 1, and products over a few panels overflow; a zero
     # right-hand side on the growing part turns them into nan, not 0
-    x = np.linspace(0.0, 1.0, 41)
-    q = np.where(x > 0.5, 3000.0, -3000.0) if profile == "growth_then_decay" \
-        else np.full(41, 3000.0)
-    net = two_cycle(n_cells=40, absorption=np.stack([q, q]))
+    net = two_cycle(n_cells=40, absorption=_growth_absorption(profile, 40))
+    x = net.grid.nodes
     for g in (np.zeros((2, 41)), np.ones((2, 41)), np.tile(x <= 0.5, (2, 1))):
-        with warnings.catch_warnings(), pytest.raises(ValueError):
+        with warnings.catch_warnings(), \
+                pytest.raises(RuntimeError, match="the solution is not finite"):
             warnings.simplefilter("ignore")
             network_resolvent(net, 1.0, EdgeState(net.grid, g))
 
@@ -443,14 +450,29 @@ def test_random_network_column_stochastic_and_reproducible():
         v = w / np.sum(np.abs(w))
 
 
-def test_network_generation_verdict_breakdown_raises():
-    # the verdict has no range witnesses of its own: the solve enforces the
-    # boundary condition, and a breakdown surfaces as RuntimeError
-    with warnings.catch_warnings():
+NUMBER = r"[0-9.e+-]+"  # a float's repr, not np.float64(...)
+
+
+@pytest.mark.parametrize("absorption, lam, broke", [
+    (None, 1e-12, rf"boundary condition residual {NUMBER} exceeds 1e-9"),
+    (None, 1e-17, "the vertex coupling system is singular"),
+    (50.0, 1.0, rf"resolvent consistency defect {NUMBER} exceeds the scheme "
+                rf"budget {NUMBER}"),
+    ("growth", 1.0, "the solution is not finite"),
+    ("growth_then_decay", 1.0, "the solution is not finite"),
+], ids=["small_lambda", "singular_lambda", "absorption", "growth", "growth_then_decay"])
+def test_network_generation_verdict_breakdown_raises(absorption, lam, broke):
+    # the verdict has no range witnesses of its own: on the CLI's default
+    # samples it stops at the first breakdown of the solve, a RuntimeError
+    # that names what broke
+    if isinstance(absorption, str):
+        absorption = _growth_absorption(absorption, 400)
+    with warnings.catch_warnings(), pytest.raises(RuntimeError) as info:
         warnings.simplefilter("ignore")
-        with pytest.raises(RuntimeError, match="boundary condition residual"):
-            network_generation_verdict(two_cycle(), [1e-12], n_samples=5,
-                                       seed=0)
+        network_generation_verdict(two_cycle(absorption=absorption), [lam],
+                                   n_samples=5, seed=0)
+    assert re.fullmatch(f"network resolvent breaks down at lambda {lam!r}: {broke}",
+                        str(info.value)), str(info.value)
 
 
 def test_network_generation_verdict_passes():
