@@ -17,9 +17,16 @@ Kernels:
     Exact evolution of edge transport by backtracking characteristics
     through vertices, to one time or a block of times (one vectorized
     frontier, weights from the coupling matrix).
+
+``history_transport``
+    The same flow by the method of steps, for speeds and times that fit one
+    time grid (``common_step``): the head-value histories are built once and
+    every output reads them.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -136,6 +143,12 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
 # characteristic tracing
 
 
+def _interp(table: np.ndarray, edge: np.ndarray, idx: np.ndarray,
+            frac: np.ndarray) -> np.ndarray:
+    """Rows ``table[edge]`` read ``frac`` of the way across panel ``idx``."""
+    return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
+
+
 def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
                 h: float) -> np.ndarray:
     """Linear interpolant of the rows ``table[edge]`` at the points ``pos``,
@@ -143,7 +156,7 @@ def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
     n = table.shape[1] - 1
     idx = np.clip((pos / h).astype(np.int64), 0, n - 1)
     frac = np.clip(pos / h - idx, 0.0, 1.0)
-    return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
+    return _interp(table, edge, idx, frac)
 
 
 class FrontierLimitError(ValueError):
@@ -185,7 +198,10 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     branching, so on a branching graph the in-loop limit acts late: a call
     may build a level of nearly ``FRONTIER_LIMIT`` entries before the limit
     rejects the next one.  One such call (two vertices joined by 8 parallel
-    edges each way, 55 nodes per edge, t = 4.5) took ~370 MB.
+    edges each way, 55 nodes per edge, t = 4.5) took ~370 MB.  Its speeds
+    fit a time grid, so ``characteristics_orbit`` serves it with
+    ``history_transport``; this tracer serves speeds that fit no grid, and
+    it is the oracle for the history.
     """
     vals = np.asarray(values, dtype=np.float64)
     bc = np.asarray(coupling, dtype=np.float64)
@@ -255,3 +271,129 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         pos = np.zeros(size)
         level += 1
     return out.reshape(times.shape + (n_edges, n_nodes))
+
+
+# ---------------------------------------------------------------------------
+# method of steps
+
+
+def common_step(h: float, c: np.ndarray, times: Sequence[float]) -> Optional[float]:
+    """The largest step dt that divides every cell crossing time h/c_k and
+    every time in ``times``, or None if the speeds and times fit no grid.
+
+    dt divides the smallest positive span s0 among them, so dt = s0/m for an
+    integer m.  The m from 1 to 64 are tried at once, and the smallest m for
+    which every span is an integer multiple of dt, to a relative 64 eps,
+    wins.  A span of so many steps that 64 eps of it reach a quarter step
+    cannot show a fit, and fails.
+    """
+    spans = np.concatenate([h / np.asarray(c, dtype=np.float64), np.ravel(times)])
+    spans = spans[spans > 0]
+    s0 = float(np.min(spans))
+    tol = 64 * np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = spans * (np.arange(1.0, 65.0)[:, None] / s0)
+        fits = np.all(np.abs(ratio - np.rint(ratio)) <= tol * ratio, axis=1)
+    m = 1 + int(np.argmax(fits))
+    # the quarter-step test grows with m, so it can be checked at the fit
+    return s0 / m if fits.any() and tol * m * float(np.max(spans)) / s0 < 0.25 else None
+
+
+def _foot_value(vals: np.ndarray, qcum: np.ndarray, c: np.ndarray, b: np.ndarray,
+                edge: np.ndarray, start, cell: np.ndarray,
+                rem: np.ndarray) -> np.ndarray:
+    """Initial data of ``edge`` at the foot ``cell + rem/b[edge]`` (in cells,
+    ``rem == 0`` at the tail node), times the gain from node ``start`` to
+    the foot.  The fraction is a quotient of integers, so a foot gives the
+    same value for every step that reaches it."""
+    n = vals.shape[1] - 1
+    idx = np.minimum(cell, n - 1)
+    frac = (rem + (cell - idx) * b[edge]) / b[edge]
+    gain = (_interp(qcum, edge, idx, frac) - qcum[edge, start]) / c[edge]
+    return np.exp(gain) * _interp(vals, edge, idx, frac)
+
+
+def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
+                      qcum: np.ndarray, h: float, blocks: Sequence[np.ndarray],
+                      dt: float) -> Iterator[np.ndarray]:
+    """Yield the transport flow at each block of times in ``blocks`` by the
+    method of steps, shape ``block.shape + values.shape`` per block.  The
+    step ``dt`` comes from ``common_step``: every h/c_k and every time is an
+    integer multiple of it.  The other arguments are ``trace_transport``'s.
+
+    After its first vertex crossing, every characteristic runs from the head
+    x = 0 of some edge, so the head values h_k(s) = u_k(0, s) fix the flow.
+    Read back along edge k, h_k(s) is the initial data at c_k s times its
+    gain while s <= 1/c_k, and e^{G_k} sum_m Bc_km h_m(s - 1/c_k) after
+    that, where G_k is the gain of the whole edge and Bc the coupling.  On
+    the grid s = i dt the recursion reads only grid times, so it is exact.
+    The history of every edge up to the largest time is built once per
+    call, min_k 1/(c_k dt) steps per numpy pass.  A node x of edge j then
+    reads the initial data (interpolated as ``trace_transport`` reads it,
+    times its gain) while t <= (1 - x)/c_j, and
+    e^{gain} sum_m Bc_jm h_m(t - (1 - x)/c_j) after that.
+
+    On a jump line, where t = (1 - x)/c_j or s = 1/c_k exactly, the
+    initial-data side is taken, as in ``trace_transport`` when its test
+    ``trem <= to_tail`` holds.  Times and positions are kept as integer
+    step counts, so a value does not depend on dt: a time gives the same
+    values in every call whose step divides it.  Values agree with
+    ``trace_transport`` to rounding, except on jump lines, where the side
+    that the tracer takes depends on the rounding of its test.
+
+    The history holds t_max/dt + 1 values per edge.  A call whose history
+    would hold more than ``FRONTIER_LIMIT`` values raises
+    ``FrontierLimitError`` (a ``ValueError``) naming its largest time,
+    before any work.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    bc = np.asarray(coupling, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    qcum = np.asarray(qcum, dtype=np.float64)
+    n_edges, n_nodes = vals.shape
+    n = n_nodes - 1
+    t_max = max((float(np.max(block)) for block in blocks if block.size), default=0.0)
+    last = int(round(t_max / dt))
+    if (last + 1) * n_edges > FRONTIER_LIMIT:
+        raise FrontierLimitError(
+            f"characteristic tracing to t = {t_max!r} would store "
+            f"{(last + 1) * n_edges} head values, more than the limit of "
+            f"{FRONTIER_LIMIT}; choose a smaller t")
+    b = np.rint(h / c / dt).astype(np.int64)  # steps per cell of each edge
+    # steps to cross each edge; a crossing after the last step is never
+    # reached, and capping it there keeps the integers small
+    cross = n * np.minimum(b, last + 1)
+    rows, cols = np.nonzero(bc)
+    weight = bc[rows, cols][:, None]
+    fed, first = np.unique(rows, return_index=True)
+    edge_gain = np.exp(qcum[:, n] / c)[:, None]
+
+    # tail[k, i] = sum_m Bc_km h_m(i dt), the value entering edge k's tail.
+    # A pass fills at most min_k 1/(c_k dt) steps, which read only earlier
+    # passes, and sums each row's children in a fixed order (reduceat), so
+    # a column does not depend on how the steps are split into passes.
+    tail = np.zeros((n_edges, last + 1))
+    span = int(min(cross.min(), max(1, FRONTIER_LIMIT // rows.size)))
+    edges = np.arange(n_edges)[:, None]
+    for i0 in range(0, last + 1, span):
+        steps = np.arange(i0, min(i0 + span, last + 1))
+        back = steps - cross[:, None]  # step of the tail value each head reads
+        head = edge_gain * tail[edges, np.maximum(back, 0)]
+        k, i = np.nonzero(back < 1)    # s <= 1/c_k: still the initial data
+        head[k, i] = _foot_value(vals, qcum, c, b, k, 0, steps[i] // b[k],
+                                 steps[i] % b[k])
+        tail[fed, i0:i0 + steps.size] = np.add.reduceat(weight * head[cols], first,
+                                                        axis=0)
+
+    j = np.repeat(np.arange(n_edges), n_nodes)  # edge and node of each value
+    node = np.tile(np.arange(n_nodes), n_edges)
+    ahead = (n - node) * np.minimum(b[j], last + 1)  # steps to the tail
+    out_gain = np.exp((qcum[j, n] - qcum[j, node]) / c[j])
+    for block in blocks:
+        a = np.rint(block.ravel() / dt).astype(np.int64)[:, None]
+        back = a - ahead
+        out = out_gain * tail[j, np.maximum(back, 0)]
+        t, p = np.nonzero(back < 1)    # t <= (1 - x)/c_j: the initial data
+        cell, rem = np.divmod(a[t, 0], b[j[p]])
+        out[t, p] = _foot_value(vals, qcum, c, b, j[p], node[p], node[p] + cell, rem)
+        yield out.reshape(block.shape + vals.shape)

@@ -10,7 +10,7 @@ Subcommands map one-to-one onto the library's verification workflows:
 * ``resolvent``      resolvent evaluation with optional Laplace cross-check
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input or input
-the solvers cannot handle (resolvent breakdown, tracing over budget).  All
+the solvers cannot handle (resolvent breakdown, exact flow over budget).  All
 floating-point output is serialized with 17 significant digits and every
 command is deterministic for a fixed configuration.
 """

@@ -11,9 +11,11 @@ The vertex coupling enters the evolution through the boundary condition
 
     u_j(1, t) = sum_k (C^{-1} B C)_{jk} u_k(0, t)
 
-with C = diag(velocities).  Two solvers realize the flow: exact
-characteristic backtracking through vertices and an explicit upwind scheme;
-``network_resolvent`` solves (lambda - A) f = g including the coupling.
+with C = diag(velocities).  Two solvers realize the flow: the exact flow
+along characteristics (by the method of steps when the speeds fit a time
+grid, by backtracking through vertices otherwise) and an explicit upwind
+scheme; ``network_resolvent`` solves (lambda - A) f = g including the
+coupling.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import (FrontierLimitError, damped_cumulative_integral,
-                       trace_transport, upwind_sweep)
+from ._kernels import (FrontierLimitError, common_step, damped_cumulative_integral,
+                       history_transport, trace_transport, upwind_sweep)
 from .generation import CheckReport, Witness
 from .grid import Grid, GridFunction, check_lambda, check_lambdas
 from .samples import sample_functions
@@ -265,16 +267,31 @@ def characteristics_orbit(net: Network, state: EdgeState,
     """Yield the exact flow of ``state`` at ``times`` in blocks of node
     values, shape (block, n_edges, n_cells + 1), in the order of ``times``.
 
-    Each block is traced in one ``trace_transport`` call.  A block whose
-    frontier goes over ``FRONTIER_LIMIT`` is traced again one time per call,
-    the largest time first: the entry count grows with t, so if any time is
-    over the limit on its own, the ``FrontierLimitError`` names the largest.
+    When the speeds and times fit one time grid (``common_step``: some dt
+    divides every h/c_k and every time), ``history_transport`` builds the
+    head-value history once and reads every block from it, at a cost linear
+    in t.  It takes the initial-data side on a jump line, and raises
+    ``FrontierLimitError`` naming the largest time if the history would
+    hold more than ``FRONTIER_LIMIT`` values.
+
+    Otherwise each block is traced in one ``trace_transport`` call.  A block
+    whose frontier goes over ``FRONTIER_LIMIT`` is traced again one time per
+    call, the largest time first: the entry count grows with t, so if any
+    time is over the limit on its own, the ``FrontierLimitError`` names the
+    largest.  An orbit takes one path for all its times, so a row of an
+    orbit that traces may differ from the history's value for its time
+    alone, within rounding (or by the jump on a jump line).
     """
     _check_state(net, state)
+    blocks = list(time_blocks(times, state.values.size))
     args = (state.values, net.coupling, net.velocities, net.absorption_integral,
             net.grid.h)
+    dt = common_step(net.grid.h, net.velocities, times)
+    if dt is not None:
+        yield from history_transport(*args, blocks, dt)
+        return
     c_max = float(np.max(net.velocities))
-    for block in time_blocks(times, state.values.size):
+    for block in blocks:
         # vertex crossings per traced point are capped at ceil(t c_max) + 2
         # for the block's largest t, which covers every time in the block
         cap = int(math.ceil(float(np.max(block)) * c_max)) + 2
@@ -308,7 +325,7 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     """Evolve ``state`` to a ladder of output times.
 
     The characteristics solver evaluates the exact flow from the given state
-    along the orbit of all output times, traced in blocks of times
+    along the orbit of all output times, in blocks of times
     (``characteristics_orbit``); the upwind solver marches with a uniform
     step chosen so every output time is a step multiple and the CFL target
     is respected.
@@ -395,6 +412,8 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     that breaks down raises ``RuntimeError`` naming what broke: a singular
     coupling system, a non-finite solution, a boundary residual over 1e-9 or
     a consistency defect over the scheme budget (a nan residual is over).
+    Overflow and invalid values in the arithmetic raise no numpy warning:
+    the finiteness check reports them.
     """
     lam = check_lambda(lam)
     _check_state(net, g)
@@ -404,32 +423,33 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     q = net.absorption
     n_edges = net.n_edges
 
-    rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]  # per panel
-    # int_x^1 exp-damped g, all edges integrated from the tail at once
-    backward = damped_cumulative_integral(g.values[:, ::-1], h, rates[:, ::-1])[:, ::-1]
-    zsum = np.zeros((n_edges, n + 1))
-    zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
-    suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]  # per panel
+        # int_x^1 exp-damped g, all edges integrated from the tail at once
+        backward = damped_cumulative_integral(g.values[:, ::-1], h, rates[:, ::-1])[:, ::-1]
+        zsum = np.zeros((n_edges, n + 1))
+        zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
+        suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
 
-    nu = suffix[:, 0]
-    bc = net.coupling
-    mu_min = float(np.min(1.0 / nu))
-    col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
-    if mu_min <= col_norm:
-        # the Neumann series no longer guarantees that the system is
-        # invertible; the solve below is direct either way
-        warnings.warn(
-            "vertex coupling is not strictly damped (min exp growth factor "
-            f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
-            "direct solve; increase lambda for a guaranteed solve",
-            RuntimeWarning, stacklevel=2)
-    try:
-        f0 = np.linalg.solve(np.eye(n_edges) - nu[:, None] * bc, backward[:, 0] / c)
-    except np.linalg.LinAlgError:
-        raise _breakdown(lam, "the vertex coupling system is singular") from None
-    f = suffix * (bc @ f0)[:, None] + backward / c[:, None]
-    if not np.all(np.isfinite(f)):
-        raise _breakdown(lam, "the solution is not finite")
+        nu = suffix[:, 0]
+        bc = net.coupling
+        mu_min = float(np.min(1.0 / nu))
+        col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
+        if mu_min <= col_norm:
+            # the Neumann series no longer guarantees that the system is
+            # invertible; the solve below is direct either way
+            warnings.warn(
+                "vertex coupling is not strictly damped (min exp growth factor "
+                f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
+                "direct solve; increase lambda for a guaranteed solve",
+                RuntimeWarning, stacklevel=2)
+        try:
+            f0 = np.linalg.solve(np.eye(n_edges) - nu[:, None] * bc, backward[:, 0] / c)
+        except np.linalg.LinAlgError:
+            raise _breakdown(lam, "the vertex coupling system is singular") from None
+        f = suffix * (bc @ f0)[:, None] + backward / c[:, None]
+        if not np.all(np.isfinite(f)):
+            raise _breakdown(lam, "the solution is not finite")
     bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
     if not bc_residual <= 1e-9:
         raise _breakdown(lam, f"boundary condition residual {bc_residual!r} exceeds 1e-9")
@@ -579,8 +599,10 @@ def load_network(source) -> Network:
     try:
         n_vertices = int(doc["vertices"])
         edges = [(int(e["tail"]), int(e["head"])) for e in doc["edges"]]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"network config is missing field: {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"network config field has the wrong type: {exc}") from exc
     weights = None
     if "weights" in doc and doc["weights"] is not None:
         try:

@@ -38,7 +38,10 @@ class Semigroup:
     the node values of T(t) f for each t in ``times`` as blocks of rows, one
     row per time in the order of ``times``, each row equal bit for bit to
     ``apply(t, f).values``; a block holds at most ``ORBIT_BLOCK_VALUES``
-    values or a single state.
+    values or a single state.  One exception: on a network whose speeds fit
+    a time grid, an orbit with a time off that grid traces all its times,
+    and a row may differ from ``apply`` at a grid time by rounding, or take
+    the other side of a jump (``network.characteristics_orbit``).
     """
 
     label: str

@@ -1,6 +1,7 @@
 """Kernel-level tests: quadrature weights, recurrences, and the parity of the
 vectorized kernels with scalar loop references."""
 
+import math
 import time
 
 import numpy as np
@@ -336,6 +337,16 @@ TRACE_CASES = [
 ]
 
 
+def _trace(net, st, t, cap=None):
+    """``trace_transport`` as ``characteristics_orbit`` calls it, for any
+    speeds: through the orbit, speeds that fit a time grid reach
+    ``history_transport`` instead."""
+    if cap is None:
+        cap = int(np.ceil(np.max(t) * np.max(net.velocities))) + 2
+    return K.trace_transport(st.values, net.coupling, net.velocities,
+                             net.absorption_integral, net.grid.h, t, cap)
+
+
 def test_trace_paths_agree():
     # one test over all cases, so that its id stays the same
     for name, make, seed, times in TRACE_CASES:
@@ -345,7 +356,7 @@ def test_trace_paths_agree():
         qc = net.absorption_integral
         for t in times:
             cap = int(np.ceil(t * np.max(net.velocities))) + 2
-            new = semiflow.step_characteristics(net, st, t).values
+            new = _trace(net, st, t, cap)
             ref = _trace_transport_py(st.values, indptr, colind, bw,
                                       net.velocities, qc, net.grid.h, t, cap)
             err = np.max(np.abs(new - ref))
@@ -364,11 +375,13 @@ def test_simulate_characteristics_matches_per_time_steps():
 
 
 def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
-    # two-cycle of 4 cells: t = 6 alone creates 68 entries, the whole block
-    # of 12 times 492; with a limit of 150 the block goes over, each time
+    # two-cycle of 4 cells, with a speed off the time grid of the other so
+    # that the orbit traces: t = 6 alone creates 72 entries, the whole block
+    # of 12 times 525; with a limit of 150 the block goes over, each time
     # alone stays under, and the block is traced again one time per call,
     # the largest time first
-    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=4)
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0 + 2.0 ** -30],
+                                n_cells=4)
     st = semiflow.sample_states(net, 1, 7)[0][1]
     args = (st.values, net.coupling, net.velocities, net.absorption_integral,
             net.grid.h)
@@ -389,7 +402,7 @@ def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
     rows = np.concatenate(list(sg.orbit(times, st)))
     assert calls == [times.tolist()] + [[t] for t in sorted(times, reverse=True)]
     assert all(np.array_equal(row, ref) for row, ref in zip(rows, per_time))
-    # t = 20 (208 entries) and t = 30 (308) are each over the limit alone;
+    # t = 20 (212 entries) and t = 30 (312) are each over the limit alone;
     # the error names the block's largest time, not the first failing one
     calls.clear()
     with pytest.raises(ValueError, match=r"t = 30\.0 would create"):
@@ -419,7 +432,7 @@ def test_trace_frontier_limit_rejects_branching_blowup():
     st = semiflow.initial_state(net)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="t = 40.0"):
-        semiflow.step_characteristics(net, st, 40.0)
+        _trace(net, st, 40.0)
     assert time.perf_counter() - start < 1.0
 
 
@@ -430,7 +443,7 @@ def test_trace_rejects_fully_fed_graph_before_tracing():
     st = semiflow.initial_state(net)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="t = 5300.0 would create at least"):
-        semiflow.step_characteristics(net, st, 5300.0)
+        _trace(net, st, 5300.0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -441,7 +454,7 @@ def test_trace_rejects_graph_with_source_edge_before_tracing():
     st = semiflow.initial_state(net)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at least"):
-        semiflow.step_characteristics(net, st, 1e8)
+        _trace(net, st, 1e8)
     assert time.perf_counter() - start < 0.5
 
 
@@ -472,7 +485,7 @@ def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
     outcomes = []
     for t in np.arange(0.5, 120.0, 0.25):
         try:
-            semiflow.step_characteristics(net, st, float(t))
+            _trace(net, st, float(t))
             outcomes.append("traced")
         except ValueError as exc:
             outcomes.append("up_front" if "at least" in str(exc) else "loop")
@@ -480,6 +493,85 @@ def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
     first = outcomes.index("loop")
     assert "up_front" not in outcomes[:first]
     assert "traced" not in outcomes[first:]
+
+
+def _branching_two_speeds():
+    # out-degree 2 at every vertex, speeds 1 and 2, absorption of both signs
+    return semiflow.make_network(
+        3, [(0, 1), (1, 2), (2, 0), (1, 0), (0, 2), (2, 1)],
+        [1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+        absorption=[0.1, -0.2, 0.3, 0.0, 0.2, -0.1], n_cells=30)
+
+
+HISTORY_CASES = [case for case in TRACE_CASES if case[0] in ("two_cycle", "mixed_absorbing")]
+HISTORY_CASES += [("branching_two_speeds", _branching_two_speeds, 5, (1.0, 2.0, 3.0))]
+
+
+@pytest.mark.parametrize("name, make, seed, times", HISTORY_CASES,
+                         ids=[case[0] for case in HISTORY_CASES])
+def test_history_matches_tracer(name, make, seed, times):
+    # every value within 1e-12 max|u| of the tracer, except on a jump line,
+    # where the history takes the initial-data side: the tracer's value a
+    # moment earlier
+    net = make()
+    st = semiflow.sample_states(net, 1, seed)[0][1]
+    assert K.common_step(net.grid.h, net.velocities, np.array(times)) is not None
+    got = np.concatenate(list(semiflow.network_semigroup(net).orbit(times, st)))
+    ref = _trace(net, st, np.array(times))
+    scale = float(np.max(np.abs(ref)))
+    off = np.abs(got - ref) > 1e-12 * scale
+    for k, t in enumerate(times):
+        if off[k].any():
+            before = _trace(net, st, t - 1e-9)
+            assert np.max(np.abs(got[k] - before)[off[k]]) <= 1e-6 * scale, (name, t)
+
+
+def test_history_takes_initial_side_on_jump_line():
+    # unit two-cycle: the node x = 0.5 at t = 0.5 reads its edge's tail node,
+    # where the sample jumps against the coupled head value of the other edge
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=200)
+    st = semiflow.sample_states(net, 1, 3)[0][1]
+    got = semiflow.step_characteristics(net, st, 0.5).values[:, 100]
+    coupled = net.coupling @ st.values[:, 0]
+    assert np.array_equal(got, st.values[:, -1])
+    assert np.all(np.abs(got - coupled) > 0.1)
+
+
+@pytest.mark.parametrize("parallel, n_cells, t", [(8, 54, 4.5), (2, 20, 40.0)],
+                         ids=["eight_parallel_edges", "branching_t40"])
+def test_history_serves_what_tracing_cannot(parallel, n_cells, t):
+    # two vertices joined by parallel edges each way: the path count grows
+    # like parallel^t, so tracing took ~370 MB at (8, 54, 4.5) and rejects
+    # (2, 20, 40); the history is linear in t.  Unit speeds, and data that
+    # vanish at the edge ends, so the mass is conserved
+    edges = [(0, 1)] * parallel + [(1, 0)] * parallel
+    net = semiflow.make_network(2, edges, [1.0] * len(edges), n_cells=n_cells)
+    st = semiflow.initial_state(net)
+    start = time.perf_counter()
+    out = semiflow.step_characteristics(net, st, t)
+    assert time.perf_counter() - start < 1.0
+    assert semiflow.total_mass(out) == pytest.approx(semiflow.total_mass(st), rel=1e-12)
+
+
+def test_history_over_the_limit_is_rejected_before_work():
+    # two-cycle of 400 cells: t = 5300 needs 2 x (5300 x 400 + 1) head
+    # values, more than 2**22
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=400)
+    st = semiflow.initial_state(net)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="t = 5300.0 would store 4240002 head values"):
+        semiflow.step_characteristics(net, st, 5300.0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_common_step_needs_one_grid_for_speeds_and_times():
+    h = 0.025
+    assert K.common_step(h, np.array([1.0, 2.5]), np.array([0.7, 4.2])) == pytest.approx(0.005)
+    assert K.common_step(h, np.array([1.0, 1.0]), np.array([0.0, 20.0 / 6])) == pytest.approx(h / 3)
+    assert K.common_step(h, np.array([1.0, math.sqrt(2.0)]), np.array([1.0])) is None
+    assert K.common_step(h, np.array([1.0, 1.0]), np.array([math.pi])) is None
+    # a span too many steps long to tell a fit from rounding
+    assert K.common_step(h, np.array([1.0, 1e-300]), np.array([1.0])) is None
 
 
 def test_linear_interpolation_clamps():

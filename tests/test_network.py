@@ -526,6 +526,16 @@ def test_load_network_roundtrip_and_errors(tmp_path):
         load_network(sink)
 
 
+@pytest.mark.parametrize("edges, message", [
+    (5, "wrong type: 'int' object is not iterable"),
+    ([[0, 1], [1, 0]], "wrong type: list indices must be integers"),
+    ([{"tail": 0}], "missing field: 'head'"),
+], ids=["edges_number", "edge_as_list", "edge_without_head"])
+def test_load_network_tells_a_wrong_type_from_a_missing_field(edges, message):
+    with pytest.raises(ValidationError, match=f"network config (is|field has the) {message}"):
+        load_network({"vertices": 2, "edges": edges})
+
+
 def test_edge_state_norm_and_arithmetic():
     net = two_cycle(n_cells=50)
     a = initial_state(net)

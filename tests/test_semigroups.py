@@ -9,7 +9,7 @@ import pytest
 from semiflow import (CompactSeminormFamily, Grid, GridFunction,
                       WindowOrientation, euler_apply, eval_pn,
                       laplace_resolvent, left_shift_generator,
-                      network_semigroup, orbit_integral_residual,
+                      make_network, network_semigroup, orbit_integral_residual,
                       random_flow_network, right_translation_generator,
                       right_translation_semigroup, sample_states,
                       shift_semigroup, smooth_bump)
@@ -211,9 +211,13 @@ def test_orbit_rows_equal_apply(monkeypatch, block_values):
     f = GridFunction(grid, np.random.default_rng(8).uniform(-1.0, 1.0, 121))
     net = random_flow_network(4, seed=2, n_cells=30)
     g = sample_states(net, 1, 4)[0][1]
+    # unit speeds fit a time grid: the orbit's step is 1/300, while t = 0.7
+    # alone steps by 1/30 and t = 0.05 by 1/60
+    cycle = make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=30)
     for sg, state in ((shift_semigroup(grid), f),
                       (right_translation_semigroup(grid), f),
-                      (network_semigroup(net), g)):
+                      (network_semigroup(net), g),
+                      (network_semigroup(cycle), sample_states(cycle, 1, 4)[0][1])):
         blocks = list(sg.orbit(times, state))
         per = max(1, semigroups.ORBIT_BLOCK_VALUES // state.values.size)
         assert [len(b) for b in blocks[:-1]] == [per] * (len(blocks) - 1)

@@ -22,6 +22,11 @@ def test_tracer_spans_every_kernel_and_restores_patches(monkeypatch, capsys):
         state = semiflow.initial_state(net)
         for solver in ("characteristics", "upwind"):
             network.simulate_flow(net, state, 1.0, solver, n_outputs=3)
+        # unit speeds fit one time grid and take the history; a speed off
+        # that grid reaches the tracer
+        net2 = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 2.0 ** 0.5], n_cells=20)
+        network.simulate_flow(net2, semiflow.initial_state(net2), 1.0,
+                              "characteristics", n_outputs=3)
         network.network_generation_verdict(net, [1.0], 1)
         assert cli.main(["euler", "--grid", "200", "--m-ladder", "4"]) in (0, 1)
         tracer.end_op()
