@@ -77,11 +77,14 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     ----------
     values : node samples of v, shape (n + 1,) or (rows, n + 1)
     h : panel width, positive
-    rate : scalar rate, or per-panel rates of shape (n,) for one row and
-        (rows, n) for a stack
+    rate : one of three shapes: a scalar rate for every panel; one rate per
+        row, shape (rows, 1), for a stack; or per-panel rates, shape (n,)
+        for one row and (rows, n) for a stack
 
     Exact when the rate is panel-constant and v is piecewise linear.  Each
-    row of a stack gives the same result, bit for bit, as on its own.
+    row of a stack gives the same result, bit for bit, as on its own, and a
+    scalar or per-row rate gives the same result as per-panel rates equal
+    to it.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
@@ -91,29 +94,36 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         raise ValueError("panel width must be positive")
     n = v.shape[-1] - 1
     rate_arr = np.asarray(rate, dtype=np.float64)
-    if rate_arr.ndim and rate_arr.shape != v.shape[:-1] + (n,):
-        raise ValueError("rate must be a scalar or one value per panel of each row")
-    panel = rate_arr.ndim > 0
+    per_row = v.ndim == 2 and rate_arr.shape == (v.shape[0], 1)
+    if rate_arr.ndim and not per_row and rate_arr.shape != v.shape[:-1] + (n,):
+        raise ValueError("rate must be a scalar, one value per row or one value "
+                         "per panel of each row")
+    panel = rate_arr.ndim > 0 and not per_row
     d, a, b = panel_decay_weights(rate_arr * h)
-    if not panel:
+    if not rate_arr.ndim:
         d, a, b = float(d), float(a), float(b)
-    w = (a * h) * v[..., :-1] + (b * h) * v[..., 1:]
+    out = np.empty_like(v)
+    out[..., 0] = 0.0
+    w = out[..., 1:]
+    np.multiply(a * h, v[..., :-1], out=w)
+    w += (b * h) * v[..., 1:]
     # y_{i+1} = d_i y_i + w_i by recursive doubling.  Before the pass with
     # step s, w_i sums the recurrence over the s panels ending at panel i and
-    # d_i is their decay; the pass doubles both spans.  A scalar factor stays
-    # one float, squared each pass, and its underflow to 0 ends the passes.
-    # Negative rates give d > 1: a product over 2s panels can overflow, and
-    # inf times an exact-zero partial sum is nan.  No caller returns such a
-    # row: network_resolvent checks that its solution is finite and raises.
+    # d_i is their decay; the pass doubles both spans.  A scalar or per-row
+    # factor is squared each pass (a scalar stays one float), and once every
+    # factor has underflowed to 0 the passes end.  Negative rates give
+    # d > 1: a product over 2s panels can overflow, and inf times an
+    # exact-zero partial sum is nan.  No caller returns such a row:
+    # network_resolvent checks that its solution is finite and raises.
     s = 1
-    while s < n and (panel or d):
+    while s < n and (panel or (np.any(d) if per_row else d)):
         w[..., s:] += (d[..., s:] if panel else d) * w[..., :-s]
         if panel:
             d[..., s:] *= d[..., :-s]
         else:
             d *= d
         s *= 2
-    return np.concatenate([np.zeros_like(v[..., :1]), w], axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +173,16 @@ class FrontierLimitError(ValueError):
     """A tracing call would create more than ``FRONTIER_LIMIT`` entries."""
 
 
-def _frontier_error(t: float, entries) -> FrontierLimitError:
-    return FrontierLimitError(
-        f"characteristic tracing to t = {t!r} would create {entries} "
-        f"frontier entries, more than the limit of {FRONTIER_LIMIT}; "
-        "choose a smaller t")
+def frontier_error(t: float, entries: int, exact: bool = True) -> FrontierLimitError:
+    """The error for tracing to ``t``, which would create ``entries``
+    frontier entries (at least that many when not ``exact``); the count is
+    kept as the error's ``entries``."""
+    err = FrontierLimitError(
+        f"characteristic tracing to t = {t!r} would create "
+        f"{'' if exact else 'at least '}{entries} frontier entries, more than the "
+        f"limit of {FRONTIER_LIMIT}; choose a smaller t")
+    err.entries = entries
+    return err
 
 
 def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
@@ -231,7 +246,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     levels = np.clip(np.ceil(times * float(np.min(c))) - 1.0, 0.0, cap + 1.0)
     bound = float(np.sum(levels)) * np.count_nonzero(live) * n_nodes
     if bound > FRONTIER_LIMIT:
-        raise _frontier_error(t_max, f"at least {int(bound)}")
+        raise frontier_error(t_max, int(bound), exact=False)
 
     per_time = n_edges * n_nodes
     origin = np.arange(times.size * per_time)
@@ -260,7 +275,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
             raise RuntimeError("characteristic tracing exceeded the crossing cap")
         total += size
         if total > FRONTIER_LIMIT:
-            raise _frontier_error(t_max, total)
+            raise frontier_error(t_max, total)
         gain = (qcum[e, n] - _lin_interp(qcum, e, pos[go], h)) / ce[go]
         child = (np.repeat(first_child[e], counts) + np.arange(size)
                  - np.repeat(np.cumsum(counts) - counts, counts))

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import (FrontierLimitError, common_step, damped_cumulative_integral,
-                       history_transport, trace_transport, upwind_sweep)
+                       frontier_error, history_transport, trace_transport,
+                       upwind_sweep)
 from .generation import CheckReport, Witness
 from .grid import Grid, GridFunction, check_lambda, check_lambdas
 from .samples import sample_functions
@@ -276,11 +277,13 @@ def characteristics_orbit(net: Network, state: EdgeState,
 
     Otherwise each block is traced in one ``trace_transport`` call.  A block
     whose frontier goes over ``FRONTIER_LIMIT`` is traced again one time per
-    call, the largest time first: the entry count grows with t, so if any
-    time is over the limit on its own, the ``FrontierLimitError`` names the
-    largest.  An orbit takes one path for all its times, so a row of an
-    orbit that traces may differ from the history's value for its time
-    alone, within rounding (or by the jump on a jump line).
+    call, the largest time first.  The entry count grows with t, so if any
+    time is over the limit on its own, so is the call's largest, and the
+    ``FrontierLimitError`` names that time (with the failing time's count
+    as a lower bound when that is a smaller time).  An orbit takes one path
+    for all its times, so a row of an orbit that traces may differ from the
+    history's value for its time alone, within rounding (or by the jump on
+    a jump line).
     """
     _check_state(net, state)
     blocks = list(time_blocks(times, state.values.size))
@@ -296,14 +299,27 @@ def characteristics_orbit(net: Network, state: EdgeState,
         # for the block's largest t, which covers every time in the block
         cap = int(math.ceil(float(np.max(block)) * c_max)) + 2
         try:
-            values = trace_transport(*args, block, cap)
-        except FrontierLimitError:
-            if block.size == 1:
+            values = _trace_block(args, block, cap)
+        except FrontierLimitError as exc:
+            t_call = max(float(np.max(b)) for b in blocks)
+            if float(np.max(block)) == t_call:
                 raise
-            values = np.empty(block.shape + state.values.shape)
-            for k in np.argsort(block)[::-1]:
-                values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
+            raise frontier_error(t_call, exc.entries, exact=False) from None
         yield values
+
+
+def _trace_block(args: tuple, block: np.ndarray, cap: int) -> np.ndarray:
+    """Trace one block of times in one call or, over the frontier limit,
+    one time per call, the largest time first."""
+    try:
+        return trace_transport(*args, block, cap)
+    except FrontierLimitError:
+        if block.size == 1:
+            raise
+        values = np.empty(block.shape + args[0].shape)
+        for k in np.argsort(block)[::-1]:
+            values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
+        return values
 
 
 def step_characteristics(net: Network, state: EdgeState, t: float) -> EdgeState:
@@ -408,58 +424,88 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
 
         (I - diag(nu) Bc) f(0) = r,   nu_j = exp(-(lambda - qbar_j) / c_j),
 
-    the well-scaled equivalent of the tail-side coupling system.  A solve
-    that breaks down raises ``RuntimeError`` naming what broke: a singular
-    coupling system, a non-finite solution, a boundary residual over 1e-9 or
-    a consistency defect over the scheme budget (a nan residual is over).
-    Overflow and invalid values in the arithmetic raise no numpy warning:
-    the finiteness check reports them.
+    the well-scaled equivalent of the tail-side coupling system.  Of the
+    three rate shapes that ``damped_cumulative_integral`` takes, the scalar
+    one serves the interval operators.  Here the edges pass one rate per
+    row, shape (E, 1), when the panel rates of every edge are equal (the
+    absorption is constant along each edge), and their per-panel rates,
+    shape (E, n), otherwise.  A solve that breaks down raises ``RuntimeError`` naming what
+    broke: a singular coupling system, a non-finite solution, a boundary
+    residual over 1e-9 or a consistency defect over the scheme budget (a
+    nan residual is over).  Overflow and invalid values in the arithmetic
+    raise no numpy warning: the finiteness check reports them.
+    """
+    return _network_resolvents(net, lam, [g])[0][0]
+
+
+def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
+                        ) -> list[tuple[EdgeState, float]]:
+    """``network_resolvent`` for each state of ``gs`` at one lambda: each
+    solution, in the order of ``gs``, with its ``defect_budget``.
+
+    The rates, the decay factors and the coupling system are built once,
+    and one damped-integral call integrates all S E edge rows of the S
+    states.  The coupling solve and the checks then run state by state, in
+    order, so the first breakdown raises as a one-state call would.  The
+    "not strictly damped" warning depends on lambda alone: it is given once
+    per call, attributed to the caller's caller.
     """
     lam = check_lambda(lam)
-    _check_state(net, g)
+    for g in gs:
+        _check_state(net, g)
     h = net.grid.h
     n = net.grid.n_cells
     c = net.velocities
     q = net.absorption
+    bc = net.coupling
     n_edges = net.n_edges
 
     with np.errstate(over="ignore", invalid="ignore"):
         rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]  # per panel
-        # int_x^1 exp-damped g, all edges integrated from the tail at once
-        backward = damped_cumulative_integral(g.values[:, ::-1], h, rates[:, ::-1])[:, ::-1]
         zsum = np.zeros((n_edges, n + 1))
         zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
         suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
-
         nu = suffix[:, 0]
-        bc = net.coupling
         mu_min = float(np.min(1.0 / nu))
         col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
         if mu_min <= col_norm:
             # the Neumann series no longer guarantees that the system is
-            # invertible; the solve below is direct either way
+            # invertible; the solves below are direct either way
             warnings.warn(
                 "vertex coupling is not strictly damped (min exp growth factor "
                 f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
                 "direct solve; increase lambda for a guaranteed solve",
-                RuntimeWarning, stacklevel=2)
-        try:
-            f0 = np.linalg.solve(np.eye(n_edges) - nu[:, None] * bc, backward[:, 0] / c)
-        except np.linalg.LinAlgError:
-            raise _breakdown(lam, "the vertex coupling system is singular") from None
-        f = suffix * (bc @ f0)[:, None] + backward / c[:, None]
-        if not np.all(np.isfinite(f)):
-            raise _breakdown(lam, "the solution is not finite")
-    bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
-    if not bc_residual <= 1e-9:
-        raise _breakdown(lam, f"boundary condition residual {bc_residual!r} exceeds 1e-9")
-    fstate = EdgeState(net.grid, f)
-    worst = resolvent_defect_norm(net, lam, g, fstate)
-    tol = defect_budget(net, lam, f, g.values)
-    if not worst <= tol:
-        raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
-                         f"scheme budget {tol!r}")
-    return fstate
+                RuntimeWarning, stacklevel=3)
+        system = np.eye(n_edges) - nu[:, None] * bc
+        # int_x^1 exp-damped g, every edge of every state integrated from
+        # the tail at once
+        row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
+                     else rates[:, ::-1])
+        stack = np.stack([g.values[:, ::-1] for g in gs]).reshape(-1, n + 1)
+        stack = damped_cumulative_integral(stack, h, np.tile(row_rates, (len(gs), 1)))
+        backward = stack.reshape(len(gs), n_edges, n + 1)[..., ::-1]
+
+    solved = []
+    for g, back in zip(gs, backward):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                f0 = np.linalg.solve(system, back[:, 0] / c)
+            except np.linalg.LinAlgError:
+                raise _breakdown(lam, "the vertex coupling system is singular") from None
+            f = suffix * (bc @ f0)[:, None] + back / c[:, None]
+            if not np.all(np.isfinite(f)):
+                raise _breakdown(lam, "the solution is not finite")
+        bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
+        if not bc_residual <= 1e-9:
+            raise _breakdown(lam, f"boundary condition residual {bc_residual!r} exceeds 1e-9")
+        fstate = EdgeState(net.grid, f)
+        worst = resolvent_defect_norm(net, lam, g, fstate)
+        tol = defect_budget(net, lam, f, g.values)
+        if not worst <= tol:
+            raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
+                             f"scheme budget {tol!r}")
+        solved.append((fstate, tol))
+    return solved
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
@@ -520,8 +566,8 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
     for lam in lambdas:
-        for sid, gstate in states:
-            fstate = network_resolvent(net, lam, gstate)
+        solved = _network_resolvents(net, lam, [g for _, g in states])
+        for (sid, gstate), (fstate, budget) in zip(states, solved):
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
                 rhs = supnorm_l1_weighted(gstate, net.velocities)
@@ -530,8 +576,7 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # the solve has enforced both range residuals, the defect within
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
-            range_tol = max(range_tol, defect_budget(net, lam, fstate.values,
-                                                     gstate.values))
+            range_tol = max(range_tol, budget)
     # the residual c_j |sum_i B_ij - 1| has the units of a velocity, and
     # build_adjacency admits column sums within 1e-12 of 1
     identity_wit = []

@@ -208,6 +208,20 @@ def test_unsolvable_network_input_exits_two(argv, names, tmp_path):
         assert leak not in proc.stderr
 
 
+def test_orbit_over_the_frontier_limit_names_the_largest_time(tmp_path):
+    # speeds [1, sqrt 2] fit no time grid, so the orbit traces; its 11
+    # output times go in blocks, and the first block is already over the
+    # limit, but the error names the time that was asked for
+    doc = dict(json.loads(TWO_CYCLE.read_text()), velocities=[1.0, 2.0 ** 0.5])
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli_process("simulate", "--network", str(path), "--t", "1e9")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(
+        "error: characteristic tracing to t = 1000000000.0 would create at least ")
+    assert "Traceback" not in proc.stderr
+
+
 def _ring_document(n_edges, n_cells):
     return {"vertices": n_edges,
             "edges": [{"tail": v, "head": (v + 1) % n_edges} for v in range(n_edges)],

@@ -179,6 +179,30 @@ def test_scalar_rate_equals_constant_panel_rate():
             assert np.array_equal(a, b), (n, rate)
 
 
+def test_per_row_rate_equals_constant_panel_rates():
+    # one rate per row squares its factor each pass, as a scalar rate does:
+    # the same result as equal per-panel rates, bit for bit, also on rows
+    # whose factor underflows early, on rows with a negative rate whose
+    # factor overflows (inf, and nan where it meets an exact-zero partial
+    # sum), and on stacks that mix them
+    rng = np.random.default_rng(5)
+    h = 0.01
+    cases = {"early_underflow": [2000.0, 9e4, 400.0],
+             "negative": [-0.4, -400.0, -3e4],
+             "mixed": [1e-3, 9e4, -3e4, 0.7, 0.0]}
+    for n in (1, 3, 64, 401):
+        for name, row_rates in cases.items():
+            rate = np.array(row_rates)[:, None]
+            v = rng.normal(size=(rate.shape[0], n + 1))
+            v[:, :(n + 1) // 2] = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = K.damped_cumulative_integral(v, h, rate)
+                b = K.damped_cumulative_integral(v, h, np.repeat(rate, n, axis=1))
+            assert np.array_equal(a, b, equal_nan=True), (n, name)
+            if n == 401 and name != "early_underflow":
+                assert not np.all(np.isfinite(a)), name
+
+
 def test_damped_integral_validates_input():
     with pytest.raises(ValueError):
         K.damped_cumulative_integral(np.ones(5), 0.1, np.ones(3))
@@ -199,7 +223,8 @@ def test_damped_integral_stacked_rows_match_single_rows():
 
 def test_damped_integral_stacked_rejects_mismatched_rates():
     v = np.ones((4, 11))
-    for rates in (np.ones(10), np.ones((3, 10)), np.ones((4, 11))):
+    for rates in (np.ones(10), np.ones((3, 10)), np.ones((4, 11)), np.ones((3, 1)),
+                  np.ones((5, 1)), np.ones((1, 1))):
         with pytest.raises(ValueError, match="each row"):
             K.damped_cumulative_integral(v, 0.1, rates)
 
@@ -582,3 +607,4 @@ def test_linear_interpolation_clamps():
     assert got[1] == 4.0
     assert got[2] == pytest.approx(0.5)
     assert got[3] == pytest.approx(2.5)
+

@@ -19,6 +19,7 @@ from semiflow import (Edge, EdgeState, Grid, GridFunction, Network,
                       sample_states, simulate_flow, step_characteristics,
                       supnorm_l1_weighted, total_mass,
                       velocity_fixed_vector_residual, weighted_bc)
+from semiflow.generation import CheckReport, Witness
 
 
 def two_cycle(n_cells=400, velocities=(1.0, 1.0), absorption=None):
@@ -728,3 +729,126 @@ def test_resolvent_defect_check_uses_resolvent_defect_norm(monkeypatch):
     with pytest.raises(RuntimeError, match="consistency defect") as info:
         network_resolvent(net, 6.0, g)
     assert f"defect {worst!r} exceeds" in str(info.value)
+
+
+# The verdict as one network_resolvent per lambda and sample, with the range
+# leg's tolerance from a second defect_budget call.
+
+def _network_verdict_reference(net, lambdas, n_samples, seed):
+    states = sample_states(net, n_samples, seed)
+    shift = max(0.0, float(np.max(net.absorption)))
+    contraction_wit, range_tol = [], 0.0
+    for lam in lambdas:
+        for sid, gstate in states:
+            fstate = network_resolvent(net, lam, gstate)
+            if lam > shift:
+                lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
+                rhs = supnorm_l1_weighted(gstate, net.velocities)
+                if lhs > rhs * (1.0 + 1e-6):
+                    contraction_wit.append(Witness(sid, lam, None, lhs, rhs))
+            range_tol = max(range_tol, defect_budget(net, lam, fstate.values,
+                                                     gstate.values))
+    fixed_tol = 1e-12 * max(1.0, float(np.max(net.velocities)))
+    assert velocity_fixed_vector_residual(net) <= fixed_tol
+    lambdas = [float(lam) for lam in lambdas]
+    sub = [CheckReport("network_resolvent_contraction",
+                       {"lambdas": lambdas, "n_samples": n_samples, "seed": seed},
+                       1e-6, contraction_wit),
+           CheckReport("adjoint_fixed_vector", {"n_edges": net.n_edges}, fixed_tol, []),
+           CheckReport("network_range_probe",
+                       {"lambdas": lambdas, "n_samples": n_samples}, range_tol, [])]
+    return CheckReport("lumer_phillips_network",
+                       {"n_edges": net.n_edges, "n_vertices": net.n_vertices,
+                        "lambdas": lambdas}, 1e-6, [], sub).to_dict()
+
+
+def _verdict_networks():
+    # graph-verdict style: random graphs with mixed speeds and absorption
+    # constant on about half the edges; then absorption that varies along
+    # every edge
+    nets = []
+    for n_edges, seed in ((8, 11), (16, 12)):
+        shape = random_flow_network(n_edges, seed=seed, n_cells=100)
+        rng = np.random.default_rng(seed)
+        q = -rng.uniform(0.0, 1.0, n_edges) * (rng.uniform(size=n_edges) < 0.5)
+        nets.append(("constant", make_network(
+            shape.n_vertices, [(e.tail, e.head) for e in shape.edges],
+            shape.velocities, shape.weights, q, 100)))
+    shape = random_flow_network(6, seed=13, n_cells=100)
+    q = -np.outer(np.linspace(0.2, 1.0, 6), 1.0 + np.sin(3.0 * shape.grid.nodes))
+    nets.append(("varying", make_network(
+        shape.n_vertices, [(e.tail, e.head) for e in shape.edges],
+        shape.velocities, shape.weights, q, 100)))
+    return nets
+
+
+def test_batched_verdict_matches_per_sample_reference(monkeypatch):
+    import semiflow.network as network_module
+    lambdas = [0.02, 0.1, 1.0, 10.0]
+    calls = []
+
+    def spy(values, h, rate):
+        calls.append((np.shape(values), np.shape(rate)))
+        return damped_cumulative_integral(values, h, rate)
+
+    for kind, net in _verdict_networks():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = _network_verdict_reference(net, lambdas, 3, 5)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(network_module, "damped_cumulative_integral", spy)
+                got = network_generation_verdict(net, lambdas, 3, 5).to_dict()
+        assert got == ref, kind
+        # one damped integral per lambda over every edge of every sample,
+        # with one rate per edge where the absorption is constant along it
+        rows, nodes = 3 * net.n_edges, net.grid.n_cells + 1
+        panels = 1 if kind == "constant" else net.grid.n_cells
+        assert calls == [((rows, nodes), (rows, panels))] * len(lambdas), kind
+
+
+@pytest.mark.parametrize("absorption, lam", [(None, 1e-12), (50.0, 1.0)],
+                         ids=["small_lambda", "absorption"])
+def test_batched_verdict_raises_the_first_breakdown(absorption, lam):
+    # the samples of the benchmark's breakdown ops and of `check --network`:
+    # five at seed 0
+    net = two_cycle(absorption=absorption)
+    errors = []
+    for verdict in (_network_verdict_reference, network_generation_verdict):
+        with warnings.catch_warnings(), pytest.raises(RuntimeError) as info:
+            warnings.simplefilter("ignore")
+            verdict(net, [lam], 5, 0)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_verdict_takes_each_defect_budget_from_its_solve(monkeypatch):
+    # the solve computes one budget per sample and lambda and returns it;
+    # the verdict calls defect_budget no further time
+    import semiflow.network as network_module
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return defect_budget(*args)
+
+    monkeypatch.setattr(network_module, "defect_budget", counting)
+    net = random_flow_network(6, seed=2, n_cells=80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        network_generation_verdict(net, [0.5, 2.0, 8.0], n_samples=4)
+    assert calls == [0.5] * 4 + [2.0] * 4 + [8.0] * 4
+
+
+def test_verdict_warns_once_per_lambda():
+    # mixed speeds: the small lambdas are not strictly damped, lambda = 10 is
+    net = _verdict_networks()[0][1]
+    counts = []
+    for lam in (0.02, 0.1, 1.0, 10.0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            network_generation_verdict(net, [lam], n_samples=3)
+        assert all(str(w.message).startswith("vertex coupling is not strictly damped")
+                   for w in caught)
+        counts.append(len(caught))
+    assert counts[:2] == [1, 1] and counts[-1] == 0 and max(counts) == 1
