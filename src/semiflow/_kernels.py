@@ -60,8 +60,9 @@ def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     q = -np.expm1(-zs) / zs  # (1 - exp(-z))/z, no cancellation
     a_big = (q - d) / zs     # zs == z wherever this branch is kept
     b_big = (1.0 - q) / zs
-    a_ser = 0.5 - z / 3.0 + z * z / 8.0
-    b_ser = 0.5 - z / 6.0 + z * z / 24.0
+    zr = np.where(small, z, 0.0)  # z * z would overflow for |z| above ~1e154
+    a_ser = 0.5 - zr / 3.0 + zr * zr / 8.0
+    b_ser = 0.5 - zr / 6.0 + zr * zr / 24.0
     return d, np.where(small, a_ser, a_big), np.where(small, b_ser, b_big)
 
 

@@ -20,6 +20,7 @@ generates a contraction semigroup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -216,6 +217,19 @@ def subdifferential_test(gen: Generator, family: CompactSeminormFamily,
         float(tol), witnesses)
 
 
+def _range_tolerance(lam: float, g: GridFunction) -> float:
+    """The range leg's consistency budget 10 (1 + lambda)^2 h^2 max(1, ||g||).
+    ``ValueError`` where it overflows: an infinite budget passes any defect."""
+    try:
+        tol = 10.0 * (1.0 + lam) ** 2 * g.grid.h ** 2 * max(1.0, g.norm())
+    except OverflowError:
+        tol = math.inf
+    if tol == math.inf:
+        raise ValueError(f"lambda = {lam} is too large for the range probe: its "
+                         "tolerance 10 (1 + lambda)^2 h^2 max(1, ||g||) overflows")
+    return tol
+
+
 def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
                            samples: Sequence[tuple[str, GridFunction]],
                            lambdas: Sequence[float],
@@ -228,19 +242,21 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
     to satisfy the domain predicate and the defect ||lambda f - A f - g|| to
     stay within the consistency budget of the discretization,
     10 (1 + lambda)^2 h^2 relative.  A verdict over no sample or no lambda
-    certifies nothing, so an empty sample or lambda list is rejected.
+    certifies nothing, so an empty sample or lambda list is rejected, and so
+    is a lambda whose range budget overflows, before any solve.
     """
     if not samples:
         raise ValueError("the generation verdict needs at least one sample")
     lambdas = check_lambdas(lambdas)
+    tols = [[_range_tolerance(lam, g) for lam in lambdas]
+            for _, g in surjectivity_probes]
     sub = [check_bi_dissipative(gen, family, samples, lambdas)]
     if surjectivity_probes:
         range_witnesses = []
         tol_used = 0.0
-        for sid, g in surjectivity_probes:
-            for lam in lambdas:
+        for (sid, g), probe_tols in zip(surjectivity_probes, tols):
+            for lam, tol in zip(lambdas, probe_tols):
                 fsol = gen.resolve(lam, g)
-                tol = 10.0 * (1.0 + lam) ** 2 * g.grid.h ** 2 * max(1.0, g.norm())
                 tol_used = max(tol_used, tol)
                 if not gen.domain_check(fsol):
                     range_witnesses.append(Witness(f"domain:{sid}", lam,

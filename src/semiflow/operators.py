@@ -17,7 +17,11 @@ Three model operators:
 
 Resolvents integrate exp-damped data with the panel-exact scheme from
 ``_kernels``, so lambda * R(lambda) is a sup-norm contraction on the nodes
-at every grid resolution, not just asymptotically.
+at every grid resolution, not just asymptotically.  The two translation
+generators also carry the powers (lambda R(lambda))^m in closed form: on
+node values that vanish at the left end, lambda R(lambda) is a
+lower-triangular Toeplitz matrix, so its m-th power is one causal
+convolution power of its first column.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ class ResolventUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class Generator:
-    """A labeled operator with optional resolvent and a domain predicate."""
+    """A labeled operator with optional resolvent and a domain predicate.
+
+    ``resolvent_power(lam, m, f)``, where given, is (lam R(lam))^m f computed
+    in one piece; it agrees with m sequential resolves up to rounding.
+    """
 
     label: str
     apply: Callable[[GridFunction], GridFunction]
     resolvent: Optional[Callable[[float, GridFunction], GridFunction]]
     domain_check: Callable[[GridFunction], bool]
+    resolvent_power: Optional[Callable[[float, int, GridFunction], GridFunction]] = None
 
     def resolve(self, lam: float, g: GridFunction) -> GridFunction:
         if self.resolvent is None:
@@ -81,6 +90,62 @@ def right_translation_resolvent(lam: float, g: GridFunction) -> GridFunction:
     return GridFunction(grid, main + tail)
 
 
+def _toeplitz_step_power(lam: float, h: float, k: int,
+                         data: np.ndarray) -> np.ndarray:
+    """T^k data, where T is lam * R(lam) of the left shift on a grid of
+    width h, acting on nodes 1..N of node values that vanish at node 0, and
+    ``data`` holds nodes 1..N.
+
+    T is lower-triangular Toeplitz with symbol lam h (B + A z)/(1 - d z)
+    (d, A, B from ``panel_decay_weights(lam h)``).  Its first column is the
+    response to e_1, read from row 1 on; column 0 of lam * R(lam) lacks the
+    B weight, so it is not Toeplitz.  T^k data is the column's causal
+    convolution power times the data, truncated to N terms at every product
+    (exact, as every sequence is causal): FFT repeated squaring in
+    O(N log N log k).  The data are scaled by a power of two, exactly, so
+    that no FFT sum overflows.
+    """
+    if k == 0:
+        return data
+    n = data.size
+    e1 = np.zeros(n + 1)
+    e1[1] = 1.0
+    column = lam * damped_cumulative_integral(e1, h, lam)[1:]
+    size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1: nothing wraps into N terms
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    _, e = np.frexp(np.max(np.abs(data)))
+    out = np.ldexp(data, -e)
+    base = rfft(column, size)
+    while True:
+        if k & 1:
+            out = irfft(rfft(out, size) * base, size)[:n]
+        k >>= 1
+        if not k:
+            return np.ldexp(out, e)
+        base = rfft(irfft(base * base, size)[:n], size)
+
+
+def _shift_resolvent_power(lam: float, m: int, g: GridFunction) -> GridFunction:
+    """(lam R(lam))^m g for the left shift: one exact step, which makes the
+    left value 0, then the Toeplitz power of the step for the other m - 1."""
+    lam = check_lambda(lam)
+    out = lam * damped_cumulative_integral(g.values, g.grid.h, lam)
+    out[1:] = _toeplitz_step_power(lam, g.grid.h, m - 1, out[1:])
+    return GridFunction(g.grid, out)
+
+
+def _right_translation_resolvent_power(lam: float, m: int,
+                                       g: GridFunction) -> GridFunction:
+    """(lam R(lam))^m g for the right translation.  lam R(lam) fixes the
+    constants and the left value, so (lam R)^m g = g_0 + T^m (g - g_0), with
+    T the Toeplitz step of the left shift."""
+    lam = check_lambda(lam)
+    v0 = g.values[0]
+    out = np.full_like(g.values, v0)
+    out[1:] += _toeplitz_step_power(lam, g.grid.h, m, g.values[1:] - v0)
+    return GridFunction(g.grid, out)
+
+
 def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Central second difference inside; one-sided 5-point stencils at the
     endpoints.  Exact on quadratics (the end stencils on quartics)."""
@@ -106,13 +171,15 @@ def left_shift_generator(grid: Grid) -> Generator:
     def domain_check(f: GridFunction) -> bool:
         return abs(float(f.values[0])) <= 1e-12
 
-    return Generator("left_shift", _minus_derivative, resolvent_shift, domain_check)
+    return Generator("left_shift", _minus_derivative, resolvent_shift, domain_check,
+                     _shift_resolvent_power)
 
 
 def right_translation_generator(grid: Grid) -> Generator:
     """Translation generator A f = -f' without boundary condition."""
     return Generator("right_translation", _minus_derivative,
-                     right_translation_resolvent, lambda f: True)
+                     right_translation_resolvent, lambda f: True,
+                     _right_translation_resolvent_power)
 
 
 def laplacian_generator(grid: Grid) -> Generator:

@@ -102,7 +102,9 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
 
         T(t) f  ~  ((m/t) R(m/t, A))^m f
 
-    applied as m sequential resolvent evaluations.  Requires a generator
+    computed by the generator's ``resolvent_power`` where it has one (the
+    translation generators: a causal convolution power, O(N log N log m)),
+    otherwise as m sequential resolvent evaluations.  Requires a generator
     with a resolvent; t = 0 returns f unchanged.
     """
     m = check_integer(m, 1, "Euler step count m must be an integer >= 1")
@@ -111,6 +113,8 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
     if t == 0:
         return f
     lam = m / t
+    if gen.resolvent_power is not None:
+        return gen.resolvent_power(lam, m, f)
     out = f
     for _ in range(m):
         out = gen.resolve(lam, out) * lam

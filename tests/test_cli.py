@@ -297,6 +297,26 @@ def test_non_finite_numbers_exit_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_check_with_huge_lambda_names_the_range_budget(operator):
+    # (1 + lambda)^2 overflows; the message names lambda and the budget
+    proc = run_cli_process("check", "--operator", operator, "--lambda", "1e300")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: lambda = 1e+300 is too large for the range probe: its tolerance "
+        "10 (1 + lambda)^2 h^2 max(1, ||g||) overflows\n")
+    assert proc.stdout == ""
+
+
+def test_euler_at_tiny_times(capsys):
+    # lambda = m/t: 1e303 is solved without a warning, inf is rejected
+    code, out = run_cli(capsys, "euler", "--t", "1e-300", "--grid", "200")
+    assert code == 0 and json.loads(out)["errors"][-1] < 1e-12
+    code = main(["euler", "--t", "5e-324", "--grid", "200"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: lambda must be finite and positive, got inf\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_check_without_samples_exits_two(samples):
     # a certificate over no sample would pass vacuously

@@ -2,6 +2,8 @@
 resolvent-power bounds, subdifferential membership, and the combined
 verdict."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,26 @@ def test_verdict_range_leg_reports_domain_and_range_witnesses():
     assert range_leg.check_name == "range_density_probe" and not range_leg.passed
     kinds = {w.input_id.split(":")[0] for w in range_leg.witnesses}
     assert kinds == {"domain", "range"}
+
+
+@pytest.mark.parametrize("lam", [1e154, 1e300], ids=["product_overflow", "square_overflow"])
+def test_verdict_rejects_lambda_whose_range_budget_overflows(lam):
+    # 10 (1 + lambda)^2 h^2 is inf at 1e154 and raises OverflowError at
+    # 1e300; an infinite budget would pass any defect, so the verdict
+    # refuses the lambda before it solves anything
+    g, ls, fam = _left_shift_setup(200)
+
+    def unreachable(lam, f):
+        raise AssertionError("solved before the budget was checked")
+
+    gen = Generator("left_shift", ls.apply, unreachable, ls.domain_check)
+    samples = sample_functions(g, 2, seed=0, vanish_left=True)
+    probes = sample_functions(g, 2, seed=1)
+    message = f"lambda = {lam!r} is too large for the range probe: its tolerance "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lumer_phillips_verdict(gen, fam, samples, [1.0, lam], probes)
+    # without range probes there is no budget to overflow
+    assert lumer_phillips_verdict(gen, fam, samples, [lam]).passed
 
 
 def test_verdict_rejects_no_samples():

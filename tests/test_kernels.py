@@ -69,6 +69,19 @@ def test_panel_decay_weights_bit_identical_to_two_exp_form():
             assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
+def test_panel_decay_weights_give_no_overflow_warning_at_huge_z():
+    # the series is evaluated only where it is selected; z * z of an
+    # unselected z above ~1e154 overflowed and warned
+    z = np.array([1e200, 1.3e154, 1e308, 1e-5, -3e-5, 0.5, 40.0])
+    with np.errstate(over="raise"):
+        new = K.panel_decay_weights(z)
+    with np.errstate(over="ignore"):
+        old = _panel_decay_weights_two_exp(z)
+    for a, b in zip(new, old):
+        assert np.array_equal(a, b)
+    assert new[0][0] == 0.0 and new[2][0] == pytest.approx(1e-200, rel=1e-15)
+
+
 def test_panel_decay_weights_negative_rate():
     # growth panels (negative z) must use the closed form, not the series
     z = np.array([-0.5])

@@ -1,6 +1,7 @@
 """Exact translation semigroups, resolvent power approximation, Laplace
 transforms, and the orbit-integral identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,53 @@ def test_euler_ladder_decreases_toward_exact_orbit():
             for m in (4, 16, 64)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.2
+
+
+def _euler_cases(operator, n_cells):
+    """Generator on a grid of ``n_cells``, the same generator without its
+    resolvent power (the sequential loop), and data with f(left end) != 0."""
+    if operator == "left_shift":
+        g = Grid(0.0, 6.0, n_cells)
+        gen = left_shift_generator(g)
+    else:
+        g = Grid(-6.0, 0.0, n_cells)
+        gen = right_translation_generator(g)
+    x = g.nodes
+    f = GridFunction(g, 0.7 + np.sin(3.0 * x) * np.exp(-0.1 * x * x))
+    return gen, dataclasses.replace(gen, resolvent_power=None), f
+
+
+@pytest.mark.parametrize("t", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_euler_power_matches_sequential_resolves(operator, t):
+    # the left shift's first exact step must absorb f(0) != 0; the right
+    # translation keeps it
+    for n_cells in (2, 3, 4000):
+        gen, loop, f = _euler_cases(operator, n_cells)
+        assert gen.resolvent_power is not None
+        for m in (1, 2, 3, 4, 5, 16, 1024):
+            closed = euler_apply(gen, t, m, f).values
+            seq = euler_apply(loop, t, m, f).values
+            assert np.max(np.abs(closed - seq)) <= 1e-12 * f.norm(), (n_cells, m)
+            assert (closed[0] == 0.0) == (operator == "left_shift")
+
+
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_euler_power_of_data_near_the_float_limit(operator):
+    # FFT sums over the grid would overflow without the power-of-two scaling
+    gen, loop, f = _euler_cases(operator, 400)
+    big = f * 1e307
+    closed = euler_apply(gen, 1.0, 1024, big)
+    assert (closed - euler_apply(loop, 1.0, 1024, big)).norm() <= 1e-12 * big.norm()
+
+
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_euler_rejects_infinite_lambda(operator):
+    # m / t overflows to inf: rejected, not turned into nan
+    gen, loop, f = _euler_cases(operator, 20)
+    for g in (gen, loop):
+        with pytest.raises(ValueError, match="lambda must be finite and positive, got inf"):
+            euler_apply(g, 5e-324, 4, f)
 
 
 def test_laplace_resolvent_matches_exact_resolvent():
