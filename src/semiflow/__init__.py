@@ -28,8 +28,7 @@ from .generation import (CheckReport, Witness, check_bi_dissipative,
                          lumer_phillips_verdict, subdifferential_test)
 from .network import (Edge, EdgeState, Network, ValidationError,
                       build_adjacency, defect_budget, initial_state,
-                      load_network,
-                      make_network, network_generation_verdict,
+                      load_network, make_network, network_generation_verdict,
                       network_resolvent, network_semigroup,
                       random_flow_network, resolvent_defect_norm,
                       sample_states, simulate_flow, step_characteristics,

@@ -85,7 +85,8 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     Exact when the rate is panel-constant and v is piecewise linear.  Each
     row of a stack gives the same result, bit for bit, as on its own, and a
     scalar or per-row rate gives the same result as per-panel rates equal
-    to it.
+    to it.  Where rate * h overflows to inf, the panel takes its limit as
+    rate * h -> inf, d = hA = 0 and hB = 1/rate, so y_i = v_i / rate.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
@@ -100,14 +101,20 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         raise ValueError("rate must be a scalar, one value per row or one value "
                          "per panel of each row")
     panel = rate_arr.ndim > 0 and not per_row
-    d, a, b = panel_decay_weights(rate_arr * h)
+    with np.errstate(over="ignore"):
+        z = rate_arr * h
+    d, a, b = panel_decay_weights(z)
+    ha, hb = a * h, b * h
+    over = z == np.inf
+    if np.any(over):
+        hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
     if not rate_arr.ndim:
-        d, a, b = float(d), float(a), float(b)
+        d, ha, hb = float(d), float(ha), float(hb)
     out = np.empty_like(v)
     out[..., 0] = 0.0
     w = out[..., 1:]
-    np.multiply(a * h, v[..., :-1], out=w)
-    w += (b * h) * v[..., 1:]
+    np.multiply(ha, v[..., :-1], out=w)
+    w += hb * v[..., 1:]
     # y_{i+1} = d_i y_i + w_i by recursive doubling.  Before the pass with
     # step s, w_i sums the recurrence over the s panels ending at panel i and
     # d_i is their decay; the pass doubles both spans.  A scalar or per-row

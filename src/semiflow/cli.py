@@ -28,8 +28,7 @@ import numpy as np
 from .generation import lumer_phillips_verdict
 from .grid import Grid, GridFunction, check_lambda, write_csv, write_rows
 from . import network
-from .network import (ValidationError, initial_state, load_network,
-                      simulate_flow, total_mass)
+from .network import initial_state, load_network, simulate_flow, total_mass
 from .operators import (laplacian_generator, left_shift_generator,
                         right_translation_generator, right_translation_resolvent)
 from .samples import plateau_ramp, sample_functions, smooth_bump
@@ -111,11 +110,10 @@ def _translation_setup(name: str, n_cells: int, length: float):
     """Grid, generator, semigroup and window orientation of ``left_shift``
     on [0, length] or ``right_translation`` on [-length, 0]."""
     if name == "left_shift":
-        grid = Grid(0.0, length, n_cells)
-        return grid, left_shift_generator(grid), shift_semigroup(grid), WindowOrientation.RIGHT
-    grid = Grid(-length, 0.0, n_cells)
-    sg = right_translation_semigroup(grid)
-    return grid, right_translation_generator(grid), sg, WindowOrientation.LEFT
+        return (Grid(0.0, length, n_cells), left_shift_generator(), shift_semigroup(),
+                WindowOrientation.RIGHT)
+    return (Grid(-length, 0.0, n_cells), right_translation_generator(),
+            right_translation_semigroup(), WindowOrientation.LEFT)
 
 
 def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
@@ -123,11 +121,10 @@ def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
     the named model operators."""
     if name == "laplacian":
         grid = Grid(-2.0, 2.0, n_cells)
-        gen = laplacian_generator(grid)
         family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
         samples = sample_functions(grid, n_samples, seed)
         samples = samples + [("parabola", GridFunction(grid, grid.nodes ** 2))]
-        return gen, family, samples, []
+        return laplacian_generator(), family, samples, []
     left = name == "left_shift"
     grid, gen, _, orientation = _translation_setup(name, n_cells, 20.0 if left else 10.0)
     family = CompactSeminormFamily(orientation, 10 if left else 5)
@@ -141,13 +138,19 @@ def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
     return gen, family, samples, probes
 
 
+def _network_document(path: str):
+    """The parsed JSON value of a ``--network`` file, for ``load_network``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def cmd_check(args) -> int:
     lambdas = args.lambdas or [0.1, 1.0, 10.0]
     if args.network is not None:
         # looked up on the module at each call, so that a wrapper installed
         # there (as the benchmark's tracer does) sees the CLI's calls too
-        report = network.network_generation_verdict(load_network(args.network),
-                                                    lambdas)
+        report = network.network_generation_verdict(
+            load_network(_network_document(args.network)), lambdas)
         label = "network"
     else:
         n_cells = args.grid or (4000 if args.operator == "laplacian" else 2000)
@@ -225,10 +228,9 @@ def cmd_heat(args) -> int:
     n_cells = args.grid or 4000
     _bound_work(n_cells)
     grid = Grid(-float(n), float(n), n_cells)
-    gen = laplacian_generator(grid)
     family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, n)
     f = GridFunction(grid, grid.nodes ** 2)
-    shifted = f * lam - gen.apply(f)
+    shifted = f * lam - laplacian_generator().apply(f)
     p_shifted = eval_pn(family, n, shifted)
     p_scaled = eval_pn(family, n, f) / lam
     expected_shifted = max(2.0, abs(lam * n * n - 2.0))
@@ -246,10 +248,7 @@ def cmd_heat(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.network) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError("network config must be a JSON object")
+    doc = _network_document(args.network)
     net = load_network(doc)
     state = initial_state(net, doc.get("initial"))
     times, states = simulate_flow(net, state, args.t, args.solver,
@@ -259,12 +258,8 @@ def cmd_simulate(args) -> int:
     m0 = masses[0]
     drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-300)
     if args.out is not None:
-        rows = []
-        x = net.grid.nodes
-        for t, st in zip(times, states):
-            for j in range(st.n_edges):
-                for i in range(len(x)):
-                    rows.append((float(t), j, float(x[i]), float(st.values[j, i])))
+        rows = ((float(t), j, float(x), float(u)) for t, st in zip(times, states)
+                for j, row in enumerate(st.values) for x, u in zip(net.grid.nodes, row))
         write_rows(Path(args.out) / "simulation.csv",
                    ["t", "edge", "x", "u"], rows)
     _emit_json({

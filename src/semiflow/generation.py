@@ -79,11 +79,10 @@ class CheckReport:
         return out
 
 
-def _check_domain(gen: Generator, samples: Sequence[tuple[str, GridFunction]]) -> None:
-    for k, (sid, f) in enumerate(samples):
-        if not gen.domain_check(f):
-            raise ValueError(
-                f"sample {k} ('{sid}') is outside the domain of '{gen.label}'")
+def _require_samples(samples: Sequence, what: str) -> None:
+    """A check over no sample certifies nothing: reject an empty list."""
+    if not samples:
+        raise ValueError(f"{what} needs at least one sample")
 
 
 def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
@@ -93,12 +92,16 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     every window index, sample and lambda.
 
     The tolerance is 10 h^2 relative (difference-stencil claim), with h the
-    first sample's grid step.
+    first sample's grid step.  At least one sample is required.
     """
+    _require_samples(samples, "the dissipativity check")
     lambdas = check_lambdas(lambdas)
-    _check_domain(gen, samples)
+    for k, (sid, f) in enumerate(samples):
+        if not gen.domain_check(f):
+            raise ValueError(
+                f"sample {k} ('{sid}') is outside the domain of '{gen.label}'")
     witnesses = []
-    tol = 10.0 * samples[0][1].grid.h ** 2 if samples else 0.0
+    tol = 10.0 * samples[0][1].grid.h ** 2
     indices = range(1, family.max_index + 1)
     for sid, f in samples:
         pf = [eval_pn(family, n, f) for n in indices]
@@ -125,7 +128,8 @@ def check_resolvent_contraction(gen: Generator, family: CompactSeminormFamily,
     for every window index, sample and lambda.  The panel-exact quadrature
     makes this hold structurally for the shift; failures are genuine
     counterexamples (e.g. the plateau ramp under the translation without a
-    boundary condition)."""
+    boundary condition).  At least one sample is required."""
+    _require_samples(samples, "the resolvent contraction check")
     lambdas = check_lambdas(lambdas)
     abs_tol = 1e-9
     witnesses = []
@@ -245,8 +249,7 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
     certifies nothing, so an empty sample or lambda list is rejected, and so
     is a lambda whose range budget overflows, before any solve.
     """
-    if not samples:
-        raise ValueError("the generation verdict needs at least one sample")
+    _require_samples(samples, "the generation verdict")
     lambdas = check_lambdas(lambdas)
     tols = [[_range_tolerance(lam, g) for lam in lambdas]
             for _, g in surjectivity_probes]

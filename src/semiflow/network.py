@@ -20,7 +20,6 @@ coupling.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import defaultdict
@@ -138,17 +137,11 @@ def make_network(n_vertices: int, edges: Sequence[tuple[int, int]],
         out_edges = _out_edges([e.tail for e in edge_objs])
         weights = [(i, j, 1.0 / len(out_edges[e.head]))
                    for j, e in enumerate(edge_objs) for i in out_edges[e.head]]
-    q = np.zeros((n_edges, n_cells + 1))
-    if absorption is not None:
-        q_arr = np.asarray(absorption, dtype=np.float64)
-        if q_arr.ndim == 0:
-            q = np.full((n_edges, n_cells + 1), float(q_arr))
-        elif q_arr.ndim == 1:
-            if q_arr.shape != (n_edges,):
-                raise ValidationError("per-edge absorption needs one constant per edge")
-            q = np.repeat(q_arr[:, None], n_cells + 1, axis=1)
-        else:
-            q = q_arr
+    q = np.asarray(0.0 if absorption is None else absorption, dtype=np.float64)
+    if q.ndim == 1 and q.shape != (n_edges,):
+        raise ValidationError("per-edge absorption needs one constant per edge")
+    if q.ndim < 2:  # one constant for all edges, or one per edge
+        q = np.broadcast_to(q.reshape(-1, 1), (n_edges, n_cells + 1))
     return Network(int(n_vertices), edge_objs,
                    tuple((int(i), int(j), float(w)) for i, j, w in weights),
                    np.asarray(velocities, dtype=np.float64), q, grid)
@@ -235,21 +228,28 @@ def total_mass(state: EdgeState) -> float:
 
 def initial_state(net: Network, profile=None) -> EdgeState:
     """Build an initial state.  ``profile`` may be None (squared-sine profile
-    on edge 0, zero elsewhere), a list of per-edge constants, or a list of
-    per-edge node arrays."""
+    on edge 0, zero elsewhere) or one entry per edge, each a number (a
+    constant profile) or a row of n_cells + 1 node values."""
     n, nn = net.n_edges, net.grid.n_cells + 1
     vals = np.zeros((n, nn))
     if profile is None:
         vals[0] = np.sin(np.pi * net.grid.nodes) ** 2
-    else:
+        return EdgeState(net.grid, vals)
+    try:
+        entries = list(profile)
+    except TypeError as exc:
+        raise ValidationError(f"initial data must be a list: {exc}") from exc
+    if len(entries) != n:
+        raise ValidationError("initial data needs one entry per edge")
+    for j, entry in enumerate(entries):
         try:
-            rows = [np.asarray(entry, dtype=np.float64) for entry in profile]
-        except TypeError as exc:
-            raise ValidationError(f"initial data must be numbers: {exc}") from exc
-        if len(rows) != n:
-            raise ValidationError("initial data needs one entry per edge")
-        for j, arr in enumerate(rows):
-            vals[j] = arr if arr.ndim else np.full(nn, float(arr))
+            arr = np.asarray(entry)
+        except ValueError:  # a ragged row
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf" or arr.shape not in ((), (nn,)):
+            raise ValidationError(
+                f"initial data for edge {j} must be a number or a row of {nn} numbers")
+        vals[j] = arr
     return EdgeState(net.grid, vals)
 
 
@@ -424,16 +424,19 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
 
         (I - diag(nu) Bc) f(0) = r,   nu_j = exp(-(lambda - qbar_j) / c_j),
 
-    the well-scaled equivalent of the tail-side coupling system.  Of the
+    the well-scaled equivalent of the tail-side coupling system.  In the
+    norm ||x||_c = sum_j c_j |x_j|, diag(nu) Bc has the norm
+    q = max_k sum_j nu_j B_jk; for q < 1 the Neumann series converges and
+    the system is invertible, otherwise a ``RuntimeWarning`` says so.  Of the
     three rate shapes that ``damped_cumulative_integral`` takes, the scalar
     one serves the interval operators.  Here the edges pass one rate per
     row, shape (E, 1), when the panel rates of every edge are equal (the
     absorption is constant along each edge), and their per-panel rates,
-    shape (E, n), otherwise.  A solve that breaks down raises ``RuntimeError`` naming what
-    broke: a singular coupling system, a non-finite solution, a boundary
-    residual over 1e-9 or a consistency defect over the scheme budget (a
-    nan residual is over).  Overflow and invalid values in the arithmetic
-    raise no numpy warning: the finiteness check reports them.
+    shape (E, n), otherwise.  A solve that breaks down raises
+    ``RuntimeError`` naming what broke: a singular coupling system, a
+    non-finite solution, a boundary residual over 1e-9 or a consistency
+    defect over the scheme budget (a nan residual is over).  Overflow and
+    invalid values raise no numpy warning: the finiteness check reports them.
     """
     return _network_resolvents(net, lam, [g])[0][0]
 
@@ -447,8 +450,8 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
     and one damped-integral call integrates all S E edge rows of the S
     states.  The coupling solve and the checks then run state by state, in
     order, so the first breakdown raises as a one-state call would.  The
-    "not strictly damped" warning depends on lambda alone: it is given once
-    per call, attributed to the caller's caller.
+    "not strictly damped" warning (q >= 1) depends on lambda alone: it is
+    given once per call, attributed to the caller's caller.
     """
     lam = check_lambda(lam)
     for g in gs:
@@ -466,16 +469,15 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
         zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
         suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
         nu = suffix[:, 0]
-        mu_min = float(np.min(1.0 / nu))
-        col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
-        if mu_min <= col_norm:
+        # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
+        q_norm = float(np.max((c * nu) @ bc / c))
+        if not q_norm < 1.0:
             # the Neumann series no longer guarantees that the system is
             # invertible; the solves below are direct either way
             warnings.warn(
-                "vertex coupling is not strictly damped (min exp growth factor "
-                f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
-                "direct solve; increase lambda for a guaranteed solve",
-                RuntimeWarning, stacklevel=3)
+                "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+                f"{q_norm!r}, not below 1); attempting a direct solve; increase lambda "
+                "for a guaranteed solve", RuntimeWarning, stacklevel=3)
         system = np.eye(n_edges) - nu[:, None] * bc
         # int_x^1 exp-damped g, every edge of every state integrated from
         # the tail at once
@@ -627,8 +629,8 @@ def random_flow_network(n_edges: int, seed: int, n_cells: int = 50,
     return make_network(n_vertices, edges, velocities, weights, None, n_cells)
 
 
-def load_network(source) -> Network:
-    """Load a network description from a JSON file path or a parsed dict.
+def load_network(doc: dict) -> Network:
+    """Build a network from a parsed JSON document, which must be an object.
 
     Schema: {"vertices": int, "edges": [{"tail": int, "head": int}, ...],
     "weights": [{"into_edge": int, "from_edge": int, "w": float}, ...],
@@ -636,11 +638,8 @@ def load_network(source) -> Network:
     "grid": {"n_cells": int}}.  Weights may be omitted when every vertex
     splits its outflow evenly.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("network config must be a JSON object")
     try:
         n_vertices = int(doc["vertices"])
         edges = [(int(e["tail"]), int(e["head"])) for e in doc["edges"]]
@@ -649,7 +648,7 @@ def load_network(source) -> Network:
     except TypeError as exc:
         raise ValidationError(f"network config field has the wrong type: {exc}") from exc
     weights = None
-    if "weights" in doc and doc["weights"] is not None:
+    if doc.get("weights") is not None:
         try:
             weights = [(int(w["into_edge"]), int(w["from_edge"]), float(w["w"]))
                        for w in doc["weights"]]

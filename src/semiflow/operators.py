@@ -15,11 +15,12 @@ Three model operators:
     A f = f''.  No resolvent is attached: this operator serves as the
     negative example for the windowed-seminorm dissipativity checks.
 
-Resolvents integrate exp-damped data with the panel-exact scheme from
-``_kernels``, so lambda * R(lambda) is a sup-norm contraction on the nodes
-at every grid resolution, not just asymptotically.  The two translation
-generators also carry the powers (lambda R(lambda))^m in closed form: on
-node values that vanish at the left end, lambda R(lambda) is a
+The factories take no argument: a generator acts on the grid of the state
+it is given.  Resolvents integrate exp-damped data with the panel-exact
+scheme from ``_kernels``, so lambda * R(lambda) is a sup-norm contraction on
+the nodes at every grid resolution, not just asymptotically.  The two
+translation generators also carry the powers (lambda R(lambda))^m in closed
+form: on node values that vanish at the left end, lambda R(lambda) is a
 lower-triangular Toeplitz matrix, so its m-th power is one causal
 convolution power of its first column.
 """
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import damped_cumulative_integral
-from .grid import Grid, GridFunction, check_integer, check_lambda, differentiate
+from .grid import GridFunction, check_integer, check_lambda, differentiate
 
 
 class ResolventUnavailableError(RuntimeError):
@@ -165,30 +166,24 @@ def _minus_derivative(f: GridFunction) -> GridFunction:
     return -differentiate(f)
 
 
-def left_shift_generator(grid: Grid) -> Generator:
+def left_shift_generator() -> Generator:
     """Left shift A f = -f' with domain {f : f(a) = 0}."""
-
-    def domain_check(f: GridFunction) -> bool:
-        return abs(float(f.values[0])) <= 1e-12
-
-    return Generator("left_shift", _minus_derivative, resolvent_shift, domain_check,
-                     _shift_resolvent_power)
+    return Generator("left_shift", _minus_derivative, resolvent_shift,
+                     lambda f: abs(float(f.values[0])) <= 1e-12, _shift_resolvent_power)
 
 
-def right_translation_generator(grid: Grid) -> Generator:
+def right_translation_generator() -> Generator:
     """Translation generator A f = -f' without boundary condition."""
     return Generator("right_translation", _minus_derivative,
                      right_translation_resolvent, lambda f: True,
                      _right_translation_resolvent_power)
 
 
-def laplacian_generator(grid: Grid) -> Generator:
+def laplacian_generator() -> Generator:
     """Second derivative A f = f''; resolvent deliberately unavailable."""
-
-    def apply(f: GridFunction) -> GridFunction:
-        return GridFunction(f.grid, _second_derivative(f.values, f.grid.h))
-
-    return Generator("laplacian", apply, None, lambda f: True)
+    return Generator("laplacian",
+                     lambda f: GridFunction(f.grid, _second_derivative(f.values, f.grid.h)),
+                     None, lambda f: True)
 
 
 @dataclass(frozen=True)

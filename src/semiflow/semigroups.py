@@ -3,7 +3,8 @@ generators and resolvents.
 
 A semigroup acts on one time with ``apply(t, f)`` and along an orbit with
 ``orbit(times, f)``, which yields the node values of T(t) f for many times
-in blocks of rows; ``apply`` is its one-time case.
+in blocks of rows; ``apply`` is its one-time case.  Both act on the grid of
+the state they are given, so the factories take no grid.
 
 The three bridges verified at desk scale:
 
@@ -23,7 +24,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, check_integer, check_lambda
+from .grid import GridFunction, check_integer, check_lambda
 from .operators import Generator
 
 # Most state values one orbit block holds (at least one state per block).
@@ -84,14 +85,14 @@ def _translation_semigroup(label: str,
     return orbit_semigroup(label, orbit)
 
 
-def shift_semigroup(grid: Grid) -> Semigroup:
+def shift_semigroup() -> Semigroup:
     """Left-translation semigroup (T(t) f)(x) = f(x - t), zero inflow at the
     left boundary.  Linear interpolation between nodes keeps each T(t) a
     sup-norm contraction."""
     return _translation_semigroup("shift", lambda f: 0.0)
 
 
-def right_translation_semigroup(grid: Grid) -> Semigroup:
+def right_translation_semigroup() -> Semigroup:
     """Translation semigroup on an interval cut off at the left, with the
     off-grid part extended constantly by the leftmost value."""
     return _translation_semigroup("right_translation", lambda f: float(f.values[0]))
@@ -119,10 +120,6 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
     for _ in range(m):
         out = gen.resolve(lam, out) * lam
     return out
-
-
-def _check_steps(steps: int) -> None:
-    check_integer(steps, 1, "steps must be an integer >= 1")
 
 
 def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
@@ -156,7 +153,7 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
     lam = check_lambda(lam)
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    _check_steps(steps)
+    check_integer(steps, 1, "steps must be an integer >= 1")
     value = _trapezoid_orbit(sg, f, horizon / steps, steps,
                              lambda s: math.exp(-lam * s))
     tail = math.exp(-lam * horizon) * f.norm() / lam
@@ -169,7 +166,7 @@ def orbit_integral_residual(gen: Generator, sg: Semigroup, t: float, f: Any,
     with trapezoid time quadrature for the orbit integral."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    _check_steps(steps)
+    check_integer(steps, 1, "steps must be an integer >= 1")
     if t == 0:
         return 0.0
     orbit = _trapezoid_orbit(sg, f, t / steps, steps, lambda s: 1.0)

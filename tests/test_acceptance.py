@@ -22,7 +22,7 @@ def _report(name, ok, detail):
 def test_criterion_01_second_derivative_witness(capsys):
     t0 = time.perf_counter()
     grid = sf.Grid(-2.0, 2.0, 4000)
-    gen = sf.laplacian_generator(grid)
+    gen = sf.laplacian_generator()
     fam = sf.CompactSeminormFamily(sf.WindowOrientation.SYMMETRIC, 2)
     f = sf.GridFunction.from_callable(grid, lambda x: x ** 2)
     lam = 1.0
@@ -69,7 +69,7 @@ def test_criterion_02_windowed_contraction_counterexample(capsys):
 def test_criterion_03_shift_windowed_contraction(capsys):
     t0 = time.perf_counter()
     grid = sf.Grid(0.0, 20.0, 2000)
-    gen = sf.left_shift_generator(grid)
+    gen = sf.left_shift_generator()
     fam = sf.CompactSeminormFamily(sf.WindowOrientation.RIGHT, 10)
     samples = sf.sample_functions(grid, 20, seed=42)
     worst = -np.inf
@@ -106,8 +106,8 @@ def test_criterion_04_resolvent_power_bound(capsys):
 def test_criterion_05_euler_convergence_ladder(capsys):
     t0 = time.perf_counter()
     grid = sf.Grid(0.0, 6.0, 4000)
-    gen = sf.left_shift_generator(grid)
-    sg = sf.shift_semigroup(grid)
+    gen = sf.left_shift_generator()
+    sg = sf.shift_semigroup()
     f = sf.smooth_bump(grid, 2.5, 1.0)
     fam = sf.CompactSeminormFamily(sf.WindowOrientation.RIGHT, 5)
     exact = sg.apply(1.0, f)
@@ -130,8 +130,8 @@ def test_criterion_05_euler_convergence_ladder(capsys):
 def test_criterion_06_laplace_transform_agreement(capsys):
     t0 = time.perf_counter()
     grid = sf.Grid(0.0, 20.0, 2000)
-    gen = sf.left_shift_generator(grid)
-    sg = sf.shift_semigroup(grid)
+    gen = sf.left_shift_generator()
+    sg = sf.shift_semigroup()
     f = sf.smooth_bump(grid, 2.0, 1.0)
     approx, tail = sf.laplace_resolvent(sg, 1.0, f, 15.0, 3000)
     exact = gen.resolve(1.0, f)
@@ -150,8 +150,8 @@ def test_criterion_06_laplace_transform_agreement(capsys):
 def test_criterion_07_orbit_integral_identity(capsys):
     t0 = time.perf_counter()
     grid = sf.Grid(0.0, 10.0, 2000)
-    gen = sf.left_shift_generator(grid)
-    sg = sf.shift_semigroup(grid)
+    gen = sf.left_shift_generator()
+    sg = sf.shift_semigroup()
     f = sf.smooth_bump(grid, 4.0, 2.0)
     residual = sf.orbit_integral_residual(gen, sg, 0.5, f, steps=2000)
     elapsed = time.perf_counter() - t0

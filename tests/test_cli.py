@@ -163,6 +163,28 @@ def test_simulate_malformed_file_exits_two(tmp_path, capsys):
         assert code == 2, text
 
 
+@pytest.mark.parametrize("initial", ["ab", [[1, 2], [0]], [[5], [0]]],
+                         ids=["string", "short_row", "one_value_row"])
+def test_simulate_rejects_a_malformed_initial_profile(tmp_path, capsys, initial):
+    # an entry is a number or a row of n_cells + 1 = 5 numbers
+    doc = dict(json.loads(TWO_CYCLE.read_text()), grid={"n_cells": 4}, initial=initial)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--network", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: initial data for edge 0 must be a number or a row of 5 numbers\n")
+
+
+def test_non_object_network_document_gives_one_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for command in ("check", "simulate"):
+        assert main([command, "--network", str(path)]) == 2
+        assert capsys.readouterr().err == "error: network config must be a JSON object\n"
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, so that an uncaught exception
     shows as a traceback on stderr."""
@@ -315,6 +337,14 @@ def test_euler_at_tiny_times(capsys):
     code = main(["euler", "--t", "5e-324", "--grid", "200"])
     assert code == 2
     assert capsys.readouterr().err == "error: lambda must be finite and positive, got inf\n"
+
+
+def test_resolvent_where_lambda_h_overflows():
+    # lambda h = 1e309 on two cells of [0, 20]: R(lambda) g = g / lambda
+    proc = run_cli_process("resolvent", "--grid", "2", "--lambda", "1e308")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sup_of_result"] > 0
+    assert "encountered in" not in proc.stderr
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -23,7 +23,7 @@ ONE_MINUS_E_MINUS_3 = 0.950212931632136  # 1 - e^{-3}
 
 def _left_shift_setup(n_cells=2000):
     g = Grid(0.0, 20.0, n_cells)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     fam = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
     return g, gen, fam
 
@@ -44,7 +44,7 @@ def test_bi_dissipative_left_shift_passes():
 
 def test_bi_dissipative_laplacian_fails_with_witness():
     g = Grid(-2.0, 2.0, 4000)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     f = GridFunction.from_callable(g, lambda x: x ** 2)
     rep = check_bi_dissipative(gen, fam, [("parabola", f)], [1.0])
@@ -67,7 +67,7 @@ def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
 
     monkeypatch.setattr(generation, "eval_pn", counting_eval_pn)
     g = Grid(0.0, 10.0, 500)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     fam = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
     samples = sample_functions(g, 3, seed=0, vanish_left=True)
     lambdas = [0.5, 2.0]
@@ -117,7 +117,7 @@ def test_contraction_reports_ramp_witnesses():
     # p_1 and p_2 of the plateau ramp vanish, while its half-line resolvent
     # is e^{-1}(1 - e^{-1}) at x = -1 and 1 - e^{-1} at x = -2
     g = Grid(-10.0, 0.0, 2000)
-    gen = right_translation_generator(g)
+    gen = right_translation_generator()
     fam = CompactSeminormFamily(WindowOrientation.LEFT, 2)
     rep = check_resolvent_contraction(gen, fam, [("ramp", plateau_ramp(g, 2))], [1.0])
     assert not rep.passed
@@ -174,7 +174,7 @@ def test_subdifferential_laplacian_concave_peak():
     # downward parabola whose peak dominates the window: the functional sits
     # at the interior maximum and reads off the curvature, -2 <= 0
     g = Grid(-2.0, 2.0, 2000)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     f = GridFunction.from_callable(g, lambda x: 4.0 - x ** 2)
     rep = subdifferential_test(gen, fam, f, 2)
@@ -188,7 +188,7 @@ def test_subdifferential_laplacian_edge_max_fails():
     # when |f| peaks at the window edge the same functional exposes the
     # second derivative's positive pairing: the check reports a witness
     g = Grid(-2.0, 2.0, 2000)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     f = GridFunction.from_callable(g, lambda x: -(x ** 2))
     rep = subdifferential_test(gen, fam, f, 2)
@@ -243,11 +243,15 @@ def test_verdict_rejects_lambda_whose_range_budget_overflows(lam):
 
 
 def test_verdict_rejects_no_samples():
-    # a certificate over no input would pass vacuously
+    # a certificate over no input would pass vacuously, and so would each of
+    # the two seminorm checks
     g, gen, fam = _left_shift_setup(n_cells=200)
     probes = sample_functions(g, 2, seed=1)
     with pytest.raises(ValueError, match="at least one sample"):
         lumer_phillips_verdict(gen, fam, [], [1.0], probes)
+    for check in (check_bi_dissipative, check_resolvent_contraction):
+        with pytest.raises(ValueError, match="at least one sample"):
+            check(gen, fam, [], [1.0])
 
 
 def test_verdict_rejects_no_lambdas():
@@ -257,12 +261,12 @@ def test_verdict_rejects_no_lambdas():
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
     with pytest.raises(ValueError, match="at least one lambda"):
-        lumer_phillips_verdict(laplacian_generator(g), fam, samples, [])
+        lumer_phillips_verdict(laplacian_generator(), fam, samples, [])
 
 
 def test_verdict_laplacian_fails_first_leg():
     g = Grid(-2.0, 2.0, 4000)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
     rep = lumer_phillips_verdict(gen, fam, samples, [1.0], [])

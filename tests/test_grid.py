@@ -116,7 +116,7 @@ def test_window_mask_includes_endpoints_within_tolerance():
 # each count argument, called with a value, and the message it rejects with
 _G = Grid(0.0, 10.0, 100)
 _F = smooth_bump(_G, 4.0, 2.0)
-_GEN, _SG = left_shift_generator(_G), shift_semigroup(_G)
+_GEN, _SG = left_shift_generator(), shift_semigroup()
 INTEGER_ENTRIES = {
     "Grid.n_cells": (lambda v: Grid(0.0, 1.0, v),
                      "grid requires an integer n_cells >= 2"),

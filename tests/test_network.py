@@ -316,16 +316,15 @@ def _network_resolvent_per_edge(net, lam, g):
     nu = suffix[:, 0]
     bc = weighted_bc(net)
     m = np.eye(n_edges) - nu[:, None] * bc
-    mu_min = float(np.min(1.0 / nu))
-    col_norm = float(np.max(np.sum(np.abs(bc), axis=0)))
+    q_norm = float(np.max((c * nu) @ bc / c))  # ||diag(nu) Bc|| in sum_j c_j |x_j|
     cond = float(np.linalg.cond(m))
-    if mu_min <= col_norm:
+    if not q_norm < 1.0:
         # series sufficiency for invertibility fails; solve directly anyway
         warnings.warn(
-            "vertex coupling is not strictly damped (min exp growth factor "
-            f"{mu_min!r} <= coupling column norm {col_norm!r}); attempting a "
-            f"direct solve, condition number {cond:.6e}; increase lambda for "
-            "a guaranteed solve", RuntimeWarning, stacklevel=2)
+            "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+            f"{q_norm!r}, not below 1); attempting a direct solve, condition number "
+            f"{cond:.6e}; increase lambda for a guaranteed solve",
+            RuntimeWarning, stacklevel=2)
     if cond > 1e8:
         warnings.warn(
             f"vertex coupling system is ill-conditioned (cond = {cond:.3e}); "
@@ -499,7 +498,7 @@ def test_adjoint_fixed_vector_tolerance_scales_with_speed():
     assert rep.passed
 
 
-def test_load_network_roundtrip_and_errors(tmp_path):
+def test_load_network_roundtrip_and_errors():
     import json
     cfg = {
         "vertices": 2,
@@ -508,11 +507,14 @@ def test_load_network_roundtrip_and_errors(tmp_path):
         "absorption": [0.0, 0.0],
         "grid": {"n_cells": 50},
     }
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(cfg))
-    net = load_network(str(path))
+    net = load_network(json.loads(json.dumps(cfg)))
     assert net.n_edges == 2 and net.grid.n_cells == 50
     assert np.array_equal(net.velocities, [1.0, 2.0])
+
+    # only a parsed object is a document: not a list, nor a file name
+    for doc in ([1, 2], "net.json"):
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            load_network(doc)
 
     with pytest.raises(ValidationError, match="missing"):
         load_network({"edges": []})
@@ -841,14 +843,21 @@ def test_verdict_takes_each_defect_budget_from_its_solve(monkeypatch):
 
 
 def test_verdict_warns_once_per_lambda():
-    # mixed speeds: the small lambdas are not strictly damped, lambda = 10 is
+    # mixed speeds: q = max_k sum_j nu_j B_jk, the norm of diag(nu) Bc in
+    # sum_j c_j |x_j|, stays below 1 at every lambda (0.95 at 0.02), so the
+    # coupling system is strictly damped and nothing warns
     net = _verdict_networks()[0][1]
-    counts = []
     for lam in (0.02, 0.1, 1.0, 10.0):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             network_generation_verdict(net, [lam], n_samples=3)
-        assert all(str(w.message).startswith("vertex coupling is not strictly damped")
-                   for w in caught)
-        counts.append(len(caught))
-    assert counts[:2] == [1, 1] and counts[-1] == 0 and max(counts) == 1
+    # absorption 50 at lambda = 1: q = e^49, one warning for the five
+    # samples, and then the solve breaks down
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(RuntimeError):
+        warnings.simplefilter("always")
+        network_generation_verdict(two_cycle(absorption=50.0), [1.0], 5, 0)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    prefix = "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+    assert message.startswith(prefix)
+    assert float(message[len(prefix):].split(",")[0]) == pytest.approx(math.exp(49.0))

@@ -16,9 +16,19 @@ ONE_MINUS_E_INV = 0.6321205588285577       # 1 - e^{-1}
 RAMP_P1_EXACT = 0.23254415793482963        # e^{-1} (1 - e^{-1})
 
 
+def test_shift_resolvent_where_lambda_h_overflows():
+    # lambda h = 3.75e308 is past the float range; the panel limit gives
+    # R(lambda) f = f / lambda at every node, down to subnormal rounding
+    g = Grid(0.0, 30.0, 8)
+    f = GridFunction(g, np.sin(g.nodes))
+    lam = 1e308
+    r = resolvent_shift(lam, f)
+    assert np.max(np.abs(r.values - f.values / lam)) <= 1e-12 * f.norm() / lam
+
+
 def test_left_shift_apply_linear():
     g = Grid(0.0, 20.0, 1000)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     f = GridFunction.from_callable(g, lambda x: x)
     out = gen.apply(f)
     assert (out - GridFunction(g, -np.ones(1001))).norm() < 1e-10
@@ -26,7 +36,7 @@ def test_left_shift_apply_linear():
 
 def test_left_shift_apply_sin():
     g = Grid(0.0, 20.0, 1000)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     f = GridFunction.from_callable(g, np.sin)
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: -np.cos(x))
@@ -35,7 +45,7 @@ def test_left_shift_apply_sin():
 
 def test_left_shift_domain_check():
     g = Grid(0.0, 20.0, 100)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     assert gen.domain_check(GridFunction.from_callable(g, lambda x: x))
     assert not gen.domain_check(GridFunction.from_callable(
         g, lambda x: np.ones_like(x)))
@@ -82,7 +92,7 @@ def test_resolvent_shift_matches_ode_oracle():
 def test_resolvent_identity_left_shift():
     # (lam - A) R(lam) g reproduces g away from scheme error
     g = Grid(0.0, 20.0, 4000)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     data = smooth_bump(g, 5.0, 2.0)
     lam = 2.0
     f = gen.resolve(lam, data)
@@ -112,7 +122,7 @@ def test_laplacian_quadratic_is_exactly_two():
     # coarse grid keeps the subtractive cancellation of the second
     # difference far below the assertion scale
     g = Grid(-2.0, 2.0, 40)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     f = GridFunction.from_callable(g, lambda x: x ** 2)
     out = gen.apply(f)
     assert (out - GridFunction(g, np.full(41, 2.0))).norm() < 1e-12
@@ -120,7 +130,7 @@ def test_laplacian_quadratic_is_exactly_two():
 
 def test_laplacian_constant_is_zero():
     g = Grid(-2.0, 2.0, 40)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     f = GridFunction(g, np.full(41, 7.5))
     assert gen.apply(f).norm() < 1e-12
 
@@ -129,7 +139,7 @@ def test_laplacian_quartic_ends_exact():
     # the one-sided end stencil is exact through x^4 up to roundoff;
     # interior central differencing errs by h^2 * f'''' / 12 = 0.02 here
     g = Grid(-2.0, 2.0, 40)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     f = GridFunction.from_callable(g, lambda x: x ** 4)
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: 12.0 * x ** 2)
@@ -142,7 +152,7 @@ def test_laplacian_quartic_ends_exact():
 
 def test_laplacian_sin():
     g = Grid(-2.0, 2.0, 4000)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     f = GridFunction.from_callable(g, np.sin)
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: -np.sin(x))
@@ -151,7 +161,7 @@ def test_laplacian_sin():
 
 def test_laplacian_has_no_resolvent():
     g = Grid(-2.0, 2.0, 40)
-    gen = laplacian_generator(g)
+    gen = laplacian_generator()
     assert gen.resolvent is None
     f = GridFunction(g, np.zeros(41))
     with pytest.raises(ResolventUnavailableError):
@@ -160,7 +170,7 @@ def test_laplacian_has_no_resolvent():
 
 def test_resolve_rejects_nonpositive_lambda():
     g = Grid(0.0, 20.0, 100)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     f = GridFunction(g, np.zeros(101))
     with pytest.raises(ValueError):
         gen.resolve(0.0, f)

@@ -27,14 +27,14 @@ def hat(grid, lo, hi):
 
 def test_shift_identity_at_zero():
     g = Grid(0.0, 20.0, 400)
-    sg = shift_semigroup(g)
+    sg = shift_semigroup()
     f = smooth_bump(g, 3.0, 1.0)
     assert (sg.apply(0.0, f) - f).norm() == 0.0
 
 
 def test_shift_translates_hat():
     g = Grid(0.0, 20.0, 400)  # h = 0.05, t = 0.5 is node-aligned
-    sg = shift_semigroup(g)
+    sg = shift_semigroup()
     f = hat(g, 1.0, 2.0)
     out = sg.apply(0.5, f)
     # the flow solves u_t = -u_x, so the profile travels toward larger x
@@ -44,7 +44,7 @@ def test_shift_translates_hat():
 
 def test_shift_semigroup_law_on_aligned_steps():
     g = Grid(0.0, 20.0, 400)
-    sg = shift_semigroup(g)
+    sg = shift_semigroup()
     f = hat(g, 3.0, 5.0)
     a = sg.apply(0.75, sg.apply(0.5, f))
     b = sg.apply(1.25, f)
@@ -53,7 +53,7 @@ def test_shift_semigroup_law_on_aligned_steps():
 
 def test_right_translation_keeps_left_limit():
     g = Grid(-10.0, 0.0, 400)
-    sg = right_translation_semigroup(g)
+    sg = right_translation_semigroup()
     f = GridFunction.from_callable(g, lambda x: np.exp(x))
     out = sg.apply(2.0, f)
     # material moves right; the far-left value extends by its boundary limit
@@ -63,7 +63,7 @@ def test_right_translation_keeps_left_limit():
 
 def test_euler_zero_input_and_identity_cases():
     g = Grid(0.0, 10.0, 500)
-    gen = left_shift_generator(g)
+    gen = left_shift_generator()
     z = GridFunction(g, np.zeros(501))
     assert euler_apply(gen, 1.0, 16, z).norm() == 0.0
     f = smooth_bump(g, 3.0, 1.0)
@@ -76,8 +76,8 @@ def test_euler_zero_input_and_identity_cases():
 
 def test_euler_ladder_decreases_toward_exact_orbit():
     g = Grid(0.0, 6.0, 1500)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     f = smooth_bump(g, 2.5, 1.0)
     exact = sg.apply(1.0, f)
     fam = CompactSeminormFamily(WindowOrientation.RIGHT, 5)
@@ -92,10 +92,10 @@ def _euler_cases(operator, n_cells):
     resolvent power (the sequential loop), and data with f(left end) != 0."""
     if operator == "left_shift":
         g = Grid(0.0, 6.0, n_cells)
-        gen = left_shift_generator(g)
+        gen = left_shift_generator()
     else:
         g = Grid(-6.0, 0.0, n_cells)
-        gen = right_translation_generator(g)
+        gen = right_translation_generator()
     x = g.nodes
     f = GridFunction(g, 0.7 + np.sin(3.0 * x) * np.exp(-0.1 * x * x))
     return gen, dataclasses.replace(gen, resolvent_power=None), f
@@ -134,10 +134,21 @@ def test_euler_rejects_infinite_lambda(operator):
             euler_apply(g, 5e-324, 4, f)
 
 
+def test_euler_rung_where_lambda_h_overflows():
+    # lambda = m/t = 1e308 and h = 3.75: lambda h overflows, and each panel
+    # takes its exact limit, so the rung is f itself, as at t = 1e-300
+    grid = Grid(0.0, 30.0, 8)
+    f = GridFunction(grid, np.sin(grid.nodes))
+    gen = left_shift_generator()
+    far = euler_apply(gen, 1.024e-305, 1024, f)
+    near = euler_apply(gen, 1e-300, 1024, f)
+    assert np.max(np.abs(far.values - near.values)) <= 1e-12 * f.norm()
+
+
 def test_laplace_resolvent_matches_exact_resolvent():
     g = Grid(0.0, 20.0, 2000)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     f = smooth_bump(g, 2.0, 1.0)
     approx, tail = laplace_resolvent(sg, 1.0, f, 15.0, 3000)
     exact = gen.resolve(1.0, f)
@@ -147,7 +158,7 @@ def test_laplace_resolvent_matches_exact_resolvent():
 
 def test_laplace_tail_bound_formula():
     g = Grid(0.0, 10.0, 200)
-    sg = shift_semigroup(g)
+    sg = shift_semigroup()
     f = smooth_bump(g, 2.0, 1.0, amplitude=3.0)
     _, tail = laplace_resolvent(sg, 2.0, f, 5.0, 100)
     assert tail == pytest.approx(np.exp(-10.0) * 3.0 / 2.0, rel=1e-12)
@@ -155,8 +166,8 @@ def test_laplace_tail_bound_formula():
 
 def test_orbit_integral_residual_small_t():
     g = Grid(0.0, 10.0, 2000)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     f = smooth_bump(g, 4.0, 2.0)
     r = orbit_integral_residual(gen, sg, 1e-6, f, steps=50)
     assert r <= 1e-6 * f.norm()
@@ -164,16 +175,16 @@ def test_orbit_integral_residual_small_t():
 
 def test_orbit_integral_residual_zero_function():
     g = Grid(0.0, 10.0, 500)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     z = GridFunction(g, np.zeros(501))
     assert orbit_integral_residual(gen, sg, 0.5, z, steps=100) == 0.0
 
 
 def test_orbit_integral_residual_shift_pair():
     g = Grid(0.0, 10.0, 2000)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     f = smooth_bump(g, 4.0, 2.0)
     r = orbit_integral_residual(gen, sg, 0.5, f, steps=2000)
     assert r <= 1e-3 * f.norm()
@@ -181,8 +192,8 @@ def test_orbit_integral_residual_shift_pair():
 
 def test_right_translation_euler_converges():
     g = Grid(-10.0, 0.0, 1500)
-    gen = right_translation_generator(g)
-    sg = right_translation_semigroup(g)
+    gen = right_translation_generator()
+    sg = right_translation_semigroup()
     f = smooth_bump(g, -5.0, 1.0)
     fam = CompactSeminormFamily(WindowOrientation.LEFT, 5)
     exact = sg.apply(1.0, f)
@@ -204,7 +215,7 @@ def _translate_reference(values, h, t, fill_left):
 def test_translation_semigroups_match_reference(grid):
     rng = np.random.default_rng(11)
     f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
-    shift, right = shift_semigroup(grid), right_translation_semigroup(grid)
+    shift, right = shift_semigroup(), right_translation_semigroup()
     assert (shift.label, right.label) == ("shift", "right_translation")
     for t in (0.0, 0.05, 0.37, 1.0, 2.5, 50.0):
         assert np.array_equal(shift.apply(t, f).values,
@@ -234,9 +245,9 @@ def test_trapezoid_orbit_matches_reference():
     f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
     net = random_flow_network(4, seed=2, n_cells=30)
     g = sample_states(net, 1, 4)[0][1]
-    cases = [(shift_semigroup(grid), f), (right_translation_semigroup(grid), f),
+    cases = [(shift_semigroup(), f), (right_translation_semigroup(), f),
              # all values -0.0: the sum must keep the sign of zero
-             (right_translation_semigroup(grid), -GridFunction(grid, np.zeros(351))),
+             (right_translation_semigroup(), -GridFunction(grid, np.zeros(351))),
              (network_semigroup(net), g)]
     for sg, state in cases:
         for ds, steps, damping in ((0.01, 300, lambda s: math.exp(-1.3 * s)),
@@ -262,8 +273,8 @@ def test_orbit_rows_equal_apply(monkeypatch, block_values):
     # unit speeds fit a time grid: the orbit's step is 1/300, while t = 0.7
     # alone steps by 1/30 and t = 0.05 by 1/60
     cycle = make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=30)
-    for sg, state in ((shift_semigroup(grid), f),
-                      (right_translation_semigroup(grid), f),
+    for sg, state in ((shift_semigroup(), f),
+                      (right_translation_semigroup(), f),
                       (network_semigroup(net), g),
                       (network_semigroup(cycle), sample_states(cycle, 1, 4)[0][1])):
         blocks = list(sg.orbit(times, state))
@@ -278,8 +289,8 @@ def test_orbit_rows_equal_apply(monkeypatch, block_values):
 def test_orbit_integral_residual_rejects_bad_steps():
     # checked before the t = 0 shortcut, as laplace_resolvent checks them
     g = Grid(0.0, 10.0, 200)
-    gen = left_shift_generator(g)
-    sg = shift_semigroup(g)
+    gen = left_shift_generator()
+    sg = shift_semigroup()
     f = smooth_bump(g, 4.0, 2.0)
     for steps in (2000.5, 0, -1):
         for t in (0.5, 0.0):
@@ -294,7 +305,7 @@ def test_euler_apply_rejects_non_finite_time(t):
     g = Grid(0.0, 10.0, 100)
     f = smooth_bump(g, 4.0, 2.0)
     with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got {t}"):
-        euler_apply(left_shift_generator(g), t, 4, f)
+        euler_apply(left_shift_generator(), t, 4, f)
 
 
 def test_semigroups_reject_non_finite_times():
@@ -302,8 +313,8 @@ def test_semigroups_reject_non_finite_times():
     f = smooth_bump(grid, 4.0, 2.0)
     net = random_flow_network(4, seed=2, n_cells=30)
     g = sample_states(net, 1, 4)[0][1]
-    for sg, state in ((shift_semigroup(grid), f),
-                      (right_translation_semigroup(grid), f),
+    for sg, state in ((shift_semigroup(), f),
+                      (right_translation_semigroup(), f),
                       (network_semigroup(net), g)):
         for t in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match="finite and nonnegative"):
