@@ -9,6 +9,10 @@ Kernels:
     piecewise-linear data, which keeps resolvent contraction estimates
     structurally true at any grid resolution.
 
+``translation_orbit_sum``
+    A weighted sum of rows of a linearly interpolated translation orbit, as
+    one causal convolution by FFT.
+
 ``upwind_sweep``
     Explicit first-order upwind steps for edge transport toward x = 0 with
     vertex redistribution of the outflow.
@@ -131,6 +135,65 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         else:
             d *= d
         s *= 2
+    return out
+
+
+# ---------------------------------------------------------------------------
+# translation orbit sum
+
+
+def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
+                          times: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] T(times[k]) v on the nodes x = arange(n + 1) h, where
+    T(s) v is the translation ``np.interp(x - s, x, v, left=fill)``.
+
+    At a shift s = (j + theta) h the row is (1 - theta) F[i - j] +
+    theta F[i - j - 1], with F the data extended to the left by ``fill``,
+    so the sum is one causal convolution of F with a kernel of two
+    ``np.bincount``s over j, taken by FFT in O(steps + N log N).  Shifts
+    are clipped at n + 1 before the integer cast: a row past the grid sees
+    only ``fill``.  The blend smears the jump from ``fill`` to v_0 at x = s
+    over one cell, so at the nodes j and j + 1 next to it each time adds
+    its ``np.interp`` value minus the blend: the side of the jump is the
+    one the orbit takes.  The data and the kernel are scaled by powers of
+    two, exactly, so that no FFT sum overflows.  ``times`` must be finite
+    and nonnegative.
+
+    The result is within about 1e-15 sup|v| sum|weights| of exact linear
+    interpolation (FFT rounding).  The row-by-row sum differs from both by
+    ``np.interp``'s rounding of x - s, up to about 1e-16 n max|v_{i+1} - v_i|
+    per unit weight, which shows only on rough data on fine grids.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    c = np.asarray(weights, dtype=np.float64)
+    n = v.size - 1
+    with np.errstate(over="ignore"):  # s / h may pass the float range
+        shift = np.minimum(times / h, n + 1.0)
+    j = shift.astype(np.intp)
+    theta = shift - j
+    taps = int(j.max()) + 2
+    kernel = (np.bincount(j, c * (1.0 - theta), minlength=taps)
+              + np.bincount(j + 1, c * theta, minlength=taps))
+    ext = np.concatenate((np.full(taps - 1, float(fill)), v))
+    # outputs taps - 1 .. taps - 1 + n read ext only at 0 .. len(ext) - 1, so
+    # a cyclic convolution of length >= len(ext) wraps nothing into them
+    size = 1 << (ext.size - 1).bit_length()
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    _, e_data = np.frexp(np.max(np.abs(ext)))
+    _, e_kernel = np.frexp(np.max(np.abs(kernel)))
+    conv = irfft(rfft(np.ldexp(ext, -e_data), size)
+                 * rfft(np.ldexp(kernel, -e_kernel), size), size)
+    out = np.ldexp(conv[taps - 1:taps + n], e_data + e_kernel)
+    x = np.arange(n + 1) * h
+    near = (float(fill), float(v[0]), float(v[1]))  # F[-1], F[0], F[1]
+    for o in (0, 1):
+        node = j + o
+        on = node <= n
+        node, s, th, ck = node[on], times[on], theta[on], c[on]
+        exact = np.interp(x[node] - s, x, v, left=fill)
+        blend = (1.0 - th) * near[o + 1] + th * near[o]
+        out += np.bincount(node, ck * (exact - blend), minlength=n + 1)
     return out
 
 

@@ -84,11 +84,12 @@ _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
 # Count options are bounded before any work.  Measured on 2 cores, one
 # resolve or seminorm evaluation costs 15-30 ns per grid node plus 13-45 us
-# of fixed overhead (about 2**10 nodes' worth), one step of a blocked orbit
-# 8-20 ns per node plus about 4 us, and one check sample about as much as
-# 2**6 resolve passes.  WORK_LIMIT passes x nodes keeps a run under about a
-# minute (20-40 s near the limit, 5-25 s for orbit steps); GRID_LIMIT keeps
-# one state at 8 MB.
+# of fixed overhead (about 2**10 nodes' worth), and one check sample about
+# as much as 2**6 resolve passes.  The translation orbit of `resolvent
+# --horizon` is summed as one convolution, O(steps + N log N): under 1 s at
+# the corners of the bound, which still counts one pass per step.
+# WORK_LIMIT passes x nodes keeps a run under about a minute (20-40 s near
+# the limit); GRID_LIMIT keeps one state at 8 MB.
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10
 SAMPLE_PASSES = 2 ** 6

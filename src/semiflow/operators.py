@@ -87,8 +87,9 @@ def right_translation_resolvent(lam: float, g: GridFunction) -> GridFunction:
     lam = check_lambda(lam)
     grid = g.grid
     main = damped_cumulative_integral(g.values, grid.h, lam)
-    tail = (g.values[0] / lam) * np.exp(-lam * (grid.nodes - grid.a))
-    return GridFunction(grid, main + tail)
+    with np.errstate(over="ignore"):  # lam (x - a) may pass the float range
+        decay = np.exp(-lam * (grid.nodes - grid.a))
+    return GridFunction(grid, main + (g.values[0] / lam) * decay)
 
 
 def _toeplitz_step_power(lam: float, h: float, k: int,

@@ -339,9 +339,13 @@ def test_euler_at_tiny_times(capsys):
     assert capsys.readouterr().err == "error: lambda must be finite and positive, got inf\n"
 
 
-def test_resolvent_where_lambda_h_overflows():
-    # lambda h = 1e309 on two cells of [0, 20]: R(lambda) g = g / lambda
-    proc = run_cli_process("resolvent", "--grid", "2", "--lambda", "1e308")
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_resolvent_where_lambda_h_overflows(operator):
+    # lambda h = 1e309 on two cells of [0, 20] (5e308 on [-10, 0]):
+    # R(lambda) g = g / lambda, and the right translation's tail
+    # exp(-lambda (x - a)) underflows to 0 where lambda (x - a) overflows
+    proc = run_cli_process("resolvent", "--operator", operator, "--grid", "2",
+                           "--lambda", "1e308")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sup_of_result"] > 0
     assert "encountered in" not in proc.stderr

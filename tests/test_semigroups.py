@@ -239,24 +239,60 @@ def _trapezoid_orbit_reference(sg, f, ds, steps, damping):
     return acc * ds
 
 
-def test_trapezoid_orbit_matches_reference():
-    grid = Grid(-3.0, 4.0, 350)
+def _translation_quadrature_cases():
+    # (state, runs of (ds, steps, damping)): random data with f(left end)
+    # != 0, n = 7, the data of `resolvent --horizon 15`, data near the float
+    # limit (no FFT sum may overflow), and all values -0.0
     rng = np.random.default_rng(5)
-    f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
+    grid = Grid(-3.0, 4.0, 350)
+    rough = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.n_cells + 1))
+    tiny = GridFunction(Grid(0.0, 1.0, 7), 0.7 + np.sin(np.arange(8.0)))
+    cli = Grid(0.0, 20.0, 2000)
+    cli_data = GridFunction(cli, np.exp(-cli.nodes))
+    # h = 10 keeps np.interp's slopes finite; the FFT sums of the data are not
+    big = GridFunction(Grid(0.0, 3500.0, 350), rng.uniform(0.5, 1.0, 351) * 1e307)
+    one = lambda s: 1.0
+    decay = lambda s: math.exp(-1.3 * s)
+    runs = lambda h: ((0.01, 300, decay), (0.37, 7, one), (0.5, 1, lambda s: 2.0),
+                      # times on nodes and halfway between them
+                      (h / 2, 300, decay), (h, 300, decay), (h / 2, 1, one), (h, 1, one),
+                      # shifts far past the grid, s / h past the float range
+                      (1e308 / 3, 1, one), (1e308 / 3, 3, one))
+    return [(rough, runs(rough.grid.h)), (tiny, runs(tiny.grid.h)),
+            (cli_data, ((15.0 / 3000, 3000, lambda s: math.exp(-s)),)),
+            (big, ((0.37, 7, one), (big.grid.h / 2, 1, one), (7.0, 300, decay))),
+            (-GridFunction(grid, np.zeros(351)), runs(grid.h))]
+
+
+def test_trapezoid_orbit_matches_reference():
+    # the network semigroup sums the rows of its orbit: bit for bit the
+    # apply-based reference, signs of zero included
     net = random_flow_network(4, seed=2, n_cells=30)
     g = sample_states(net, 1, 4)[0][1]
-    cases = [(shift_semigroup(), f), (right_translation_semigroup(), f),
-             # all values -0.0: the sum must keep the sign of zero
-             (right_translation_semigroup(), -GridFunction(grid, np.zeros(351))),
-             (network_semigroup(net), g)]
-    for sg, state in cases:
-        for ds, steps, damping in ((0.01, 300, lambda s: math.exp(-1.3 * s)),
-                                   (0.37, 7, lambda s: 1.0), (0.5, 1, lambda s: 2.0)):
-            got = _trapezoid_orbit(sg, state, ds, steps, damping)
-            ref = _trapezoid_orbit_reference(sg, state, ds, steps, damping)
-            assert type(got) is type(ref) and got.grid == ref.grid
-            assert np.array_equal(got.values, ref.values), (sg.label, ds)
-            assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
+    sg = network_semigroup(net)
+    for ds, steps, damping in ((0.01, 300, lambda s: math.exp(-1.3 * s)),
+                               (0.37, 7, lambda s: 1.0), (0.5, 1, lambda s: 2.0)):
+        got = _trapezoid_orbit(sg, g, ds, steps, damping)
+        ref = _trapezoid_orbit_reference(sg, g, ds, steps, damping)
+        assert type(got) is type(ref) and got.grid == ref.grid
+        assert np.array_equal(got.values, ref.values), ds
+        assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
+    # the translations sum by one convolution: within rounding of the row loop
+    # on the same orbit, which is itself bit for bit the reference
+    for state, runs in _translation_quadrature_cases():
+        for sg in (shift_semigroup(), right_translation_semigroup()):
+            rows = semigroups.orbit_semigroup(sg.label, sg.orbit)
+            for ds, steps, damping in runs:
+                got = _trapezoid_orbit(sg, state, ds, steps, damping)
+                ref = _trapezoid_orbit(rows, state, ds, steps, damping)
+                assert type(got) is type(ref) and got.grid == ref.grid
+                bound = 1e-13 * state.norm() * ds * (steps + 1)
+                assert np.max(np.abs(got.values - ref.values)) <= bound, \
+                    (sg.label, state.grid.n_cells, ds, steps)
+                if steps <= 300:
+                    loop = _trapezoid_orbit_reference(sg, state, ds, steps, damping)
+                    assert np.array_equal(ref.values, loop.values)
+                    assert np.array_equal(np.signbit(ref.values), np.signbit(loop.values))
 
 
 @pytest.mark.parametrize("block_values", [None, 250], ids=["default", "small_blocks"])
@@ -300,6 +336,32 @@ def test_orbit_integral_residual_rejects_bad_steps():
             laplace_resolvent(sg, 1.0, f, 5.0, steps)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_laplace_rejects_non_finite_horizon(horizon):
+    f = smooth_bump(Grid(0.0, 10.0, 100), 4.0, 2.0)
+    with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {horizon}"):
+        laplace_resolvent(shift_semigroup(), 1.0, f, horizon, 10)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_orbit_integral_residual_rejects_non_finite_t(t):
+    f = smooth_bump(Grid(0.0, 10.0, 100), 4.0, 2.0)
+    with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
+        orbit_integral_residual(left_shift_generator(), shift_semigroup(), t, f, steps=10)
+
+
+def test_laplace_at_a_huge_finite_horizon_matches_the_row_loop():
+    # lambda s_k = 0, 2.5, ..., 10 while s_k / h passes the float range
+    grid = Grid(-3.0, 4.0, 70)
+    f = GridFunction(grid, 0.7 + np.sin(grid.nodes))
+    for sg in (shift_semigroup(), right_translation_semigroup()):
+        rows = semigroups.orbit_semigroup(sg.label, sg.orbit)
+        got, tail = laplace_resolvent(sg, 1e-307, f, 1e308, 4)
+        ref, ref_tail = laplace_resolvent(rows, 1e-307, f, 1e308, 4)
+        assert tail == ref_tail and np.isfinite(got.values).all()
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * f.norm() * 2.5e307 * 5
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_euler_apply_rejects_non_finite_time(t):
     g = Grid(0.0, 10.0, 100)
@@ -321,3 +383,5 @@ def test_semigroups_reject_non_finite_times():
                 sg.apply(t, state)
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 next(sg.orbit([0.5, t], state))
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                sg.orbit_sum([0.5, t], [1.0, 1.0], state)
