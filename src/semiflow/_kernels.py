@@ -9,9 +9,9 @@ Kernels:
     piecewise-linear data, which keeps resolvent contraction estimates
     structurally true at any grid resolution.
 
-``translation_orbit_sum``
-    A weighted sum of rows of a linearly interpolated translation orbit, as
-    one causal convolution by FFT.
+``translation_row``, ``translation_orbit_sum``
+    One row of a linearly interpolated translation orbit, and a weighted
+    sum of its rows as one causal convolution by FFT.
 
 ``upwind_sweep``
     Explicit first-order upwind steps for edge transport toward x = 0 with
@@ -139,13 +139,23 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# translation orbit sum
+# translation orbit
+
+
+def translation_row(points: np.ndarray, x: np.ndarray, values: np.ndarray,
+                    fill: float) -> np.ndarray:
+    """``np.interp(points, x, values, left=fill)`` on the data times 2^-e and
+    back, 2^e the ``frexp`` power of two of max|values| >= |fill|: no slope
+    overflows, and where ``np.interp`` is finite this is it bit for bit (but
+    for about 2^-1074 max|values| where 2^-e takes data below normal range)."""
+    _, e = np.frexp(np.max(np.abs(values)))
+    return np.ldexp(np.interp(points, x, np.ldexp(values, -e), left=np.ldexp(fill, -e)), e)
 
 
 def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
                           times: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k weights[k] T(times[k]) v on the nodes x = arange(n + 1) h, where
-    T(s) v is the translation ``np.interp(x - s, x, v, left=fill)``.
+    T(s) v is the translation ``translation_row(x - s, x, v, fill)``.
 
     At a shift s = (j + theta) h the row is (1 - theta) F[i - j] +
     theta F[i - j - 1], with F the data extended to the left by ``fill``,
@@ -154,7 +164,7 @@ def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
     are clipped at n + 1 before the integer cast: a row past the grid sees
     only ``fill``.  The blend smears the jump from ``fill`` to v_0 at x = s
     over one cell, so at the nodes j and j + 1 next to it each time adds
-    its ``np.interp`` value minus the blend: the side of the jump is the
+    its ``translation_row`` value minus the blend: the side of the jump is the
     one the orbit takes.  The data and the kernel are scaled by powers of
     two, exactly, so that no FFT sum overflows.  ``times`` must be finite
     and nonnegative.
@@ -191,7 +201,7 @@ def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
         node = j + o
         on = node <= n
         node, s, th, ck = node[on], times[on], theta[on], c[on]
-        exact = np.interp(x[node] - s, x, v, left=fill)
+        exact = translation_row(x[node] - s, x, v, fill)
         blend = (1.0 - th) * near[o + 1] + th * near[o]
         out += np.bincount(node, ck * (exact - blend), minlength=n + 1)
     return out

@@ -43,6 +43,25 @@ def check_lambdas(lambdas) -> list[float]:
     return [check_lambda(lam) for lam in lambdas]
 
 
+def check_times(times) -> np.ndarray:
+    """Semigroup times (or one time) as a float array; ``ValueError`` unless
+    each is finite and nonnegative."""
+    times = np.asarray(times, dtype=np.float64)
+    if not np.all((times >= 0) & (times < np.inf)):
+        raise ValueError("semigroup time must be finite and nonnegative")
+    return times
+
+
+def check_orbit_sum(times, weights) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_times` of a list of times, and the weights as floats;
+    ``ValueError`` unless there are some times and one weight per time."""
+    times, weights = check_times(times), np.asarray(weights, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0 or weights.shape != times.shape:
+        raise ValueError("an orbit sum needs at least one time and one weight per "
+                         f"time, got {times.size} times and {weights.size} weights")
+    return times, weights
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [a, b] into n_cells panels."""

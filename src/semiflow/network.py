@@ -33,9 +33,10 @@ from ._kernels import (FrontierLimitError, common_step, damped_cumulative_integr
                        frontier_error, history_transport, trace_transport,
                        upwind_sweep)
 from .generation import CheckReport, Witness
-from .grid import Grid, GridFunction, check_lambda, check_lambdas
+from .grid import (Grid, GridFunction, check_lambda, check_lambdas, check_orbit_sum,
+                   check_times)
 from .samples import sample_functions
-from .semigroups import Semigroup, orbit_semigroup, time_blocks
+from .semigroups import Semigroup
 
 
 # Most cell-steps (edge nodes times time steps) one ``simulate_flow`` upwind
@@ -44,6 +45,9 @@ from .semigroups import Semigroup, orbit_semigroup, time_blocks
 # 8 edges of 51 nodes (per-step overhead dominates small rows), so this keeps
 # a march under about 2-13 s.  The default CLI march takes 1.4e6.
 UPWIND_CELL_STEP_LIMIT = 2 ** 28
+
+# Most state values in one block of times of ``characteristics_orbit``.
+ORBIT_BLOCK_VALUES = 2 ** 12
 
 # Largest network a JSON document may describe, checked before anything is
 # allocated.  On 2 cores, ``check --network`` on a ring of 10 cells per edge
@@ -265,8 +269,10 @@ def _check_state(net: Network, state: EdgeState) -> None:
 
 def characteristics_orbit(net: Network, state: EdgeState,
                           times: Sequence[float]) -> Iterator[np.ndarray]:
-    """Yield the exact flow of ``state`` at ``times`` in blocks of node
-    values, shape (block, n_edges, n_cells + 1), in the order of ``times``.
+    """Yield the exact flow of ``state`` at each of ``times``, one row of
+    node values of shape (n_edges, n_cells + 1) per time, in the order of
+    ``times``, taken in blocks of at most ``ORBIT_BLOCK_VALUES`` values
+    (at least one time).
 
     When the speeds and times fit one time grid (``common_step``: some dt
     divides every h/c_k and every time), ``history_transport`` builds the
@@ -286,12 +292,15 @@ def characteristics_orbit(net: Network, state: EdgeState,
     a jump line).
     """
     _check_state(net, state)
-    blocks = list(time_blocks(times, state.values.size))
+    times = check_times(times)
+    per = max(1, ORBIT_BLOCK_VALUES // state.values.size)
+    blocks = [times[k:k + per] for k in range(0, times.size, per)]
     args = (state.values, net.coupling, net.velocities, net.absorption_integral,
             net.grid.h)
     dt = common_step(net.grid.h, net.velocities, times)
     if dt is not None:
-        yield from history_transport(*args, blocks, dt)
+        for values in history_transport(*args, blocks, dt):
+            yield from values
         return
     c_max = float(np.max(net.velocities))
     for block in blocks:
@@ -305,7 +314,7 @@ def characteristics_orbit(net: Network, state: EdgeState,
             if float(np.max(block)) == t_call:
                 raise
             raise frontier_error(t_call, exc.entries, exact=False) from None
-        yield values
+        yield from values
 
 
 def _trace_block(args: tuple, block: np.ndarray, cap: int) -> np.ndarray:
@@ -326,13 +335,24 @@ def step_characteristics(net: Network, state: EdgeState, t: float) -> EdgeState:
     """Evolve the state by time t exactly, backtracking characteristics
     through the vertex coupling: the one-time case of
     ``characteristics_orbit``."""
-    return EdgeState(net.grid, next(characteristics_orbit(net, state, [t]))[0])
+    return EdgeState(net.grid, next(characteristics_orbit(net, state, [t])))
 
 
 def network_semigroup(net: Network) -> Semigroup:
-    """The transport flow as a semigroup acting on edge states."""
-    return orbit_semigroup("network_transport",
-                           lambda times, st: characteristics_orbit(net, st, times))
+    """The transport flow as a semigroup acting on edge states: ``apply`` is
+    ``step_characteristics``, and ``orbit_sum`` sums the rows of
+    ``characteristics_orbit`` in time order."""
+
+    def orbit_sum(times, weights, st: EdgeState) -> np.ndarray:
+        times, weights = check_orbit_sum(times, weights)
+        acc = None
+        for c, values in zip(weights, characteristics_orbit(net, st, times)):
+            term = values * c
+            acc = term if acc is None else acc + term
+        return acc
+
+    return Semigroup("network_transport",
+                     lambda t, st: step_characteristics(net, st, t), orbit_sum)
 
 
 def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
@@ -341,7 +361,7 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     """Evolve ``state`` to a ladder of output times.
 
     The characteristics solver evaluates the exact flow from the given state
-    along the orbit of all output times, in blocks of times
+    at every output time, one row per time along one orbit
     (``characteristics_orbit``); the upwind solver marches with a uniform
     step chosen so every output time is a step multiple and the CFL target
     is respected.
@@ -372,8 +392,8 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     times = np.linspace(0.0, t_final, n_outputs)
     if solver == "characteristics":
-        return times, [EdgeState(net.grid, values) for block in
-                       characteristics_orbit(net, state, times) for values in block]
+        return times, [EdgeState(net.grid, values)
+                       for values in characteristics_orbit(net, state, times)]
     # k_steps rounds seg / dt_max up, less a 1e-9 slack for rounding, so
     # max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
     dt = seg / k_steps

@@ -2,11 +2,10 @@
 generators and resolvents.
 
 A semigroup acts on one time with ``apply(t, f)`` and along an orbit with
-``orbit(times, f)``, which yields the node values of T(t) f for many times
-in blocks of rows; ``apply`` is its one-time case.  The quadratures below
-take weighted sums of orbit rows through ``orbit_sum(times, weights, f)``.
-All three act on the grid of the state they are given, so the factories
-take no grid.
+``orbit_sum(times, weights, f)``, the node values of the weighted sum
+sum_k weights[k] T(times[k]) f; the quadratures below take their orbit
+integrals through it.  Both act on the grid of the state they are given,
+so the factories take no grid.
 
 The three bridges verified at desk scale:
 
@@ -21,79 +20,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernels import translation_orbit_sum
-from .grid import GridFunction, check_integer, check_lambda
+from ._kernels import translation_orbit_sum, translation_row
+from .grid import GridFunction, check_integer, check_lambda, check_orbit_sum, check_times
 from .operators import Generator
-
-# Most state values one orbit block holds (at least one state per block).
-ORBIT_BLOCK_VALUES = 2 ** 12
 
 
 @dataclass(frozen=True)
 class Semigroup:
     """A labeled one-parameter family t -> T(t) acting on states.
 
-    ``apply(t, f)`` returns the state T(t) f.  ``orbit(times, f)`` yields
-    the node values of T(t) f for each t in ``times`` as blocks of rows, one
-    row per time in the order of ``times``, each row equal bit for bit to
-    ``apply(t, f).values``; a block holds at most ``ORBIT_BLOCK_VALUES``
-    values or a single state.  One exception: on a network whose speeds fit
-    a time grid, an orbit with a time off that grid traces all its times,
-    and a row may differ from ``apply`` at a grid time by rounding, or take
-    the other side of a jump (``network.characteristics_orbit``).
-
-    ``orbit_sum(times, weights, f)`` returns the node values of
-    sum_k weights[k] T(times[k]) f.  By default it sums the rows of
-    ``orbit`` in time order; the translation semigroups take it as one
-    causal convolution, equal to that sum up to rounding
-    (``_kernels.translation_orbit_sum``).
+    ``apply(t, f)`` returns the state T(t) f.  ``orbit_sum(times, weights,
+    f)`` returns the node values of sum_k weights[k] T(times[k]) f, for at
+    least one time and one weight per time (``grid.check_orbit_sum``).  The
+    translations take it as one causal convolution, equal to the sum of
+    their ``apply`` rows up to rounding (``_kernels.translation_orbit_sum``);
+    the network flow sums its orbit's rows in time order.
     """
 
     label: str
     apply: Callable[[float, Any], Any]
-    orbit: Callable[[Sequence[float], Any], Iterator[np.ndarray]]
     orbit_sum: Callable[[Sequence[float], Sequence[float], Any], np.ndarray]
-
-
-def orbit_semigroup(label: str,
-                    orbit: Callable[[Sequence[float], Any], Iterator[np.ndarray]],
-                    orbit_sum: Optional[Callable[[Sequence[float], Sequence[float], Any],
-                                                 np.ndarray]] = None) -> Semigroup:
-    """The semigroup whose ``apply`` is the one-time case of ``orbit``, and
-    whose ``orbit_sum``, unless given, sums the rows of ``orbit``."""
-
-    def apply(t: float, f: Any) -> Any:
-        return type(f)(f.grid, next(orbit([t], f))[0])
-
-    def row_sum(times: Sequence[float], weights: Sequence[float], f: Any) -> np.ndarray:
-        acc = None
-        for c, values in zip(weights, chain.from_iterable(orbit(times, f))):
-            term = values * c
-            acc = term if acc is None else acc + term
-        return acc
-
-    return Semigroup(label, apply, orbit, orbit_sum or row_sum)
-
-
-def _check_times(times: Sequence[float]) -> np.ndarray:
-    """``times`` as a float array, checked finite and nonnegative."""
-    times = np.asarray(times, dtype=np.float64)
-    if not np.all((times >= 0) & (times < np.inf)):
-        raise ValueError("semigroup time must be finite and nonnegative")
-    return times
-
-
-def time_blocks(times: Sequence[float], state_size: int) -> Iterator[np.ndarray]:
-    """Split finite nonnegative ``times`` into consecutive blocks of at most
-    ``ORBIT_BLOCK_VALUES // state_size`` times (at least one)."""
-    times = _check_times(times)
-    per = max(1, ORBIT_BLOCK_VALUES // state_size)
-    return (times[k:k + per] for k in range(0, times.size, per))
 
 
 def _translation_semigroup(label: str,
@@ -102,18 +52,16 @@ def _translation_semigroup(label: str,
     interpolated, with the value ``inflow(f)`` entering at the left end.
     Weighted orbit sums are one causal convolution."""
 
-    def orbit(times: Sequence[float], f: GridFunction) -> Iterator[np.ndarray]:
+    def apply(t: float, f: GridFunction) -> GridFunction:
         x = np.arange(f.grid.n_cells + 1) * f.grid.h
-        fill = inflow(f)
-        for block in time_blocks(times, x.size):
-            yield np.interp(x - block[:, None], x, f.values, left=fill)
+        return type(f)(f.grid, translation_row(x - check_times(t), x, f.values, inflow(f)))
 
     def orbit_sum(times: Sequence[float], weights: Sequence[float],
                   f: GridFunction) -> np.ndarray:
         return translation_orbit_sum(f.values, f.grid.h, inflow(f),
-                                     _check_times(times), weights)
+                                     *check_orbit_sum(times, weights))
 
-    return orbit_semigroup(label, orbit, orbit_sum)
+    return Semigroup(label, apply, orbit_sum)
 
 
 def shift_semigroup() -> Semigroup:

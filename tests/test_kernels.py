@@ -436,15 +436,15 @@ def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
         return K.trace_transport(*a)
 
     monkeypatch.setattr(semiflow.network, "trace_transport", spy)
-    sg = semiflow.network_semigroup(net)
-    rows = np.concatenate(list(sg.orbit(times, st)))
+    orbit = semiflow.network.characteristics_orbit
+    rows = list(orbit(net, st, times))
     assert calls == [times.tolist()] + [[t] for t in sorted(times, reverse=True)]
     assert all(np.array_equal(row, ref) for row, ref in zip(rows, per_time))
     # t = 20 (212 entries) and t = 30 (312) are each over the limit alone;
     # the error names the block's largest time, not the first failing one
     calls.clear()
     with pytest.raises(ValueError, match=r"t = 30\.0 would create"):
-        list(sg.orbit([20.0, 1.0, 30.0, 2.0], st))
+        list(orbit(net, st, [20.0, 1.0, 30.0, 2.0]))
     assert calls == [[20.0, 1.0, 30.0, 2.0], [30.0]]
 
 
@@ -554,7 +554,7 @@ def test_history_matches_tracer(name, make, seed, times):
     net = make()
     st = semiflow.sample_states(net, 1, seed)[0][1]
     assert K.common_step(net.grid.h, net.velocities, np.array(times)) is not None
-    got = np.concatenate(list(semiflow.network_semigroup(net).orbit(times, st)))
+    got = np.array(list(semiflow.network.characteristics_orbit(net, st, times)))
     ref = _trace(net, st, np.array(times))
     scale = float(np.max(np.abs(ref)))
     off = np.abs(got - ref) > 1e-12 * scale

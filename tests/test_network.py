@@ -20,6 +20,7 @@ from semiflow import (Edge, EdgeState, Grid, GridFunction, Network,
                       supnorm_l1_weighted, total_mass,
                       velocity_fixed_vector_residual, weighted_bc)
 from semiflow.generation import CheckReport, Witness
+from semiflow.network import characteristics_orbit
 
 
 def two_cycle(n_cells=400, velocities=(1.0, 1.0), absorption=None):
@@ -89,7 +90,9 @@ def test_structure_is_rejected_when_the_network_is_built(build, fault):
 
 
 STATE_ENTRIES = {
-    "orbit": lambda net, st: list(network_semigroup(net).orbit([0.5, 1.0], st)),
+    "orbit": lambda net, st: list(characteristics_orbit(net, st, [0.5, 1.0])),
+    "orbit_sum": lambda net, st: network_semigroup(net).orbit_sum(
+        [0.5, 1.0], [1.0, 1.0], st),
     "step_characteristics": lambda net, st: step_characteristics(net, st, 1.0),
     "semigroup_apply": lambda net, st: network_semigroup(net).apply(1.0, st),
     "simulate_characteristics": lambda net, st: simulate_flow(

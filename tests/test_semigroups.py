@@ -14,7 +14,8 @@ from semiflow import (CompactSeminormFamily, Grid, GridFunction,
                       random_flow_network, right_translation_generator,
                       right_translation_semigroup, sample_states,
                       shift_semigroup, smooth_bump)
-from semiflow import semigroups
+from semiflow import network
+from semiflow._kernels import history_transport, trace_transport
 from semiflow.semigroups import _trapezoid_orbit
 
 
@@ -277,22 +278,17 @@ def test_trapezoid_orbit_matches_reference():
         assert type(got) is type(ref) and got.grid == ref.grid
         assert np.array_equal(got.values, ref.values), ds
         assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
-    # the translations sum by one convolution: within rounding of the row loop
-    # on the same orbit, which is itself bit for bit the reference
+    # the translations sum by one convolution: within rounding of the
+    # apply-based reference
     for state, runs in _translation_quadrature_cases():
         for sg in (shift_semigroup(), right_translation_semigroup()):
-            rows = semigroups.orbit_semigroup(sg.label, sg.orbit)
             for ds, steps, damping in runs:
                 got = _trapezoid_orbit(sg, state, ds, steps, damping)
-                ref = _trapezoid_orbit(rows, state, ds, steps, damping)
+                ref = _trapezoid_orbit_reference(sg, state, ds, steps, damping)
                 assert type(got) is type(ref) and got.grid == ref.grid
                 bound = 1e-13 * state.norm() * ds * (steps + 1)
                 assert np.max(np.abs(got.values - ref.values)) <= bound, \
                     (sg.label, state.grid.n_cells, ds, steps)
-                if steps <= 300:
-                    loop = _trapezoid_orbit_reference(sg, state, ds, steps, damping)
-                    assert np.array_equal(ref.values, loop.values)
-                    assert np.array_equal(np.signbit(ref.values), np.signbit(loop.values))
 
 
 @pytest.mark.parametrize("block_values", [None, 250], ids=["default", "small_blocks"])
@@ -300,26 +296,34 @@ def test_orbit_rows_equal_apply(monkeypatch, block_values):
     # unsorted times, a repeated time and t = 0, over one block and over
     # several
     if block_values is not None:
-        monkeypatch.setattr(semigroups, "ORBIT_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(network, "ORBIT_BLOCK_VALUES", block_values)
+    sizes = []
+
+    def trace_spy(*args):
+        sizes.append(np.size(args[5]))
+        return trace_transport(*args)
+
+    def history_spy(*args):
+        sizes.extend(np.size(block) for block in args[5])
+        return history_transport(*args)
+
+    monkeypatch.setattr(network, "trace_transport", trace_spy)
+    monkeypatch.setattr(network, "history_transport", history_spy)
     times = [0.7, 0.0, 2.3, 0.7, 1.1, 3.0, 0.05, 0.0, 1.9, 0.31, 2.3]
-    grid = Grid(-3.0, 4.0, 120)
-    f = GridFunction(grid, np.random.default_rng(8).uniform(-1.0, 1.0, 121))
-    net = random_flow_network(4, seed=2, n_cells=30)
-    g = sample_states(net, 1, 4)[0][1]
-    # unit speeds fit a time grid: the orbit's step is 1/300, while t = 0.7
-    # alone steps by 1/30 and t = 0.05 by 1/60
-    cycle = make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=30)
-    for sg, state in ((shift_semigroup(), f),
-                      (right_translation_semigroup(), f),
-                      (network_semigroup(net), g),
-                      (network_semigroup(cycle), sample_states(cycle, 1, 4)[0][1])):
-        blocks = list(sg.orbit(times, state))
-        per = max(1, semigroups.ORBIT_BLOCK_VALUES // state.values.size)
-        assert [len(b) for b in blocks[:-1]] == [per] * (len(blocks) - 1)
-        rows = np.concatenate(blocks)
-        assert rows.shape == (len(times),) + state.values.shape
+    # random speeds trace; unit speeds fit a time grid: the orbit's step is
+    # 1/300, while t = 0.7 alone steps by 1/30 and t = 0.05 by 1/60
+    for net in (random_flow_network(4, seed=2, n_cells=30),
+                make_network(2, [(0, 1), (1, 0)], [1.0, 1.0], n_cells=30)):
+        state = sample_states(net, 1, 4)[0][1]
+        sizes.clear()
+        rows = list(network.characteristics_orbit(net, state, times))
+        per = max(1, network.ORBIT_BLOCK_VALUES // state.values.size)
+        assert sizes == [min(per, len(times) - k) for k in range(0, len(times), per)]
+        assert len(rows) == len(times)
+        sg = network_semigroup(net)
         for t, row in zip(times, rows):
-            assert np.array_equal(row, sg.apply(t, state).values), (sg.label, t)
+            assert row.shape == state.values.shape
+            assert np.array_equal(row, sg.apply(t, state).values), (net.n_edges, t)
 
 
 def test_orbit_integral_residual_rejects_bad_steps():
@@ -355,10 +359,11 @@ def test_laplace_at_a_huge_finite_horizon_matches_the_row_loop():
     grid = Grid(-3.0, 4.0, 70)
     f = GridFunction(grid, 0.7 + np.sin(grid.nodes))
     for sg in (shift_semigroup(), right_translation_semigroup()):
-        rows = semigroups.orbit_semigroup(sg.label, sg.orbit)
         got, tail = laplace_resolvent(sg, 1e-307, f, 1e308, 4)
-        ref, ref_tail = laplace_resolvent(rows, 1e-307, f, 1e308, 4)
-        assert tail == ref_tail and np.isfinite(got.values).all()
+        ref = _trapezoid_orbit_reference(sg, f, 1e308 / 4, 4,
+                                         lambda s: math.exp(-1e-307 * s))
+        assert tail == math.exp(-1e-307 * 1e308) * f.norm() / 1e-307
+        assert np.isfinite(got.values).all()
         assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * f.norm() * 2.5e307 * 5
 
 
@@ -382,6 +387,43 @@ def test_semigroups_reject_non_finite_times():
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 sg.apply(t, state)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                next(sg.orbit([0.5, t], state))
-            with pytest.raises(ValueError, match="finite and nonnegative"):
                 sg.orbit_sum([0.5, t], [1.0, 1.0], state)
+    for t in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            next(network.characteristics_orbit(net, g, [0.5, t]))
+
+
+def test_orbit_sum_needs_times_and_one_weight_per_time():
+    # the same error for every kind of semigroup: no time, too few weights
+    # and too many
+    f = smooth_bump(Grid(0.0, 10.0, 100), 4.0, 2.0)
+    net = random_flow_network(4, seed=2, n_cells=30)
+    g = sample_states(net, 1, 4)[0][1]
+    for sg, state in ((shift_semigroup(), f),
+                      (right_translation_semigroup(), f),
+                      (network_semigroup(net), g)):
+        for times, weights in (([], []), ([0.5, 1.0], [1.0]), ([0.5], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="an orbit sum needs at least one "
+                               "time and one weight per time"):
+                sg.orbit_sum(times, weights, state)
+
+
+def test_translations_of_data_near_the_float_limit():
+    # np.interp's slopes (f_{i+1} - f_i) / h overflow on data near 1e307;
+    # the translations interpolate the data scaled by a power of two, which
+    # is exact: in apply and in the Laplace transform's jump correction
+    grid = Grid(-3.0, 4.0, 350)
+    x = np.arange(grid.n_cells + 1) * grid.h
+    small = GridFunction(grid, np.random.default_rng(49).uniform(-1.0, 1.0, 351))
+    big = GridFunction(grid, np.ldexp(small.values, 1020))
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.interp(x - 0.37, x, big.values, left=0.0)).all()
+    for sg, fill in ((shift_semigroup(), 0.0),
+                     (right_translation_semigroup(), small.values[0])):
+        for t in (0.0, 0.37, grid.h, 3.5, 9.0):
+            ref = sg.apply(t, small).values
+            assert np.array_equal(ref, np.interp(x - t, x, small.values, left=fill))
+            assert np.array_equal(sg.apply(t, big).values, np.ldexp(ref, 1020)), t
+        ref = laplace_resolvent(sg, 1.0, small, 2.0, 8).value.values
+        got = laplace_resolvent(sg, 1.0, big, 2.0, 8).value.values
+        assert np.array_equal(got, np.ldexp(ref, 1020)), sg.label

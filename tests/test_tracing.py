@@ -4,7 +4,7 @@ argument positions, so a refactor that moves either breaks it silently."""
 from pathlib import Path
 
 import semiflow
-from semiflow import cli, network
+from semiflow import cli, network, semigroups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,7 +28,11 @@ def test_tracer_spans_every_kernel_and_restores_patches(monkeypatch, capsys):
         network.simulate_flow(net2, semiflow.initial_state(net2), 1.0,
                               "characteristics", n_outputs=3)
         network.network_generation_verdict(net, [1.0], 1)
+        # the tracer rebuilds each semigroup it wraps with dataclasses.replace
+        semigroups.laplace_resolvent(network.network_semigroup(net), 1.0, state, 2.0, 8)
         assert cli.main(["euler", "--grid", "200", "--m-ladder", "4"]) in (0, 1)
+        assert cli.main(["resolvent", "--grid", "200", "--horizon", "2",
+                         "--steps", "8"]) in (0, 1)
         tracer.end_op()
     finally:
         tracer.uninstall()
@@ -39,6 +43,8 @@ def test_tracer_spans_every_kernel_and_restores_patches(monkeypatch, capsys):
                    "kernels.damped.scalar"):
         assert metrics[f"{kernel}.calls"] >= 1, kernel
     assert metrics["kernels.upwind.cell_steps"] > 0
+    assert metrics["semigroups.laplace.calls"] >= 2
+    assert metrics["semigroups.apply.calls"] >= 1
     assert patched and not tracer._patches
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
