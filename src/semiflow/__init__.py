@@ -13,7 +13,8 @@ scheme.
 from ._kernels import damped_cumulative_integral
 from .grid import Grid, GridFunction, differentiate, window_sup, write_csv
 from .seminorms import (CompactSeminormFamily, MixedSeminorm,
-                        WindowOrientation, eval_mixed, eval_pn)
+                        WindowOrientation, eval_mixed, eval_pn,
+                        seminorm_ladder)
 from .operators import (Generator, ResolventUnavailableError, UpwindMatrix,
                         laplacian_generator, left_shift_generator,
                         resolvent_shift, right_translation_generator,
@@ -41,7 +42,7 @@ __all__ = [
     "damped_cumulative_integral",
     "Grid", "GridFunction", "differentiate", "window_sup", "write_csv",
     "CompactSeminormFamily", "MixedSeminorm", "WindowOrientation",
-    "eval_mixed", "eval_pn",
+    "eval_mixed", "eval_pn", "seminorm_ladder",
     "Generator", "ResolventUnavailableError", "UpwindMatrix",
     "laplacian_generator", "left_shift_generator", "resolvent_shift",
     "right_translation_generator", "right_translation_resolvent",

@@ -18,6 +18,7 @@ command is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,8 @@ from .operators import (laplacian_generator, left_shift_generator,
 from .samples import plateau_ramp, sample_functions, smooth_bump
 from .semigroups import (euler_apply, laplace_resolvent,
                          right_translation_semigroup, shift_semigroup)
-from .seminorms import (CompactSeminormFamily, WindowOrientation, eval_pn)
+from .seminorms import (CompactSeminormFamily, WindowOrientation, eval_pn,
+                        seminorm_ladder)
 
 
 def _fmt(value) -> str:
@@ -83,9 +85,11 @@ def _emit_json(doc: dict, out_dir, name: str) -> None:
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
 # Count options are bounded before any work.  Measured on 2 cores, one
-# resolve or seminorm evaluation costs 15-30 ns per grid node plus 13-45 us
-# of fixed overhead (about 2**10 nodes' worth), and one check sample about
-# as much as 2**6 resolve passes.  The translation orbit of `resolvent
+# resolve costs 20-60 ns per grid node plus 40-70 us of fixed overhead
+# (about 2**10 nodes' worth).  One seminorm ladder, every window of a state
+# at once, costs 1-2 ns per node plus 18-27 us, and one check sample 2-5
+# resolve passes, so the per-rung `--n-max` passes of `euler` and the 2**6
+# passes of a sample over-count.  The translation orbit of `resolvent
 # --horizon` is summed as one convolution, O(steps + N log N): under 1 s at
 # the corners of the bound, which still counts one pass per step.
 # WORK_LIMIT passes x nodes keeps a run under about a minute (20-40 s near
@@ -182,10 +186,9 @@ def cmd_euler(args) -> int:
     summary_errors = []
     for m in ladder:
         approx = euler_apply(gen, args.t, m, f)
-        diff = approx - exact
-        for n in range(1, args.n_max + 1):
-            rows.append((m, n, eval_pn(family, n, diff)))
-        summary_errors.append(eval_pn(family, args.n_max, diff))
+        errors = seminorm_ladder(family, grid, (approx - exact).values).tolist()
+        rows.extend((m, n, err) for n, err in enumerate(errors, 1))
+        summary_errors.append(errors[-1])
     if args.out is not None:
         write_rows(Path(args.out) / "euler_convergence.csv",
                    ["m", "seminorm_index", "error"], rows)
@@ -315,7 +318,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one (``parse_args`` does not change it)."""
     parser = argparse.ArgumentParser(
         prog="semiflow",
         description="Desk-scale semigroup generation checks and graph transport flows")
@@ -385,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

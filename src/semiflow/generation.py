@@ -29,7 +29,7 @@ import numpy as np
 from .grid import GridFunction, check_integer, check_lambdas, window_mask
 from .operators import Generator, UpwindMatrix
 from .samples import probe_functions
-from .seminorms import CompactSeminormFamily, eval_pn
+from .seminorms import CompactSeminormFamily, eval_pn, seminorm_ladder
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,33 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     every window index, sample and lambda.
 
     The tolerance is 10 h^2 relative (difference-stencil claim), with h the
-    first sample's grid step.  At least one sample is required.
+    first sample's grid step; a grid with 10 h^2 >= 1, under which no
+    inequality can fail, is rejected.  At least one sample is required.
+    Each sample costs one seminorm ladder for f and one for the stack of
+    (lambda - A) f over all lambdas.
     """
     _require_samples(samples, "the dissipativity check")
     lambdas = check_lambdas(lambdas)
+    h = samples[0][1].grid.h
+    tol = 10.0 * h ** 2
+    if not tol < 1.0:
+        raise ValueError(f"grid step h = {h} gives the relative tolerance 10 h^2 = "
+                         f"{tol} >= 1, under which no sample can fail; use a finer grid")
     for k, (sid, f) in enumerate(samples):
         if not gen.domain_check(f):
             raise ValueError(
                 f"sample {k} ('{sid}') is outside the domain of '{gen.label}'")
+    lams = np.array(lambdas)[:, None]
     witnesses = []
-    tol = 10.0 * samples[0][1].grid.h ** 2
-    indices = range(1, family.max_index + 1)
     for sid, f in samples:
-        pf = [eval_pn(family, n, f) for n in indices]
-        af = gen.apply(f)
-        for lam in lambdas:
-            shifted = f * lam - af
-            for n, pn in zip(indices, pf):
-                lhs = eval_pn(family, n, shifted)
-                rhs = lam * pn
-                if lhs < rhs * (1.0 - tol):
-                    witnesses.append(Witness(sid, lam, n, lhs, rhs))
+        pf = seminorm_ladder(family, f.grid, f.values)
+        shifted = f.values * lams - gen.apply(f).values
+        if not np.all(np.isfinite(shifted)):
+            raise ValueError("node values must be finite")
+        lhs, rhs = seminorm_ladder(family, f.grid, shifted), lams * pf
+        for i, n in zip(*np.nonzero(lhs < rhs * (1.0 - tol))):
+            witnesses.append(Witness(sid, lambdas[i], int(n) + 1,
+                                     float(lhs[i, n]), float(rhs[i, n])))
     return CheckReport(
         "bi_dissipative",
         {"generator": gen.label, "orientation": family.orientation.value,
@@ -128,19 +134,20 @@ def check_resolvent_contraction(gen: Generator, family: CompactSeminormFamily,
     for every window index, sample and lambda.  The panel-exact quadrature
     makes this hold structurally for the shift; failures are genuine
     counterexamples (e.g. the plateau ramp under the translation without a
-    boundary condition).  At least one sample is required."""
+    boundary condition).  At least one sample is required.  Each sample
+    costs one seminorm ladder for f and one for the stack of R(lambda) f."""
     _require_samples(samples, "the resolvent contraction check")
     lambdas = check_lambdas(lambdas)
     abs_tol = 1e-9
+    lams = np.array(lambdas)[:, None]
     witnesses = []
     for sid, f in samples:
-        for lam in lambdas:
-            rf = gen.resolve(lam, f)
-            for n in range(1, family.max_index + 1):
-                lhs = lam * eval_pn(family, n, rf)
-                rhs = eval_pn(family, n, f)
-                if lhs > rhs + abs_tol:
-                    witnesses.append(Witness(sid, lam, n, lhs, rhs))
+        pf = seminorm_ladder(family, f.grid, f.values)
+        resolved = np.stack([gen.resolve(lam, f).values for lam in lambdas])
+        lhs = lams * seminorm_ladder(family, f.grid, resolved)
+        for i, n in zip(*np.nonzero(lhs > pf + abs_tol)):
+            witnesses.append(Witness(sid, lambdas[i], int(n) + 1,
+                                     float(lhs[i, n]), float(pf[n])))
     return CheckReport(
         "resolvent_contraction",
         {"generator": gen.label, "orientation": family.orientation.value,

@@ -158,21 +158,36 @@ def window_mask(grid: Grid, lo: float, hi: float) -> np.ndarray:
     return (grid.nodes >= lo - tol) & (grid.nodes <= hi + tol)
 
 
+def window_runs(grid: Grid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """First and one-past-last node index of each window [lo, hi] (bounds may
+    be arrays): the run of the sorted nodes that :func:`window_mask` selects,
+    found with the same widened bounds."""
+    tol = 1e-9 * grid.h
+    return (np.searchsorted(grid.nodes, lo - tol, "left"),
+            np.searchsorted(grid.nodes, hi + tol, "right"))
+
+
+def check_window(grid: Grid, lo: float, hi: float, has_node: bool) -> None:
+    """``ValueError`` unless lo <= hi and the window [lo, hi] intersects the
+    grid interval and holds a node (``has_node``, as the caller found it)."""
+    if not lo <= hi:
+        raise ValueError("window requires lo <= hi")
+    if hi < grid.a or lo > grid.b:
+        raise ValueError(f"window [{lo}, {hi}] does not intersect the grid "
+                         f"interval [{grid.a}, {grid.b}]")
+    if not has_node:
+        raise ValueError(f"window [{lo}, {hi}] contains no grid node")
+
+
 def window_sup(f: GridFunction, lo: float, hi: float) -> float:
     """Max of |values| over the grid nodes lying in [lo, hi].
 
     The window is intersected with the grid interval; an empty intersection
-    is rejected.  Nodes are selected by :func:`window_mask`.
+    is rejected (:func:`check_window`).  Nodes are selected by
+    :func:`window_mask`.
     """
-    if not lo <= hi:
-        raise ValueError("window requires lo <= hi")
-    g = f.grid
-    if hi < g.a or lo > g.b:
-        raise ValueError(
-            f"window [{lo}, {hi}] does not intersect the grid interval [{g.a}, {g.b}]")
-    mask = window_mask(g, lo, hi)
-    if not np.any(mask):
-        raise ValueError(f"window [{lo}, {hi}] contains no grid node")
+    mask = window_mask(f.grid, lo, hi)
+    check_window(f.grid, lo, hi, bool(np.any(mask)))
     return float(np.max(np.abs(f.values[mask])))
 
 

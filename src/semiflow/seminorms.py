@@ -6,6 +6,9 @@ continuous functions, the sup over all windows recovers the sup norm.
 
 Mixed seminorms max_n a_n p_n(f) model the coarser locally convex topology
 generated by countable weighted combinations of the family.
+
+``eval_pn`` reads one seminorm; ``seminorm_ladder`` reads the whole chain
+p_1..p_N of a state, or of a stack of states, in one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridFunction, check_integer, window_sup
+from .grid import (Grid, GridFunction, check_integer, check_window, window_runs,
+                   window_sup)
 
 
 class WindowOrientation(Enum):
@@ -37,17 +41,28 @@ class CompactSeminormFamily:
         object.__setattr__(self, "max_index", check_integer(
             self.max_index, 1, "max_index must be an integer >= 1"))
 
+    def _unit_window(self) -> tuple[float, float]:
+        """Window 1; window n is n times it."""
+        if self.orientation is WindowOrientation.RIGHT:
+            return (0.0, 1.0)
+        if self.orientation is WindowOrientation.LEFT:
+            return (-1.0, 0.0)
+        return (-1.0, 1.0)
+
     def window(self, n: int) -> tuple[float, float]:
         try:  # the message is built only when n fails
-            check_integer(n, 1, "", self.max_index)
+            n = check_integer(n, 1, "", self.max_index)
         except ValueError:
             raise ValueError(
                 f"seminorm index must lie in 1..{self.max_index}, got {n}") from None
-        if self.orientation is WindowOrientation.RIGHT:
-            return (0.0, float(n))
-        if self.orientation is WindowOrientation.LEFT:
-            return (-float(n), 0.0)
-        return (-float(n), float(n))
+        lo, hi = self._unit_window()
+        return (lo * n, hi * n)
+
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo, hi) of the windows 1..max_index, as two float arrays."""
+        n = np.arange(1.0, self.max_index + 1)
+        lo, hi = self._unit_window()
+        return lo * n, hi * n
 
 
 @dataclass(frozen=True)
@@ -74,8 +89,31 @@ def eval_pn(family: CompactSeminormFamily, n: int, f: GridFunction) -> float:
     return window_sup(f, lo, hi)
 
 
+def seminorm_ladder(family: CompactSeminormFamily, grid: Grid, values) -> np.ndarray:
+    """p_1..p_N of node values on ``grid``: shape (..., n_nodes) -> (..., N).
+
+    Window n holds the run of sorted nodes that :func:`grid.window_mask`
+    selects (:func:`grid.window_runs`), and the runs are nested.  So p_1 is
+    the max over the first run, and p_n = max(p_{n-1}, max over ring n), a
+    ring being the at most two runs that window n adds.  Max is exact, so
+    each entry equals :func:`eval_pn` bit for bit.  Window 1 lies inside
+    every other, so it alone is checked, with ``window_sup``'s errors.
+    """
+    a = np.abs(values)
+    if a.shape[-1:] != (grid.n_cells + 1,):
+        raise ValueError(f"expected {grid.n_cells + 1} node values, got shape {a.shape}")
+    start, stop = window_runs(grid, *family.windows())
+    check_window(grid, *family.window(1), bool(start[0] < stop[0]))
+    # maxima over [start_n, start_{n-1}) and, on the reversed nodes, over
+    # [stop_{n-1}, stop_n); the last run of each reduceat is not a ring.  An
+    # empty run reads one node of window n - 1, which leaves the max as it is
+    left = np.maximum.reduceat(a, start[::-1], axis=-1)[..., -2::-1]
+    right = np.maximum.reduceat(a[..., ::-1], a.shape[-1] - stop[::-1], axis=-1)[..., -2::-1]
+    inner = np.max(a[..., start[0]:stop[0]], axis=-1, keepdims=True)
+    rings = np.concatenate([inner, np.maximum(left, right)], axis=-1)
+    return np.maximum.accumulate(rings, axis=-1)
+
+
 def eval_mixed(m: MixedSeminorm, f: GridFunction) -> float:
     """Value of the mixed seminorm max_n weights[n-1] * p_n(f)."""
-    fam = m.family
-    return max(m.weights[n - 1] * eval_pn(fam, n, f) for n in range(1, fam.max_index + 1))
-
+    return float(np.max(np.asarray(m.weights) * seminorm_ladder(m.family, f.grid, f.values)))

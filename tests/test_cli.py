@@ -361,6 +361,36 @@ def test_check_without_samples_exits_two(samples):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("--operator", "laplacian", "--grid", "4"),
+    ("--operator", "left_shift", "--grid", "2", "--samples", "1"),
+])
+def test_check_on_a_grid_too_coarse_to_fail_exits_two(argv, capsys):
+    # 10 h^2 >= 1: the dissipativity leg could not fail, so it certifies nothing
+    assert main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid step h = ")
+    assert "10 h^2" in captured.err
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; the append action and the
+    # defaults must not carry one call's --lambda into the next
+    assert build_parser() is build_parser()
+    base = ["check", "--operator", "left_shift", "--grid", "200", "--samples", "1"]
+    for extra, lambdas in ((["--lambda", "2"], [2.0]), ([], [0.1, 1.0, 10.0]),
+                           (["--lambda", "3", "--lambda", "4"], [3.0, 4.0]),
+                           ([], [0.1, 1.0, 10.0])):
+        code, out = run_cli(capsys, *base, *extra)
+        assert code == 0
+        assert json.loads(out)["parameters"]["lambdas"] == lambdas
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"check", "euler", "counterexample", "heat",
+                             "simulate", "resolvent"}
+
+
 def test_every_float_option_rejects_non_finite(capsys):
     parser = build_parser()
     commands = next(a for a in parser._actions

@@ -15,7 +15,8 @@ from semiflow import (CheckReport, CompactSeminormFamily, Generator, Grid,
                       lumer_phillips_verdict, plateau_ramp,
                       right_translation_generator,
                       right_translation_resolvent, sample_functions,
-                      smooth_bump, subdifferential_test, upwind_discretize)
+                      seminorm_ladder, smooth_bump, subdifferential_test,
+                      upwind_discretize)
 
 E_MINUS_3 = 0.049787068367863944        # e^{-3}
 ONE_MINUS_E_MINUS_3 = 0.950212931632136  # 1 - e^{-3}
@@ -55,17 +56,18 @@ def test_bi_dissipative_laplacian_fails_with_witness():
 
 
 def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
-    # p_n(f) is evaluated once and shared by every lambda, so each sample
-    # costs one pass for f plus one per lambda for (lambda - A) f
+    # the ladder p_1..p_N of f is taken once and shared by every lambda, so
+    # each sample costs one ladder pass for f plus one for the stack of
+    # (lambda - A) f over all lambdas
     import semiflow.generation as generation
 
-    calls = []
+    shapes = []
 
-    def counting_eval_pn(family, n, f):
-        calls.append(n)
-        return eval_pn(family, n, f)
+    def counting_ladder(family, grid, values):
+        shapes.append(np.shape(values))
+        return seminorm_ladder(family, grid, values)
 
-    monkeypatch.setattr(generation, "eval_pn", counting_eval_pn)
+    monkeypatch.setattr(generation, "seminorm_ladder", counting_ladder)
     g = Grid(0.0, 10.0, 500)
     gen = left_shift_generator()
     fam = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
@@ -73,7 +75,7 @@ def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
     lambdas = [0.5, 2.0]
     rep = check_bi_dissipative(gen, fam, samples, lambdas)
     assert rep.passed
-    assert len(calls) == len(samples) * fam.max_index * (1 + len(lambdas))
+    assert shapes == [(501,), (len(lambdas), 501)] * len(samples)
 
 
 def test_bi_dissipative_zero_sample():
@@ -262,6 +264,33 @@ def test_verdict_rejects_no_lambdas():
     samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
     with pytest.raises(ValueError, match="at least one lambda"):
         lumer_phillips_verdict(laplacian_generator(), fam, samples, [])
+
+
+def test_bi_dissipative_rejects_a_grid_whose_tolerance_certifies_nothing():
+    # with 10 h^2 >= 1 the test lhs < rhs (1 - 10 h^2) cannot hold, so the
+    # parabola, whose p_2 fails the inequality, would pass on 12 cells of [-2, 2]
+    fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
+    gen = laplacian_generator()
+    for n_cells in (4, 12):
+        g = Grid(-2.0, 2.0, n_cells)
+        samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
+        message = f"grid step h = {g.h} gives the relative tolerance 10 h^2 = {10 * g.h ** 2}"
+        for check in (check_bi_dissipative, lumer_phillips_verdict):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check(gen, fam, samples, [1.0])
+    g = Grid(-2.0, 2.0, 400)
+    samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
+    assert not check_bi_dissipative(gen, fam, samples, [1.0]).passed
+
+
+def test_bi_dissipative_rejects_a_lambda_whose_shift_overflows():
+    # lambda f overflows where f = x^2 > 1.8, so (lambda - A) f has no finite
+    # node values to take seminorms of
+    g = Grid(-2.0, 2.0, 400)
+    fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
+    samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="node values must be finite"):
+        check_bi_dissipative(laplacian_generator(), fam, samples, [1.0, 1e308])
 
 
 def test_verdict_laplacian_fails_first_leg():

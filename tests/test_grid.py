@@ -16,7 +16,7 @@ from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
                       orbit_integral_residual, plateau_ramp, resolvent_shift,
                       right_translation_resolvent, shift_semigroup,
                       smooth_bump, upwind_discretize, window_sup, write_csv)
-from semiflow.grid import window_mask, write_rows
+from semiflow.grid import window_mask, window_runs, write_rows
 
 
 def test_grid_basic_properties():
@@ -111,6 +111,21 @@ def test_window_mask_includes_endpoints_within_tolerance():
     assert np.nonzero(window_mask(g, 0.2, 0.5))[0].tolist() == [2, 3, 4, 5]
     assert np.nonzero(window_mask(g, 0.2 + 1e-12, 0.5 - 1e-12))[0].tolist() == [2, 3, 4, 5]
     assert np.nonzero(window_mask(g, 0.21, 0.49))[0].tolist() == [3, 4]
+
+
+@pytest.mark.parametrize("grid", [Grid(0.0, 1.0, 10), Grid(-2.3, 5.1, 37),
+                                  Grid(1e-3, 1e-3 + 1e-12, 5)])
+def test_window_runs_select_the_nodes_of_window_mask(grid):
+    # bounds on, just inside and just outside each node's widened window edge,
+    # where the two comparisons decide alone
+    x, tol = grid.nodes, 1e-9 * grid.h
+    bounds = np.concatenate([x, x + tol, x - tol, np.nextafter(x + tol, np.inf),
+                             np.nextafter(x - tol, -np.inf), [grid.a - 1, grid.b + 1]])
+    lo, hi = np.meshgrid(bounds, bounds)
+    start, stop = window_runs(grid, lo.ravel(), hi.ravel())
+    index = np.arange(x.size)
+    for l, h, i, j in zip(lo.ravel(), hi.ravel(), start, stop):
+        assert np.array_equal(window_mask(grid, l, h), (index >= i) & (index < j))
 
 
 # each count argument, called with a value, and the message it rejects with

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflow import (CompactSeminormFamily, Grid, GridFunction,
-                      MixedSeminorm, WindowOrientation, eval_mixed, eval_pn)
+                      MixedSeminorm, WindowOrientation, eval_mixed, eval_pn,
+                      seminorm_ladder)
 
 
 RIGHT10 = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
@@ -115,3 +116,64 @@ def test_mixed_transfer_property(seed):
                 continue
             mixed = MixedSeminorm(RIGHT10, w)
             assert eval_mixed(mixed, v) >= lam * eval_mixed(mixed, f) - 1e-12
+
+
+def _eval_pn_ladder(fam, grid, values):
+    """[eval_pn(fam, n, row) for n] of each row, or the first error raised."""
+    rows = np.atleast_2d(values)
+    try:
+        out = [[eval_pn(fam, n, GridFunction(grid, r)) for n in range(1, fam.max_index + 1)]
+               for r in rows]
+    except ValueError as exc:
+        return str(exc)
+    return np.array(out).reshape(np.shape(values)[:-1] + (fam.max_index,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(WindowOrientation)), st.integers(1, 12),
+       st.one_of(st.integers(-14, 4).map(float),
+                 st.floats(-14.0, 4.0, allow_nan=False)),
+       st.one_of(st.integers(1, 20).map(float), st.floats(0.3, 20.0)),
+       st.integers(2, 300), st.integers(0, 4), st.integers(0, 2 ** 31 - 1))
+def test_ladder_equals_eval_pn_bit_for_bit(orientation, max_index, a, length,
+                                           n_cells, rows, seed):
+    # grids from [-14, -13.7] to [4, 24], so windows lie inside, partly off,
+    # or wholly off the grid; integer endpoints put nodes on window bounds
+    fam = CompactSeminormFamily(orientation, max_index)
+    grid = Grid(a, a + length, n_cells)
+    rng = np.random.default_rng(seed)
+    shape = (n_cells + 1,) if rows == 0 else (rows, n_cells + 1)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    values[rng.random(size=shape) < 0.2] = -0.0
+    expected = _eval_pn_ladder(fam, grid, values)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            seminorm_ladder(fam, grid, values)
+        assert str(info.value) == expected
+        return
+    ladder = seminorm_ladder(fam, grid, values)
+    assert ladder.shape == expected.shape
+    assert np.array_equal(ladder, expected)
+    for k, row in enumerate(np.atleast_2d(values)):
+        assert np.array_equal(seminorm_ladder(fam, grid, row), np.atleast_2d(ladder)[k])
+
+
+@pytest.mark.parametrize("orientation, grid, message", [
+    # [0, 1] meets [-0.5, 9.5] but holds none of its nodes -0.5, 4.5, 9.5
+    (WindowOrientation.RIGHT, Grid(-0.5, 9.5, 2), r"window \[0.0, 1.0\] contains no grid node"),
+    (WindowOrientation.LEFT, Grid(-10.5, -1.5, 2), "does not intersect the grid interval"),
+    (WindowOrientation.SYMMETRIC, Grid(3.0, 9.0, 4), "does not intersect the grid interval"),
+])
+def test_ladder_rejects_a_window_without_nodes_as_eval_pn_does(orientation, grid, message):
+    fam = CompactSeminormFamily(orientation, 8)
+    f = GridFunction(grid, np.arange(grid.n_cells + 1.0))
+    for run in (lambda: eval_pn(fam, 1, f), lambda: seminorm_ladder(fam, grid, f.values)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    # wider windows reach the nodes, so only the ladder and p_1 fail
+    assert eval_pn(fam, 8, f) > 0
+
+
+def test_ladder_rejects_values_off_the_grid():
+    with pytest.raises(ValueError, match="expected 11 node values"):
+        seminorm_ladder(RIGHT10, Grid(0.0, 10.0, 10), np.ones((2, 12)))
