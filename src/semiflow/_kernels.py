@@ -213,21 +213,36 @@ def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
 
 def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
                  dtq: np.ndarray, n_steps: int) -> np.ndarray:
-    """March ``n_steps`` explicit upwind steps and return the new edge values.
+    """March ``n_steps`` explicit upwind steps and return the new edge values,
+    a fresh C-ordered array of the shape of ``values``, (E, n + 1).
 
     Interior nodes use the one-sided difference toward the tail (transport
     runs from x = 1 toward x = 0); each tail node is then refilled from the
     just-updated head values through the velocity-weighted coupling matrix,
-    which keeps the unit-CFL step an exact shift.
+    which keeps the unit-CFL step a shift, up to the rounding of
+    u_i + (u_{i+1} - u_i).
+
+    The march runs node-major, on a copy of shape (n + 1, E), so that the
+    head row and the tail row are contiguous, and each step is six numpy
+    calls into two buffers allocated once.  The arithmetic and its order are
+    those of ``u[:, :-1] += nu (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] u[:, :-1]``
+    on the edge-major state, so the result does not depend on the layout.
     """
-    u = np.array(values, dtype=np.float64, copy=True)
+    u = np.array(np.asarray(values, dtype=np.float64).T, order="C")
     coupling = np.asarray(coupling, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
-    dtq = np.asarray(dtq, dtype=np.float64)
+    dtq = np.ascontiguousarray(np.asarray(dtq, dtype=np.float64)[:, :-1].T)
+    lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
+    flux = np.empty_like(lower)
+    gain = np.empty_like(lower)
     for _ in range(int(n_steps)):
-        u[:, :-1] += nu[:, None] * (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] * u[:, :-1]
-        u[:, -1] = coupling @ u[:, 0]
-    return u
+        np.subtract(upper, lower, out=flux)
+        np.multiply(nu, flux, out=flux)
+        np.multiply(dtq, lower, out=gain)
+        np.add(flux, gain, out=flux)
+        np.add(lower, flux, out=lower)
+        np.matmul(coupling, head, out=tail)
+    return u.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +255,21 @@ def _interp(table: np.ndarray, edge: np.ndarray, idx: np.ndarray,
     return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
 
 
+def _panel(pos: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel index and fraction across it of the points ``pos`` on a grid of
+    n panels of width h, clamped to the end panels: ``np.clip``'s bounds
+    without its slow wrapper.  The one difference, a fraction of +0.0 where
+    ``np.clip`` keeps -0.0, needs pos = -0.0, which the tracer never reads."""
+    x = pos / h
+    idx = np.minimum(np.maximum(x.astype(np.int64), 0), n - 1)
+    return idx, np.minimum(np.maximum(x - idx, 0.0), 1.0)
+
+
 def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
                 h: float) -> np.ndarray:
     """Linear interpolant of the rows ``table[edge]`` at the points ``pos``,
     clamped to the end panels."""
-    n = table.shape[1] - 1
-    idx = np.clip((pos / h).astype(np.int64), 0, n - 1)
-    frac = np.clip(pos / h - idx, 0.0, 1.0)
-    return _interp(table, edge, idx, frac)
+    return _interp(table, edge, *_panel(pos, h, table.shape[1] - 1))
 
 
 class FrontierLimitError(ValueError):
@@ -284,11 +306,18 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     node), and every other path splits over the children of its edge and
     continues from their heads.  Each entry does the same arithmetic as in a
     one-time call, so every row equals the call for its time alone, bit for
-    bit.  ``FRONTIER_LIMIT`` counts the entries of every time in the call: a
-    call that would create more raises ``FrontierLimitError`` (a
-    ``ValueError``) naming its largest time, and a call whose crossings at
-    the slowest speed from the live edges alone, summed over its times,
-    would pass the limit is rejected before tracing.
+    bit.  A foot's panel and fraction (``_panel``) are found once and serve
+    both the ``qcum`` read and the data read.  The gain integral at a path's
+    start is the interpolant at its node on the first level and
+    ``qcum[edge, 0]`` after a crossing: the interpolant at x = 0 reads
+    1 qcum[edge, 0] + 0 qcum[edge, 1], which is that value for finite
+    ``qcum`` (``Network`` rejects an overflowing one).
+
+    ``FRONTIER_LIMIT`` counts the entries of every time in the call: a call
+    that would create more raises ``FrontierLimitError`` (a ``ValueError``)
+    naming its largest time, and a call whose crossings at the slowest speed
+    from the live edges alone, summed over its times, would pass the limit
+    is rejected before tracing.
 
     The up-front bound counts one path per node of a live edge and ignores
     branching, so on a branching graph the in-loop limit acts late: a call
@@ -335,6 +364,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     pos = np.tile(np.arange(n_nodes) * h, n_edges * times.size)
     trem = np.repeat(times.ravel(), per_time)
     weight = np.ones(origin.size)
+    start_q = _lin_interp(qcum, edge, pos, h)  # gain integral at each start
     out = np.zeros(origin.size)
     total = origin.size
     level = 0
@@ -342,11 +372,11 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         ce = c[edge]
         to_tail = (1.0 - pos) / ce
         done = trem <= to_tail
-        e, p = edge[done], pos[done]
-        foot = np.minimum(p + ce[done] * trem[done], 1.0)
-        gain = (_lin_interp(qcum, e, foot, h) - _lin_interp(qcum, e, p, h)) / ce[done]
+        e, ced = edge[done], ce[done]
+        idx, frac = _panel(np.minimum(pos[done] + ced * trem[done], 1.0), h, n)
+        gain = (_interp(qcum, e, idx, frac) - start_q[done]) / ced
         np.add.at(out, origin[done],
-                  weight[done] * np.exp(gain) * _lin_interp(vals, e, foot, h))
+                  weight[done] * np.exp(gain) * _interp(vals, e, idx, frac))
 
         go = ~done
         e = edge[go]
@@ -357,7 +387,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         total += size
         if total > FRONTIER_LIMIT:
             raise frontier_error(t_max, total)
-        gain = (qcum[e, n] - _lin_interp(qcum, e, pos[go], h)) / ce[go]
+        gain = (qcum[e, n] - start_q[go]) / ce[go]
         child = (np.repeat(first_child[e], counts) + np.arange(size)
                  - np.repeat(np.cumsum(counts) - counts, counts))
         origin = np.repeat(origin[go], counts)
@@ -365,6 +395,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         weight = np.repeat(weight[go] * np.exp(gain), counts) * bweight[child]
         edge = cols[child]
         pos = np.zeros(size)
+        start_q = qcum[edge, 0]
         level += 1
     return out.reshape(times.shape + (n_edges, n_nodes))
 

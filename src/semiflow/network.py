@@ -40,10 +40,11 @@ from .semigroups import Semigroup
 
 
 # Most cell-steps (edge nodes times time steps) one ``simulate_flow`` upwind
-# march may take.  On a 2-core Xeon with numpy 2.4 a cell-step costs 8 ns
-# with 64 edges of 401 nodes, 21 ns with 2 edges of 401 nodes and 49 ns with
-# 8 edges of 51 nodes (per-step overhead dominates small rows), so this keeps
-# a march under about 2-13 s.  The default CLI march takes 1.4e6.
+# march may take.  On a 2-core Xeon with numpy 2.4 a cell-step of the
+# node-major march costs 2.5 ns with 64 edges of 401 nodes, 11 ns with 2
+# edges of 401 nodes and 14 ns with 8 edges of 51 nodes (per-step overhead
+# dominates small states), so this keeps a march under about 1-4 s.  The
+# default CLI march takes 1.4e6.
 UPWIND_CELL_STEP_LIMIT = 2 ** 28
 
 # Most state values in one block of times of ``characteristics_orbit``.
@@ -110,7 +111,14 @@ class Network:
             raise ValidationError("absorption values must be finite")
         bc = build_adjacency(self) * (c[None, :] / c[:, None])
         qc = np.zeros_like(q)
-        qc[:, 1:] = np.cumsum(0.5 * self.grid.h * (q[:, :-1] + q[:, 1:]), axis=1)
+        # finite absorption near the float limit can still overflow its sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            qc[:, 1:] = np.cumsum(0.5 * self.grid.h * (q[:, :-1] + q[:, 1:]), axis=1)
+        overflow = ~np.isfinite(qc[:, -1])
+        if np.any(overflow):
+            raise ValidationError(
+                f"the absorption integral of edge {int(np.argmax(overflow))} "
+                "overflows; absorption values must be smaller")
         for name, arr in (("velocities", c), ("absorption", q), ("coupling", bc),
                           ("absorption_integral", qc)):
             arr.setflags(write=False)

@@ -230,6 +230,20 @@ def test_unsolvable_network_input_exits_two(argv, names, tmp_path):
         assert leak not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_absorption_whose_integral_overflows_exits_two(command, tmp_path):
+    # finite absorption, but the trapezoid sum 1e308 + 1e308 overflows: the
+    # network is rejected when it is built, before any solver runs
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(dict(json.loads(TWO_CYCLE.read_text()),
+                                    absorption=[1e308, 0.0])))
+    proc = run_cli_process(command, "--network", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: the absorption integral of edge 0 overflows; "
+                           "absorption values must be smaller\n")
+    assert proc.stdout == ""
+
+
 def test_orbit_over_the_frontier_limit_names_the_largest_time(tmp_path):
     # speeds [1, sqrt 2] fit no time grid, so the orbit traces; its 11
     # output times go in blocks, and the first block is already over the

@@ -611,6 +611,26 @@ def test_edge_state_is_a_grid_function_with_one_row_per_edge():
         EdgeState(net.grid, np.full((2, 21), np.nan))
 
 
+@pytest.mark.parametrize("edge, row", [
+    # the trapezoid sum 1e308 + 1e308 of one panel overflows to inf
+    (0, [1e308] * 21),
+    # a panel of +inf and a later one of -inf: the running sum ends in nan
+    (1, [1e308, 1e308, 0.0, -1e308, -1e308] + [0.0] * 16),
+], ids=["inf", "nan"])
+def test_absorption_whose_integral_overflows_is_rejected(edge, row):
+    q = np.zeros((2, 21))
+    q[edge] = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=f"absorption integral of edge {edge} overflows"):
+            Network(2, (Edge(0, 1), Edge(1, 0)), ((1, 0, 1.0), (0, 1, 1.0)),
+                    np.ones(2), q, Grid(0.0, 1.0, 20))
+    # just below the overflow the network is built and its integral is finite
+    net = two_cycle(n_cells=20, absorption=[8e307, 0.0])
+    assert np.all(np.isfinite(net.absorption_integral))
+
+
 def test_edge_state_rows_must_match_in_arithmetic():
     net = two_cycle(n_cells=20)
     one = EdgeState(net.grid, np.ones((1, 21)))
