@@ -91,8 +91,12 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     scalar or per-row rate gives the same result as per-panel rates equal
     to it.  Where rate * h overflows to inf, the panel takes its limit as
     rate * h -> inf, d = hA = 0 and hB = 1/rate, so y_i = v_i / rate.
+
+    The march runs node-major, along axis 0 of a transposed copy of the
+    data, which then serves as its scratch and as the storage of the
+    result: a new C-ordered array, with the input left as it is.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
         raise ValueError("values must be one row or a stack of rows with at "
                          "least two nodes")
@@ -105,6 +109,12 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         raise ValueError("rate must be a scalar, one value per row or one value "
                          "per panel of each row")
     panel = rate_arr.ndim > 0 and not per_row
+    # node-major: the march below runs along axis 0, and node i of every row
+    # is one contiguous slice
+    if per_row:
+        rate_arr = rate_arr[:, 0]
+    elif panel:
+        rate_arr = np.ascontiguousarray(rate_arr.T)
     with np.errstate(over="ignore"):
         z = rate_arr * h
     d, a, b = panel_decay_weights(z)
@@ -114,11 +124,15 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
     if not rate_arr.ndim:
         d, ha, hb = float(d), float(ha), float(hb)
-    out = np.empty_like(v)
-    out[..., 0] = 0.0
-    w = out[..., 1:]
-    np.multiply(ha, v[..., :-1], out=w)
-    w += hb * v[..., 1:]
+    # a copy, never the caller's array: once w is built it is spent, and
+    # its first n nodes are the buffer of every pass
+    vt = v.T.copy()
+    out = np.empty_like(vt)
+    out[0] = 0.0
+    w = out[1:]
+    np.multiply(ha, vt[:-1], out=w)
+    np.multiply(hb, vt[1:], out=vt[1:])
+    w += vt[1:]
     # y_{i+1} = d_i y_i + w_i by recursive doubling.  Before the pass with
     # step s, w_i sums the recurrence over the s panels ending at panel i and
     # d_i is their decay; the pass doubles both spans.  A scalar or per-row
@@ -129,13 +143,20 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     # network_resolvent checks that its solution is finite and raises.
     s = 1
     while s < n and (panel or (np.any(d) if per_row else d)):
-        w[..., s:] += (d[..., s:] if panel else d) * w[..., :-s]
+        t = np.multiply(d[s:] if panel else d, w[:-s], vt[:n - s])
+        tail = w[s:]
+        tail += t
         if panel:
-            d[..., s:] *= d[..., :-s]
+            d[s:] *= d[:-s]
         else:
             d *= d
         s *= 2
-    return out
+    if v.ndim == 1:
+        return out
+    # back to row-major in the spent copy, so no third array is live
+    result = vt.reshape(v.shape)
+    result[...] = out.T
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -466,22 +466,27 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     defect over the scheme budget (a nan residual is over).  Overflow and
     invalid values raise no numpy warning: the finiteness check reports them.
     """
-    return _network_resolvents(net, lam, [g])[0][0]
+    return next(_network_resolvents(net, [lam], [g]))[0][0]
 
 
-def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
-                        ) -> list[tuple[EdgeState, float]]:
-    """``network_resolvent`` for each state of ``gs`` at one lambda: each
-    solution, in the order of ``gs``, with its ``defect_budget``.
+def _network_resolvents(net: Network, lambdas: Sequence[float],
+                        gs: Sequence[EdgeState]
+                        ) -> Iterator[list[tuple[EdgeState, float]]]:
+    """``network_resolvent`` for each state of ``gs`` at each lambda of
+    ``lambdas``: for each lambda in turn, the solutions in the order of
+    ``gs``, each with its ``defect_budget``.
 
-    The rates, the decay factors and the coupling system are built once,
-    and one damped-integral call integrates all S E edge rows of the S
-    states.  The coupling solve and the checks then run state by state, in
-    order, so the first breakdown raises as a one-state call would.  The
+    What does not depend on lambda is done once: the states are checked
+    and stacked with every edge reversed, and the panel means of the
+    absorption are taken.  At each lambda the rates, the decay factors and
+    the coupling system are built once, and one damped-integral call
+    integrates all S E edge rows of the S states.  The coupling solve and
+    the checks then run state by state, in order, so the first breakdown
+    raises as a one-state call would, and no later lambda is solved.  The
     "not strictly damped" warning (q >= 1) depends on lambda alone: it is
-    given once per call, attributed to the caller's caller.
+    given once per lambda, attributed to the caller's caller.
     """
-    lam = check_lambda(lam)
+    lambdas = [check_lambda(lam) for lam in lambdas]
     for g in gs:
         _check_state(net, g)
     h = net.grid.h
@@ -490,52 +495,64 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
     q = net.absorption
     bc = net.coupling
     n_edges = net.n_edges
+    q_mean = 0.5 * (q[:, :-1] + q[:, 1:])  # per panel
+    # every edge of every state, from the tail to the head
+    reversed_stack = np.stack([g.values[:, ::-1] for g in gs]).reshape(-1, n + 1)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]  # per panel
-        zsum = np.zeros((n_edges, n + 1))
-        zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
-        nu = suffix[:, 0]
-        # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
-        q_norm = float(np.max((c * nu) @ bc / c))
-        if not q_norm < 1.0:
-            # the Neumann series no longer guarantees that the system is
-            # invertible; the solves below are direct either way
-            warnings.warn(
-                "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
-                f"{q_norm!r}, not below 1); attempting a direct solve; increase lambda "
-                "for a guaranteed solve", RuntimeWarning, stacklevel=3)
-        system = np.eye(n_edges) - nu[:, None] * bc
-        # int_x^1 exp-damped g, every edge of every state integrated from
-        # the tail at once
-        row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
-                     else rates[:, ::-1])
-        stack = np.stack([g.values[:, ::-1] for g in gs]).reshape(-1, n + 1)
-        stack = damped_cumulative_integral(stack, h, np.tile(row_rates, (len(gs), 1)))
-        backward = stack.reshape(len(gs), n_edges, n + 1)[..., ::-1]
-
-    solved = []
-    for g, back in zip(gs, backward):
+    for lam in lambdas:
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                f0 = np.linalg.solve(system, back[:, 0] / c)
-            except np.linalg.LinAlgError:
-                raise _breakdown(lam, "the vertex coupling system is singular") from None
-            f = suffix * (bc @ f0)[:, None] + back / c[:, None]
-            if not np.all(np.isfinite(f)):
-                raise _breakdown(lam, "the solution is not finite")
-        bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
-        if not bc_residual <= 1e-9:
-            raise _breakdown(lam, f"boundary condition residual {bc_residual!r} exceeds 1e-9")
-        fstate = EdgeState(net.grid, f)
-        worst = resolvent_defect_norm(net, lam, g, fstate)
-        tol = defect_budget(net, lam, f, g.values)
-        if not worst <= tol:
-            raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
-                             f"scheme budget {tol!r}")
-        solved.append((fstate, tol))
-    return solved
+            rates = (lam - q_mean) / c[:, None]
+            zsum = np.zeros((n_edges, n + 1))
+            zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
+            suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
+            nu = suffix[:, 0]
+            # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
+            q_norm = float(np.max((c * nu) @ bc / c))
+            if math.isnan(q_norm):
+                # an overflowed nu_j times a zero of Bc is nan in the
+                # product; such a term is 0, and any other one is inf
+                terms = np.where(bc != 0, (c * nu)[:, None] * bc, 0.0)
+                q_norm = float(np.max(terms.sum(axis=0) / c))
+            if not q_norm < 1.0:
+                # the Neumann series no longer guarantees that the system is
+                # invertible; the solves below are direct either way
+                warnings.warn(
+                    "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+                    f"{q_norm!r}, not below 1); attempting a direct solve; increase "
+                    "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
+            system = np.eye(n_edges) - nu[:, None] * bc
+            # int_x^1 exp-damped g, every edge of every state integrated
+            # from the tail at once
+            row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
+                         else rates[:, ::-1])
+            backward = damped_cumulative_integral(
+                reversed_stack, h, np.tile(row_rates, (len(gs), 1)))
+            backward = backward.reshape(len(gs), n_edges, n + 1)[..., ::-1]
+
+        solved = []
+        for g, back in zip(gs, backward):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    f0 = np.linalg.solve(system, back[:, 0] / c)
+                except np.linalg.LinAlgError:
+                    raise _breakdown(lam, "the vertex coupling system is singular") from None
+                f = suffix * (bc @ f0)[:, None] + back / c[:, None]
+                if not np.all(np.isfinite(f)):
+                    raise _breakdown(lam, "the solution is not finite")
+            bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
+            if not bc_residual <= 1e-9:
+                raise _breakdown(lam, f"boundary condition residual {bc_residual!r} "
+                                 "exceeds 1e-9")
+            fstate = EdgeState(net.grid, f)
+            worst = resolvent_defect_norm(net, lam, g, fstate)
+            tol = defect_budget(net, lam, f, g.values)
+            if not worst <= tol:
+                raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
+                                 f"scheme budget {tol!r}")
+            solved.append((fstate, tol))
+        # only the solutions outlive the lambda
+        del rates, zsum, suffix, nu, system, row_rates, backward, back, f
+        yield solved
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
@@ -593,14 +610,14 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     lambdas = check_lambdas(lambdas)
     contraction_wit = []
     states = sample_states(net, n_samples, seed)
+    g_norms = [supnorm_l1_weighted(g, net.velocities) for _, g in states]
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
-    for lam in lambdas:
-        solved = _network_resolvents(net, lam, [g for _, g in states])
-        for (sid, gstate), (fstate, budget) in zip(states, solved):
+    solves = _network_resolvents(net, lambdas, [g for _, g in states])
+    for lam, solved in zip(lambdas, solves):
+        for (sid, _), rhs, (fstate, budget) in zip(states, g_norms, solved):
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
-                rhs = supnorm_l1_weighted(gstate, net.velocities)
                 if lhs > rhs * (1.0 + 1e-6):
                     contraction_wit.append(Witness(sid, lam, None, lhs, rhs))
             # the solve has enforced both range residuals, the defect within

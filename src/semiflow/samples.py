@@ -12,14 +12,19 @@ import numpy as np
 from .grid import Grid, GridFunction, check_integer
 
 
+def _bump(x: np.ndarray, center, width, amplitude) -> np.ndarray:
+    """cos^2 bump values at the nodes x; center, width and amplitude are
+    scalars or columns of one value per row."""
+    r = (x - center) / (width / 2.0)
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 1.0
+    out[inside] = np.cos(0.5 * np.pi * r[inside]) ** 2
+    return np.multiply(amplitude, out, out=out, where=inside)
+
+
 def smooth_bump(grid: Grid, center: float, width: float, amplitude: float = 1.0) -> GridFunction:
     """cos^2 bump supported on [center - width/2, center + width/2]."""
-    x = grid.nodes
-    r = (x - center) / (width / 2.0)
-    out = np.zeros_like(x)
-    inside = np.abs(r) < 1.0
-    out[inside] = amplitude * np.cos(0.5 * np.pi * r[inside]) ** 2
-    return GridFunction(grid, out)
+    return GridFunction(grid, _bump(grid.nodes, center, width, amplitude))
 
 
 def plateau_ramp(grid: Grid, n: int) -> GridFunction:
@@ -36,56 +41,70 @@ def plateau_ramp(grid: Grid, n: int) -> GridFunction:
     return GridFunction(grid, out)
 
 
-def _one_sample(grid: Grid, kind: str, rng: np.random.Generator,
-                vanish_left: bool) -> np.ndarray:
-    x = grid.nodes
-    a, b = grid.a, grid.b
-    span = b - a
-    if kind == "bump":
-        width = span * rng.uniform(0.1, 0.4)
-        center = rng.uniform(a + 0.6 * width, b - 0.6 * width)
-        amp = rng.uniform(0.2, 2.0)
-        return smooth_bump(grid, center, width, amp).values
-    if kind == "expdecay":
-        rate = rng.uniform(0.2, 2.0) / span
-        amp = rng.uniform(0.2, 2.0)
-        out = amp * np.exp(-rate * (x - a))
-    elif kind == "trigprod":
-        k1 = rng.integers(1, 4)
-        k2 = rng.integers(1, 3)
-        amp = rng.uniform(0.2, 2.0)
-        out = amp * np.sin(k1 * np.pi * (x - a) / span) * np.cos(k2 * (x - a))
-    elif kind == "smoothramp":
-        loc = rng.uniform(a + 0.2 * span, a + 0.8 * span)
-        steep = rng.uniform(2.0, 8.0) / span
-        amp = rng.uniform(0.2, 2.0)
-        out = amp * 0.5 * (1.0 + np.tanh(steep * (x - loc) * 4.0))
-    else:
-        raise ValueError(f"unknown sample kind '{kind}'")
-    if vanish_left:
-        # smooth factor vanishing at the left endpoint, for boundary domains
-        out = out * (-np.expm1(-(x - a) / (0.15 * span)))
-    return out
-
-
 _KINDS = ("bump", "expdecay", "trigprod", "smoothramp")
+
+
+def _columns(flat: list, n_params: int) -> np.ndarray:
+    """``n_params`` parameters per sample, drawn sample after sample, as
+    columns: entry i of the result is parameter i of every sample, shape
+    (samples, 1)."""
+    return np.array(flat, dtype=np.float64).reshape(-1, n_params).T[:, :, None]
 
 
 def sample_functions(grid: Grid, count: int, seed: int,
                      vanish_left: bool = False) -> list[tuple[str, GridFunction]]:
     """Draw ``count`` reproducible samples on ``grid``.
 
-    With ``vanish_left`` the non-compactly-supported kinds are multiplied by
-    a smooth cutoff vanishing at the left endpoint, so every sample satisfies
-    a left boundary condition f(a) = 0.
+    Sample k is of kind ``_KINDS[k % 4]``; its parameters are drawn from one
+    generator, sample by sample, and each kind's formula is then evaluated
+    once over all of its rows.  With ``vanish_left`` the
+    non-compactly-supported kinds are multiplied by a smooth cutoff
+    vanishing at the left endpoint, so every sample satisfies a left
+    boundary condition f(a) = 0.
     """
     rng = np.random.default_rng(seed)
-    out: list[tuple[str, GridFunction]] = []
+    x = grid.nodes
+    a, b = grid.a, grid.b
+    span = b - a
+    uniform = rng.uniform
+    # the parameters of each kind, sample after sample, in draw order
+    draws: tuple[list, list, list, list] = ([], [], [], [])
     for k in range(count):
-        kind = _KINDS[k % len(_KINDS)]
-        vals = _one_sample(grid, kind, rng, vanish_left)
-        out.append((f"{kind}:seed={seed}:k={k}", GridFunction(grid, vals)))
-    return out
+        kind = k % 4
+        if kind == 0:  # bump: width, center, amplitude
+            width = span * uniform(0.1, 0.4)
+            draws[0].extend((width, uniform(a + 0.6 * width, b - 0.6 * width),
+                             uniform(0.2, 2.0)))
+        elif kind == 1:  # expdecay: rate, amplitude
+            draws[1].extend((uniform(0.2, 2.0) / span, uniform(0.2, 2.0)))
+        elif kind == 2:  # trigprod: two integer frequencies, amplitude
+            draws[2].extend((int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                             uniform(0.2, 2.0)))
+        else:  # smoothramp: location, steepness, amplitude
+            draws[3].extend((uniform(a + 0.2 * span, a + 0.8 * span),
+                             uniform(2.0, 8.0) / span, uniform(0.2, 2.0)))
+    # the rows of each kind that was drawn, in kind order
+    xa = x - a
+    rows = []
+    if draws[0]:
+        width, center, amp = _columns(draws[0], 3)
+        rows.append(_bump(x, center, width, amp))
+    if draws[1]:
+        rate, amp = _columns(draws[1], 2)
+        rows.append(amp * np.exp(-rate * xa))
+    if draws[2]:
+        k1, k2, amp = _columns(draws[2], 3)
+        rows.append(amp * np.sin(k1 * np.pi * xa / span) * np.cos(k2 * xa))
+    if draws[3]:
+        loc, steep, amp = _columns(draws[3], 3)
+        rows.append(amp * 0.5 * (1.0 + np.tanh(steep * (x - loc) * 4.0)))
+    if vanish_left and len(rows) > 1:
+        # smooth factor vanishing at the left endpoint, for boundary domains;
+        # the bump, compactly supported, keeps its values
+        cutoff = -np.expm1(-xa / (0.15 * span))
+        rows[1:] = [kind_rows * cutoff for kind_rows in rows[1:]]
+    return [(f"{_KINDS[k % 4]}:seed={seed}:k={k}", GridFunction(grid, rows[k % 4][k // 4]))
+            for k in range(count)]
 
 
 def probe_functions(grid: Grid, count: int, seed: int) -> list[GridFunction]:

@@ -464,3 +464,21 @@ def test_json_floats_have_17_significant_digits(capsys):
     _, out = run_cli(capsys, "counterexample")
     # the frozen lower bound must appear at full precision
     assert "0.049787068367863944" in out
+
+
+def test_overflowed_damping_warning_quotes_q_inf(tmp_path):
+    # the two-cycle with absorption 3000: every nu_j = exp(2999.9) overflows,
+    # and the warning quotes q = inf (it read nan) before the breakdown
+    absorbing = tmp_path / "absorbing.json"
+    absorbing.write_text(json.dumps(dict(json.loads(TWO_CYCLE.read_text()),
+                                         absorption=3000.0)))
+    proc = run_cli_process("check", "--network", str(absorbing))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0].endswith(
+        "RuntimeWarning: vertex coupling is not strictly damped (q = max_k sum_j "
+        "nu_j B_jk = inf, not below 1); attempting a direct solve; increase lambda "
+        "for a guaranteed solve")
+    assert lines[-1] == ("error: network resolvent breaks down at lambda 0.1: "
+                         "the solution is not finite")
+    assert "nan" not in proc.stderr

@@ -800,3 +800,113 @@ def test_network_kernels_keep_their_positional_signatures():
         "values", "coupling", "c", "qcum", "h", "t", "cap"]
     assert network.upwind_sweep is K.upwind_sweep
     assert network.trace_transport is K.trace_transport
+
+
+def test_damped_integral_keeps_its_positional_signature():
+    # the benchmark's tracer patches the damped integral by name on
+    # semiflow.network and semiflow.operators and reads its arguments by
+    # position: the data first, the rate third
+    from semiflow import network, operators
+    assert list(inspect.signature(K.damped_cumulative_integral).parameters) == [
+        "values", "h", "rate"]
+    assert network.damped_cumulative_integral is K.damped_cumulative_integral
+    assert operators.damped_cumulative_integral is K.damped_cumulative_integral
+
+
+def _damped_row_major(values, h, rate):
+    # the damped integral as written before it marched node-major, verbatim
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ValueError("values must be one row or a stack of rows with at "
+                         "least two nodes")
+    if not h > 0:
+        raise ValueError("panel width must be positive")
+    n = v.shape[-1] - 1
+    rate_arr = np.asarray(rate, dtype=np.float64)
+    per_row = v.ndim == 2 and rate_arr.shape == (v.shape[0], 1)
+    if rate_arr.ndim and not per_row and rate_arr.shape != v.shape[:-1] + (n,):
+        raise ValueError("rate must be a scalar, one value per row or one value "
+                         "per panel of each row")
+    panel = rate_arr.ndim > 0 and not per_row
+    with np.errstate(over="ignore"):
+        z = rate_arr * h
+    d, a, b = K.panel_decay_weights(z)
+    ha, hb = a * h, b * h
+    over = z == np.inf
+    if np.any(over):
+        hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
+    if not rate_arr.ndim:
+        d, ha, hb = float(d), float(ha), float(hb)
+    out = np.empty_like(v)
+    out[..., 0] = 0.0
+    w = out[..., 1:]
+    np.multiply(ha, v[..., :-1], out=w)
+    w += hb * v[..., 1:]
+    s = 1
+    while s < n and (panel or (np.any(d) if per_row else d)):
+        w[..., s:] += (d[..., s:] if panel else d) * w[..., :-s]
+        if panel:
+            d[..., s:] *= d[..., :-s]
+        else:
+            d *= d
+        s *= 2
+    return out
+
+
+# (panel width, rate draw): ordinary decay; rates whose rate h overflows to
+# inf on some panels; negative rates, whose factors overflow to inf and give
+# nan where they meet an exact-zero partial sum; and rates whose factors
+# underflow to 0 after a pass or two
+DAMPED_REGIMES = {
+    "decaying": (0.01, lambda rng, shape: rng.uniform(0.05, 3.0, shape)),
+    "overflowing": (2.5, lambda rng, shape: np.where(rng.random(shape) < 0.4, 1e308,
+                                                     rng.uniform(0.05, 3.0, shape))),
+    "negative": (0.01, lambda rng, shape: rng.uniform(-3e4, -0.1, shape)),
+    "underflowing": (0.01, lambda rng, shape: rng.uniform(2e3, 9e4, shape)),
+}
+
+
+def _layouts(v):
+    """The same data C-ordered, Fortran-ordered, as a transposed view and as
+    a view with negative strides (a 1-D row: C-ordered, strided, reversed)."""
+    if v.ndim == 1:
+        spread = np.zeros(2 * v.size)
+        spread[::2] = v
+        return {"c_order": v.copy(), "strided": spread[::2],
+                "reversed": v[::-1].copy()[::-1]}
+    return {"c_order": v.copy(), "fortran": np.asfortranarray(v),
+            "transposed_view": np.ascontiguousarray(v.T).T,
+            "reversed": v[:, ::-1].copy()[:, ::-1]}
+
+
+@pytest.mark.parametrize("regime", list(DAMPED_REGIMES))
+@pytest.mark.parametrize("rows", [None, 1, 16, 128, 512],
+                         ids=["1d", "1", "16", "128", "512"])
+def test_damped_integral_node_major_march_is_bit_identical(rows, regime):
+    h, draw = DAMPED_REGIMES[regime]
+    rng = np.random.default_rng(11)
+    non_finite = False
+    for n in (1, 2, 5, 200):
+        shape = (n + 1,) if rows is None else (rows, n + 1)
+        v = rng.standard_normal(shape)
+        v[..., :(n + 1) // 2] = 0.0  # exact-zero partial sums
+        rates = {"scalar": float(draw(rng, ())),
+                 "per_panel": draw(rng, shape[:-1] + (n,))}
+        if rows is not None:
+            rates["per_row"] = draw(rng, (rows, 1))
+        for kind, rate in rates.items():
+            for layout, given in _layouts(v).items():
+                case = (n, kind, layout)
+                before = given.copy()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = K.damped_cumulative_integral(given, h, rate)
+                    ref = _damped_row_major(given, h, rate)
+                assert got.shape == ref.shape, case
+                assert np.array_equal(got, ref, equal_nan=True), case
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), case
+                assert np.array_equal(given, before), case
+                assert got.flags.c_contiguous, case
+                assert not np.shares_memory(got, given), case
+                non_finite = non_finite or not np.all(np.isfinite(got))
+    # only the negative regime reaches the overflow it is meant to test
+    assert non_finite == (regime == "negative")

@@ -884,3 +884,106 @@ def test_verdict_warns_once_per_lambda():
     prefix = "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
     assert message.startswith(prefix)
     assert float(message[len(prefix):].split(",")[0]) == pytest.approx(math.exp(49.0))
+
+
+def _damping_warning(net, lam, g):
+    """The messages of every warning one resolvent solve gives, and the text
+    of the breakdown it raises."""
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(RuntimeError) as info:
+        warnings.simplefilter("always")
+        network_resolvent(net, lam, g)
+    return [str(w.message) for w in caught], str(info.value)
+
+
+def test_overflowed_decay_factor_gives_q_inf():
+    # absorption 3000 at lambda 0.1: nu_j = exp(2999.9) overflows, and each
+    # meets a zero of the two-cycle's coupling as inf * 0 in (c nu) Bc; that
+    # term is 0 and the other one is inf, so q is inf (nan before), and the
+    # solve then breaks down
+    net = two_cycle(absorption=3000.0)
+    g = sample_states(net, 1, 0)[0][1]
+    messages, error = _damping_warning(net, 0.1, g)
+    assert len(messages) == 1
+    assert "(q = max_k sum_j nu_j B_jk = inf, not below 1)" in messages[0]
+    assert error == "network resolvent breaks down at lambda 0.1: the solution is not finite"
+
+
+def test_overflow_on_an_unfed_edge_leaves_q_finite():
+    # edge 0 leaves vertex 0, which nothing feeds, so row 0 of Bc is zero and
+    # its overflowed nu_0 adds nothing to q: the cycle of edges 1 and 2 gives
+    # q = exp(-0.1) < 1, and nothing warns before the breakdown
+    net = make_network(3, [(0, 1), (1, 2), (2, 1)], velocities=[1.0, 1.0, 1.0],
+                       absorption=[3000.0, 0.0, 0.0], n_cells=50)
+    assert not np.any(net.coupling[0])
+    g = sample_states(net, 1, 0)[0][1]
+    messages, error = _damping_warning(net, 0.1, g)
+    assert messages == []
+    assert error.endswith("the solution is not finite")
+
+
+def test_finite_q_is_quoted_as_computed():
+    # absorption 50 at lambda 1: q = max_k sum_j c_j nu_j B_jk / c_k, bit for
+    # bit as the matrix product gives it
+    net = two_cycle(absorption=50.0)
+    g = sample_states(net, 1, 0)[0][1]
+    messages, _ = _damping_warning(net, 1.0, g)
+    rates = (1.0 - 0.5 * (net.absorption[:, :-1] + net.absorption[:, 1:])) \
+        / net.velocities[:, None]
+    nu = np.exp(-np.cumsum((rates * net.grid.h)[:, ::-1], axis=1)[:, -1])
+    c = net.velocities
+    q = float(np.max((c * nu) @ net.coupling / c))
+    assert math.isfinite(q)
+    assert messages == [
+        f"vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = {q!r}, "
+        "not below 1); attempting a direct solve; increase lambda for a "
+        "guaranteed solve"]
+
+
+def test_verdict_solves_no_lambda_after_a_breakdown(monkeypatch):
+    # the absorption-50 two-cycle breaks down at lambda = 1, the first of
+    # three: one warning, one damped integral, and the error the per-sample
+    # reference raises; lambda 2 and 3 are never solved
+    import semiflow.network as network_module
+    net = two_cycle(absorption=50.0)
+    with warnings.catch_warnings(), pytest.raises(RuntimeError) as info:
+        warnings.simplefilter("ignore")
+        _network_verdict_reference(net, [1.0, 2.0, 3.0], 5, 0)
+    expected = str(info.value)
+    assert expected.startswith("network resolvent breaks down at lambda 1.0: "
+                               "resolvent consistency defect ")
+    calls = []
+
+    def spy(values, h, rate):
+        calls.append(np.shape(values))
+        return damped_cumulative_integral(values, h, rate)
+
+    monkeypatch.setattr(network_module, "damped_cumulative_integral", spy)
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(RuntimeError) as info:
+        warnings.simplefilter("always")
+        network_generation_verdict(net, [1.0, 2.0, 3.0], 5, 0)
+    assert str(info.value) == expected
+    assert len(caught) == 1
+    assert "not strictly damped" in str(caught[0].message)
+    assert calls == [(5 * net.n_edges, net.grid.n_cells + 1)]
+
+
+def test_sample_states_draws_each_state_through_sample_functions(monkeypatch):
+    # the benchmark's tracer times the sample library by patching
+    # semiflow.network.sample_functions: one call per state
+    import semiflow.network as network_module
+    calls = []
+    real = network_module.sample_functions
+
+    def spy(grid, count, seed, *args):
+        calls.append((count, seed))
+        return real(grid, count, seed, *args)
+
+    monkeypatch.setattr(network_module, "sample_functions", spy)
+    net = random_flow_network(5, seed=3, n_cells=40)
+    for k in (1, 2, 7):
+        calls.clear()
+        states = sample_states(net, k, 9)
+        assert len(states) == k
+        assert calls == [(net.n_edges, 9 + 1000 * i) for i in range(k)]
