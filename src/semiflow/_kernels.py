@@ -286,13 +286,6 @@ def _panel(pos: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.minimum(np.maximum(x - idx, 0.0), 1.0)
 
 
-def _lin_interp(table: np.ndarray, edge: np.ndarray, pos: np.ndarray,
-                h: float) -> np.ndarray:
-    """Linear interpolant of the rows ``table[edge]`` at the points ``pos``,
-    clamped to the end panels."""
-    return _interp(table, edge, *_panel(pos, h, table.shape[1] - 1))
-
-
 class FrontierLimitError(ValueError):
     """A tracing call would create more than ``FRONTIER_LIMIT`` entries."""
 
@@ -385,7 +378,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     pos = np.tile(np.arange(n_nodes) * h, n_edges * times.size)
     trem = np.repeat(times.ravel(), per_time)
     weight = np.ones(origin.size)
-    start_q = _lin_interp(qcum, edge, pos, h)  # gain integral at each start
+    start_q = _interp(qcum, edge, *_panel(pos, h, n))  # gain integral at each start
     out = np.zeros(origin.size)
     total = origin.size
     level = 0

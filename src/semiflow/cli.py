@@ -84,19 +84,19 @@ def _emit_json(doc: dict, out_dir, name: str) -> None:
 
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
-# Count options are bounded before any work.  Measured on 2 cores, one
-# resolve costs 20-60 ns per grid node plus 40-70 us of fixed overhead
-# (about 2**10 nodes' worth).  One seminorm ladder, every window of a state
-# at once, costs 1-2 ns per node plus 18-27 us, and one check sample 2-5
-# resolve passes, so the per-rung `--n-max` passes of `euler` and the 2**6
-# passes of a sample over-count.  The translation orbit of `resolvent
-# --horizon` is summed as one convolution, O(steps + N log N): under 1 s at
-# the corners of the bound, which still counts one pass per step.
-# WORK_LIMIT passes x nodes keeps a run under about a minute (20-40 s near
-# the limit); GRID_LIMIT keeps one state at 8 MB.
+# Count options are bounded before any work.  Measured on 2 cores, a resolve
+# costs 20-60 ns per grid node plus 40-70 us (about 2**10 nodes' worth), and
+# a seminorm ladder (all windows of a state) 1-2 ns per node plus 18-27 us,
+# so the per-rung `--n-max` passes of `euler` over-count.  A `check` pair of
+# a sample and a lambda, range probes included, took 0.5-1.3 resolve passes
+# at 2**18 nodes, so SAMPLE_PASSES per pair over-counts too.  Peak RSS takes
+# 15 B per node of each sample or lambda: ~1.1 GB (extrapolated) for the
+# worst admitted run, one sample at 2**26 / nodes lambdas or the reverse.
+# `resolvent --horizon` sums its orbit as one convolution, under 1 s near the
+# bound.  WORK_LIMIT keeps a run under about a minute, GRID_LIMIT a state at 8 MB.
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10
-SAMPLE_PASSES = 2 ** 6
+SAMPLE_PASSES = 2 ** 4
 WORK_LIMIT = 2 ** 30
 
 
@@ -158,8 +158,11 @@ def cmd_check(args) -> int:
             load_network(_network_document(args.network)), lambdas)
         label = "network"
     else:
-        n_cells = args.grid or (4000 if args.operator == "laplacian" else 2000)
-        _bound_work(n_cells, args.samples * SAMPLE_PASSES, f"--samples {args.samples}")
+        n_cells = args.grid
+        if n_cells is None:
+            n_cells = 4000 if args.operator == "laplacian" else 2000
+        _bound_work(n_cells, args.samples * len(lambdas) * SAMPLE_PASSES,
+                    f"--samples {args.samples} and {len(lambdas)} --lambda values")
         gen, family, samples, probes = _operator_setup(
             args.operator, n_cells, args.seed, args.samples)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
@@ -172,11 +175,10 @@ def cmd_euler(args) -> int:
     ladder = [int(v) for v in args.m_ladder.split(",") if v.strip()]
     if not ladder or any(m < 1 for m in ladder):
         raise ValueError("the m ladder needs positive integers")
-    n_cells = args.grid or 4000
-    _bound_work(n_cells, sum(ladder) + len(ladder) * args.n_max,
+    _bound_work(args.grid, sum(ladder) + len(ladder) * args.n_max,
                 "the --m-ladder resolves and --n-max seminorms")
     x_max = args.x_max
-    grid, gen, sg, orientation = _translation_setup(args.operator, n_cells, x_max)
+    grid, gen, sg, orientation = _translation_setup(args.operator, args.grid, x_max)
     center = (min(2.5, 0.45 * x_max) if args.operator == "left_shift"
               else -x_max / 2.0)
     f = smooth_bump(grid, center, min(1.0, 0.2 * x_max))
@@ -206,9 +208,8 @@ def cmd_counterexample(args) -> int:
         raise ValueError("window index n must be >= 1")
     lam = check_lambda(args.lam)
     x_min = max(10.0, args.n + 2.0)
-    n_cells = args.grid or 4000
-    _bound_work(n_cells)
-    grid = Grid(-x_min, 0.0, n_cells)
+    _bound_work(args.grid)
+    grid = Grid(-x_min, 0.0, args.grid)
     f = plateau_ramp(grid, args.n)
     family = CompactSeminormFamily(WindowOrientation.LEFT, args.n)
     p_n_f = eval_pn(family, args.n, f)
@@ -229,9 +230,8 @@ def cmd_heat(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     n = args.n
-    n_cells = args.grid or 4000
-    _bound_work(n_cells)
-    grid = Grid(-float(n), float(n), n_cells)
+    _bound_work(args.grid)
+    grid = Grid(-float(n), float(n), args.grid)
     family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, n)
     f = GridFunction(grid, grid.nodes ** 2)
     shifted = f * lam - laplacian_generator().apply(f)
@@ -278,11 +278,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_resolvent(args) -> int:
     lam = check_lambda(args.lam)
-    n_cells = args.grid or 2000
-    _bound_work(n_cells, 1 if args.horizon is None else args.steps + 2,
+    _bound_work(args.grid, 1 if args.horizon is None else args.steps + 2,
                 f"--steps {args.steps}")
     grid, gen, sg, _ = _translation_setup(
-        args.operator, n_cells, 20.0 if args.operator == "left_shift" else 10.0)
+        args.operator, args.grid, 20.0 if args.operator == "left_shift" else 10.0)
     if args.input == "ones":
         g = GridFunction(grid, np.ones(grid.n_cells + 1))
     elif args.input == "bump":
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="left_shift")
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--m-ladder", default="4,16,64,256,1024")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, default=4000)
     p.add_argument("--x-max", type=_finite_float, default=6.0)
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--out", metavar="DIR")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windowed contraction failure for the free translation")
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, default=4000)
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_counterexample)
 
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windowed dissipativity failure for the second derivative")
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, default=4000)
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_heat)
 
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=("left_shift", "right_translation"),
                    default="left_shift")
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--input", choices=("ones", "bump", "expdecay"), default="bump")
     p.add_argument("--horizon", type=_finite_float)
     p.add_argument("--steps", type=int, default=3000)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, check_integer, check_lambdas, window_mask
+from .grid import GridFunction, check_integer, check_lambdas, window_runs
 from .operators import Generator, UpwindMatrix
 from .samples import probe_functions
 from .seminorms import CompactSeminormFamily, eval_pn, seminorm_ladder
@@ -202,9 +202,8 @@ def subdifferential_test(gen: Generator, family: CompactSeminormFamily,
     if not eval_pn(family, n, f) > 0:
         raise ValueError("subdifferential test needs p_n(f) > 0")
     g = f.grid
-    idx_window = np.nonzero(window_mask(g, *family.window(n)))[0]
-    absvals = np.abs(f.values[idx_window])
-    i = int(idx_window[int(np.argmax(absvals == np.max(absvals)))])
+    start, stop = window_runs(g, *family.window(n))
+    i = int(start + np.argmax(np.abs(f.values[start:stop])))
     location = float(g.nodes[i])
     sign = 1.0 if f.values[i] >= 0 else -1.0
 

@@ -152,16 +152,10 @@ def differentiate(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.gradient(f.values, f.grid.h, edge_order=2))
 
 
-def window_mask(grid: Grid, lo: float, hi: float) -> np.ndarray:
-    """Nodes in [lo, hi], widened by 1e-9 h so that endpoints on nodes count."""
-    tol = 1e-9 * grid.h
-    return (grid.nodes >= lo - tol) & (grid.nodes <= hi + tol)
-
-
 def window_runs(grid: Grid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """First and one-past-last node index of each window [lo, hi] (bounds may
-    be arrays): the run of the sorted nodes that :func:`window_mask` selects,
-    found with the same widened bounds."""
+    be arrays): the run of the sorted nodes in [lo, hi], widened by 1e-9 h so
+    that endpoints on nodes count."""
     tol = 1e-9 * grid.h
     return (np.searchsorted(grid.nodes, lo - tol, "left"),
             np.searchsorted(grid.nodes, hi + tol, "right"))
@@ -184,11 +178,11 @@ def window_sup(f: GridFunction, lo: float, hi: float) -> float:
 
     The window is intersected with the grid interval; an empty intersection
     is rejected (:func:`check_window`).  Nodes are selected by
-    :func:`window_mask`.
+    :func:`window_runs`.
     """
-    mask = window_mask(f.grid, lo, hi)
-    check_window(f.grid, lo, hi, bool(np.any(mask)))
-    return float(np.max(np.abs(f.values[mask])))
+    start, stop = window_runs(f.grid, lo, hi)
+    check_window(f.grid, lo, hi, bool(start < stop))
+    return float(np.max(np.abs(f.values[start:stop])))
 
 
 def write_rows(path, header: list[str], rows) -> None:

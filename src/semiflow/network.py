@@ -224,10 +224,6 @@ class EdgeState(GridFunction):
         if not np.all(np.isfinite(v)):
             raise ValidationError("edge values must be finite")
 
-    @property
-    def n_edges(self) -> int:
-        return self.values.shape[0]
-
     def norm(self) -> float:
         """Sup over x of the l1 norm across edges (the natural state norm)."""
         return float(np.max(np.sum(np.abs(self.values), axis=0)))

@@ -92,12 +92,12 @@ def eval_pn(family: CompactSeminormFamily, n: int, f: GridFunction) -> float:
 def seminorm_ladder(family: CompactSeminormFamily, grid: Grid, values) -> np.ndarray:
     """p_1..p_N of node values on ``grid``: shape (..., n_nodes) -> (..., N).
 
-    Window n holds the run of sorted nodes that :func:`grid.window_mask`
-    selects (:func:`grid.window_runs`), and the runs are nested.  So p_1 is
-    the max over the first run, and p_n = max(p_{n-1}, max over ring n), a
-    ring being the at most two runs that window n adds.  Max is exact, so
-    each entry equals :func:`eval_pn` bit for bit.  Window 1 lies inside
-    every other, so it alone is checked, with ``window_sup``'s errors.
+    Window n holds the run of sorted nodes that :func:`grid.window_runs`
+    finds, and the runs are nested.  So p_1 is the max over the first run,
+    and p_n = max(p_{n-1}, max over ring n), a ring being the at most two
+    runs that window n adds.  Max is exact, so each entry equals
+    :func:`eval_pn` bit for bit.  Window 1 lies inside every other, so it
+    alone is checked, with ``window_sup``'s errors.
     """
     a = np.abs(values)
     if a.shape[-1:] != (grid.n_cells + 1,):

@@ -304,21 +304,36 @@ def test_network_document_at_the_bounds_loads():
     ("resolvent", "--grid", "100", "--horizon", "15", "--steps", "100000000"),
     ("check", "--operator", "left_shift", "--grid", "100000000"),
     ("check", "--operator", "laplacian", "--samples", "100000000"),
+    # 8 samples at 64 lambdas: one row per (sample, lambda) pair
+    ("check", "--operator", "left_shift", "--grid", "262144",
+     *[arg for k in range(64) for arg in ("--lambda", str(1 + k))]),
     ("euler", "--m-ladder", "4,16,100000000"),
     ("euler", "--n-max", "100000000"),
     ("euler", "--grid", "100000000"),
     ("counterexample", "--grid", "100000000"),
     ("heat", "--grid", "100000000"),
     ("resolvent", "--grid", "100000000"),
-], ids=["resolvent_steps", "check_grid", "check_samples", "euler_ladder",
-        "euler_n_max", "euler_grid", "counterexample_grid", "heat_grid",
-        "resolvent_grid"])
+], ids=["resolvent_steps", "check_grid", "check_samples", "check_lambdas",
+        "euler_ladder", "euler_n_max", "euler_grid", "counterexample_grid",
+        "heat_grid", "resolvent_grid"])
 def test_count_options_over_budget_exit_two(argv):
     proc = run_cli_process(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+@pytest.mark.parametrize("argv", [("check", "--operator", "left_shift"), ("euler",),
+                                  ("counterexample",), ("heat",), ("resolvent",)],
+                         ids=lambda argv: argv[0])
+def test_grid_below_two_cells_exits_two(argv, grid, capsys):
+    # a zero grid is an input error, not a request for the default grid
+    assert main([*argv, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid requires an integer n_cells >= 2\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,6 +186,18 @@ def test_subdifferential_laplacian_concave_peak():
     assert rep.parameters["generator_pairing"] == pytest.approx(-2.0, abs=1e-6)
 
 
+def test_subdifferential_reports_the_first_of_two_maximal_nodes():
+    # |f| = 1 at x = -0.5 and x = 0.5 inside window 1 = [-1, 1], which starts
+    # at node 100; the larger value at x = -1.5 lies outside it
+    g = Grid(-2.0, 2.0, 400)
+    fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
+    values = np.zeros(401)
+    values[[50, 150, 250]] = [3.0, -1.0, 1.0]
+    rep = subdifferential_test(laplacian_generator(), fam, GridFunction(g, values), 1)
+    assert rep.parameters["location"] == g.nodes[150] == -0.5
+    assert rep.parameters["sign"] == -1.0 and rep.parameters["pairing"] == 1.0
+
+
 def test_subdifferential_laplacian_edge_max_fails():
     # when |f| peaks at the window edge the same functional exposes the
     # second derivative's positive pairing: the check reports a witness

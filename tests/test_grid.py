@@ -16,7 +16,7 @@ from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
                       orbit_integral_residual, plateau_ramp, resolvent_shift,
                       right_translation_resolvent, shift_semigroup,
                       smooth_bump, upwind_discretize, window_sup, write_csv)
-from semiflow.grid import window_mask, window_runs, write_rows
+from semiflow.grid import window_runs, write_rows
 
 
 def test_grid_basic_properties():
@@ -82,6 +82,19 @@ def test_window_sup():
         window_sup(f, 11.0, 12.0)
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (3.0, 2.0, r"window requires lo <= hi"),
+    (12.0, 11.0, r"window requires lo <= hi"),  # inverted before outside
+    (11.0, 12.0, r"window \[11.0, 12.0\] does not intersect the grid interval"),
+    (-3.0, -1.0, r"window \[-3.0, -1.0\] does not intersect the grid interval"),
+    (2.01, 2.09, r"window \[2.01, 2.09\] contains no grid node"),
+])
+def test_window_sup_rejects_windows_without_nodes(lo, hi, message):
+    f = GridFunction.from_callable(Grid(0.0, 10.0, 100), lambda x: x)
+    with pytest.raises(ValueError, match=message):
+        window_sup(f, lo, hi)
+
+
 def test_csv_bytes_match_reference_writer(tmp_path):
     # write_csv before it shared write_rows with the CLI, as written
     import csv
@@ -106,11 +119,17 @@ def test_write_rows_formats_each_kind(tmp_path):
         "s,i,f", "a,3,0.10000000000000001", "b,-2,0.33333333333333331"]
 
 
-def test_window_mask_includes_endpoints_within_tolerance():
+def test_window_runs_include_endpoints_within_tolerance():
     g = Grid(0.0, 1.0, 10)
-    assert np.nonzero(window_mask(g, 0.2, 0.5))[0].tolist() == [2, 3, 4, 5]
-    assert np.nonzero(window_mask(g, 0.2 + 1e-12, 0.5 - 1e-12))[0].tolist() == [2, 3, 4, 5]
-    assert np.nonzero(window_mask(g, 0.21, 0.49))[0].tolist() == [3, 4]
+    assert window_runs(g, 0.2, 0.5) == (2, 6)
+    assert window_runs(g, 0.2 + 1e-12, 0.5 - 1e-12) == (2, 6)
+    assert window_runs(g, 0.21, 0.49) == (3, 5)
+
+
+def window_mask(grid: Grid, lo: float, hi: float) -> np.ndarray:
+    """Nodes in [lo, hi], widened by 1e-9 h so that endpoints on nodes count."""
+    tol = 1e-9 * grid.h
+    return (grid.nodes >= lo - tol) & (grid.nodes <= hi + tol)
 
 
 @pytest.mark.parametrize("grid", [Grid(0.0, 1.0, 10), Grid(-2.3, 5.1, 37),

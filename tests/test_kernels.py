@@ -616,7 +616,7 @@ def test_common_step_needs_one_grid_for_speeds_and_times():
 def test_linear_interpolation_clamps():
     v = np.array([[0.0, 1.0, 4.0]])
     edge = np.zeros(4, np.int64)
-    got = K._lin_interp(v, edge, np.array([-0.5, 2.5, 0.5, 1.5]), 1.0)
+    got = K._interp(v, edge, *K._panel(np.array([-0.5, 2.5, 0.5, 1.5]), 1.0, 2))
     assert got[0] == 0.0
     assert got[1] == 4.0
     assert got[2] == pytest.approx(0.5)
