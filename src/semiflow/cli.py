@@ -100,15 +100,21 @@ SAMPLE_PASSES = 2 ** 4
 WORK_LIMIT = 2 ** 30
 
 
-def _bound_work(n_cells: int, passes: int = 1, what: str = "") -> None:
-    """Reject a grid of more than GRID_LIMIT cells, and ``passes`` sweeps of
-    it (counted by ``what``) that would pass WORK_LIMIT node visits."""
-    if n_cells > GRID_LIMIT:
-        raise ValueError(f"--grid {n_cells} exceeds the limit of {GRID_LIMIT} cells")
-    work = passes * max(n_cells + 1, PASS_NODES_MIN)
+def _bound_work(nodes: int, passes: int, what: str) -> None:
+    """Reject ``passes`` sweeps of ``nodes`` node values (counted by
+    ``what``) that would pass WORK_LIMIT node visits."""
+    work = passes * max(nodes, PASS_NODES_MIN)
     if work > WORK_LIMIT:
         raise ValueError(f"{what} would take {work} grid-node visits, more than the "
                          f"limit of {WORK_LIMIT}; use a coarser grid or smaller counts")
+
+
+def _bound_grid(n_cells: int, passes: int = 1, what: str = "") -> None:
+    """Reject a grid of more than GRID_LIMIT cells, and ``passes`` sweeps of
+    it that ``_bound_work`` rejects."""
+    if n_cells > GRID_LIMIT:
+        raise ValueError(f"--grid {n_cells} exceeds the limit of {GRID_LIMIT} cells")
+    _bound_work(n_cells + 1, passes, what)
 
 
 def _translation_setup(name: str, n_cells: int, length: float):
@@ -143,25 +149,19 @@ def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
     return gen, family, samples, probes
 
 
-def _network_document(path: str):
-    """The parsed JSON value of a ``--network`` file, for ``load_network``."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_check(args) -> int:
     lambdas = args.lambdas or [0.1, 1.0, 10.0]
     if args.network is not None:
         # looked up on the module at each call, so that a wrapper installed
         # there (as the benchmark's tracer does) sees the CLI's calls too
         report = network.network_generation_verdict(
-            load_network(_network_document(args.network)), lambdas)
+            _verdict_network(args.network, len(lambdas)), lambdas)
         label = "network"
     else:
         n_cells = args.grid
         if n_cells is None:
             n_cells = 4000 if args.operator == "laplacian" else 2000
-        _bound_work(n_cells, args.samples * len(lambdas) * SAMPLE_PASSES,
+        _bound_grid(n_cells, args.samples * len(lambdas) * SAMPLE_PASSES,
                     f"--samples {args.samples} and {len(lambdas)} --lambda values")
         gen, family, samples, probes = _operator_setup(
             args.operator, n_cells, args.seed, args.samples)
@@ -171,11 +171,28 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def _network_document(path: str):
+    """The parsed JSON value of a ``--network`` file, for ``load_network``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _verdict_network(path: str, n_lambdas: int):
+    """The network of a ``--network`` file, once ``_bound_work`` admits its
+    verdict: ``network.VERDICT_SAMPLES`` samples at each of ``n_lambdas``
+    lambdas over its E (n + 1) node values."""
+    net = load_network(_network_document(path))
+    _bound_work(net.n_edges * (net.grid.n_cells + 1),
+                network.VERDICT_SAMPLES * n_lambdas * SAMPLE_PASSES,
+                f"{network.VERDICT_SAMPLES} samples and {n_lambdas} --lambda values")
+    return net
+
+
 def cmd_euler(args) -> int:
     ladder = [int(v) for v in args.m_ladder.split(",") if v.strip()]
     if not ladder or any(m < 1 for m in ladder):
         raise ValueError("the m ladder needs positive integers")
-    _bound_work(args.grid, sum(ladder) + len(ladder) * args.n_max,
+    _bound_grid(args.grid, sum(ladder) + len(ladder) * args.n_max,
                 "the --m-ladder resolves and --n-max seminorms")
     x_max = args.x_max
     grid, gen, sg, orientation = _translation_setup(args.operator, args.grid, x_max)
@@ -208,7 +225,7 @@ def cmd_counterexample(args) -> int:
         raise ValueError("window index n must be >= 1")
     lam = check_lambda(args.lam)
     x_min = max(10.0, args.n + 2.0)
-    _bound_work(args.grid)
+    _bound_grid(args.grid)
     grid = Grid(-x_min, 0.0, args.grid)
     f = plateau_ramp(grid, args.n)
     family = CompactSeminormFamily(WindowOrientation.LEFT, args.n)
@@ -230,7 +247,7 @@ def cmd_heat(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     n = args.n
-    _bound_work(args.grid)
+    _bound_grid(args.grid)
     grid = Grid(-float(n), float(n), args.grid)
     family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, n)
     f = GridFunction(grid, grid.nodes ** 2)
@@ -278,7 +295,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_resolvent(args) -> int:
     lam = check_lambda(args.lam)
-    _bound_work(args.grid, 1 if args.horizon is None else args.steps + 2,
+    _bound_grid(args.grid, 1 if args.horizon is None else args.steps + 2,
                 f"--steps {args.steps}")
     grid, gen, sg, _ = _translation_setup(
         args.operator, args.grid, 20.0 if args.operator == "left_shift" else 10.0)

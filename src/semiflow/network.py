@@ -59,6 +59,10 @@ ORBIT_BLOCK_VALUES = 2 ** 12
 DOCUMENT_EDGE_LIMIT = 2 ** 10
 DOCUMENT_VALUE_LIMIT = 2 ** 21
 
+# Library states of ``network_generation_verdict`` unless a caller sets them;
+# ``check --network`` bounds its work by this count.
+VERDICT_SAMPLES = 5
+
 
 class ValidationError(ValueError):
     """A network description violates a structural invariant."""
@@ -587,7 +591,8 @@ def sample_states(net: Network, count: int, seed: int) -> list[tuple[str, EdgeSt
 
 
 def network_generation_verdict(net: Network, lambdas: Sequence[float],
-                               n_samples: int = 5, seed: int = 0) -> CheckReport:
+                               n_samples: int = VERDICT_SAMPLES,
+                               seed: int = 0) -> CheckReport:
     """Generation verdict for the transport operator on the network.
 
     Three legs: resolvent contraction in the velocity-weighted sup-l1 norm

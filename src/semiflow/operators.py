@@ -22,11 +22,15 @@ the nodes at every grid resolution, not just asymptotically.  The two
 translation generators also carry the powers (lambda R(lambda))^m in closed
 form: on node values that vanish at the left end, lambda R(lambda) is a
 lower-triangular Toeplitz matrix, so its m-th power is one causal
-convolution power of its first column.
+convolution power of its first column.  That power is one spectral power
+of the matrix's symbol where its kernel fits the padded FFT grid, and FFT
+repeated squaring of the truncated column elsewhere
+(``_toeplitz_step_power``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +38,11 @@ import numpy as np
 
 from ._kernels import damped_cumulative_integral
 from .grid import GridFunction, check_integer, check_lambda, differentiate
+
+
+# log 2^-60: the largest kernel mass beyond size - N that a spectral Euler
+# power may wrap or alias into its N terms
+_LOG_TAIL_LIMIT = -60.0 * math.log(2.0)
 
 
 class ResolventUnavailableError(RuntimeError):
@@ -92,18 +101,60 @@ def right_translation_resolvent(lam: float, g: GridFunction) -> GridFunction:
     return GridFunction(grid, main + (g.values[0] / lam) * decay)
 
 
+def _log_tail_bound(c0: float, c1: float, d: float, k: int, tail: int) -> float:
+    """log of the Chernoff bound, min over 0 < s < -log d of
+    k log S(e^s) - s tail, on the mass beyond ``tail`` >= 1 of the
+    probability sequence with generating function S^k, where
+    S(w) = c0 + c1 w/(1 - d w); 0.0, the trivial bound, where the mean
+    k S'(1) reaches ``tail``.
+
+    In w = e^s the derivative has the sign of a w^2 + b w - c, with
+    a = tail d q, q = c1 - c0 d >= 0 and c = tail c0.  That is negative at
+    w = 0 and positive at w = 1/d, so the minimum is at its positive root
+    when the root passes 1.  Where b <= 0 the root is solved for u = d w,
+    since w passes the float range where d is subnormal.
+    """
+    q = c1 - c0 * d
+    b = k * c1 - tail * (c1 - 2.0 * c0 * d)
+    if b > 0.0:
+        c = tail * c0
+        w = 2.0 * c / (b + math.sqrt(b * b + 4.0 * tail * d * q * c))
+        log_w, u = math.log(w), d * w
+    elif d > 0.0:
+        beta = b / (2.0 * tail * q)
+        u = math.sqrt(beta * beta + c0 * d / q) - beta
+        log_w = math.log(u) - math.log(d)
+    else:
+        # S(w) = c0 + c1 w, and b <= 0 means c1 = 0 or k <= tail, so S^k
+        # has no coefficient beyond tail
+        return -math.inf
+    if log_w <= 0.0:
+        return 0.0
+    # k log S(w) - tail log w, with S(w) = w (c0/w + c1/(1 - u))
+    return k * math.log(c0 * math.exp(-log_w) + c1 / (1.0 - u)) + (k - tail) * log_w
+
+
 def _toeplitz_step_power(lam: float, h: float, k: int,
                          data: np.ndarray) -> np.ndarray:
     """T^k data, where T is lam * R(lam) of the left shift on a grid of
     width h, acting on nodes 1..N of node values that vanish at node 0, and
     ``data`` holds nodes 1..N.
 
-    T is lower-triangular Toeplitz with symbol lam h (B + A z)/(1 - d z)
-    (d, A, B from ``panel_decay_weights(lam h)``).  Its first column is the
-    response to e_1, read from row 1 on; column 0 of lam * R(lam) lacks the
-    B weight, so it is not Toeplitz.  T^k data is the column's causal
-    convolution power times the data, truncated to N terms at every product
-    (exact, as every sequence is causal): FFT repeated squaring in
+    T is lower-triangular Toeplitz.  Its first column c is the response to
+    e_1, read from row 1 on (column 0 of lam * R(lam) lacks the B weight of
+    ``panel_decay_weights``, so it is not Toeplitz); from c_1 on it decays
+    by d = exp(-lam h), so T's symbol is S(w) = c_0 + c_1 w/(1 - d w).  c
+    is a probability sequence (c >= 0, S(1) = 1), and so is the kernel of
+    T^k, with generating function S^k.
+
+    Where 0 <= d < 1 and the Chernoff bound puts at most 2^-60 of that
+    kernel's mass beyond size - N, T^k data is one spectral power,
+    irfft(rfft(data, size) S^k, size)[:N], with S^k taken by binary powering
+    on the frequencies: the mass that wraps or aliases into the N terms is
+    beyond size - N, so it moves them by at most 2^-60 sup |data|.
+    Otherwise (few steps over a long time, or d rounded to 1) the column's
+    causal convolution power is taken by FFT repeated squaring, truncated
+    to N terms at every product (exact, as every sequence is causal), in
     O(N log N log k).  The data are scaled by a power of two, exactly, so
     that no FFT sum overflows.
     """
@@ -117,6 +168,19 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     rfft, irfft = np.fft.rfft, np.fft.irfft
     _, e = np.frexp(np.max(np.abs(data)))
     out = np.ldexp(data, -e)
+    c0, c1 = float(column[0]), float(column[1])
+    d = float(np.exp(-lam * h))
+    if d < 1.0 and _log_tail_bound(c0, c1, d, k, size - n) <= _LOG_TAIL_LIMIT:
+        w = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+        base = c0 + c1 * w / (1.0 - d * w)
+        spec = rfft(out, size)
+        while True:
+            if k & 1:
+                spec *= base
+            k >>= 1
+            if not k:
+                return np.ldexp(irfft(spec, size)[:n], e)
+            base = base * base
     base = rfft(column, size)
     while True:
         if k & 1:

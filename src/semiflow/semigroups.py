@@ -83,8 +83,10 @@ def euler_apply(gen: Generator, t: float, m: int, f: GridFunction) -> GridFuncti
         T(t) f  ~  ((m/t) R(m/t, A))^m f
 
     computed by the generator's ``resolvent_power`` where it has one (the
-    translation generators: a causal convolution power, O(N log N log m)),
-    otherwise as m sequential resolvent evaluations.  Requires a generator
+    translation generators: a causal convolution power, one spectral power
+    in O(N log N + N log m) where its kernel fits the FFT grid, otherwise
+    FFT repeated squaring in O(N log N log m)), otherwise as m sequential
+    resolvent evaluations.  Requires a generator
     with a resolvent; t = 0 returns f unchanged.
     """
     m = check_integer(m, 1, "Euler step count m must be an integer >= 1")

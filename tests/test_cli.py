@@ -307,6 +307,10 @@ def test_network_document_at_the_bounds_loads():
     # 8 samples at 64 lambdas: one row per (sample, lambda) pair
     ("check", "--operator", "left_shift", "--grid", "262144",
      *[arg for k in range(64) for arg in ("--lambda", str(1 + k))]),
+    # 5 samples at 20000 lambdas in [1, 21), none of which breaks the
+    # resolvent down: about 25 s and exit 0 before the count was bounded
+    ("check", "--network", str(TWO_CYCLE),
+     *[arg for k in range(20000) for arg in ("--lambda", str(1 + k / 1000))]),
     ("euler", "--m-ladder", "4,16,100000000"),
     ("euler", "--n-max", "100000000"),
     ("euler", "--grid", "100000000"),
@@ -314,6 +318,7 @@ def test_network_document_at_the_bounds_loads():
     ("heat", "--grid", "100000000"),
     ("resolvent", "--grid", "100000000"),
 ], ids=["resolvent_steps", "check_grid", "check_samples", "check_lambdas",
+        "check_network_lambdas",
         "euler_ladder", "euler_n_max", "euler_grid", "counterexample_grid",
         "heat_grid", "resolvent_grid"])
 def test_count_options_over_budget_exit_two(argv):

@@ -1,6 +1,8 @@
 """Model generators and exact resolvents against frozen closed forms and an
 independent ODE-solver oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -10,6 +12,8 @@ from semiflow import (Grid, GridFunction, ResolventUnavailableError,
                       resolvent_shift, right_translation_generator,
                       right_translation_resolvent, smooth_bump,
                       upwind_discretize)
+from semiflow._kernels import damped_cumulative_integral
+from semiflow.operators import _log_tail_bound
 
 # frozen oracle values
 ONE_MINUS_E_INV = 0.6321205588285577       # 1 - e^{-1}
@@ -193,3 +197,26 @@ def test_upwind_matrix_immutable_and_validated():
         upwind_discretize(0, 1.0)
     with pytest.raises(ValueError):
         upwind_discretize(3, -1.0)
+
+
+@pytest.mark.parametrize("z", [1e-3, 0.024, 1.0, 30.0, 720.0, 744.0, 800.0])
+def test_log_tail_bound_is_the_chernoff_minimum(z):
+    # T = lam R(lam) with lam h = z: the bound equals the minimum of
+    # k log S(e^s) - s tail over a dense grid of s in (0, -log d), taken in
+    # logs because e^s passes the float range where d is subnormal (z = 720,
+    # 744); at z = 800, d = 0 and S^k is a polynomial of degree k
+    e1 = np.zeros(3)
+    e1[1] = 1.0
+    c0, c1 = damped_cumulative_integral(e1, z, 1.0)[1:]
+    d = math.exp(-z)
+    s = (-math.log(d) if d > 0 else 1e3) * np.linspace(1e-9, 1.0 - 1e-9, 400001)
+    log_dw = s + (math.log(d) if d > 0 else -np.inf)
+    for k, tail in [(3, 4192), (15, 4192), (1023, 4192), (1023, 2), (5, 5), (4000, 900)]:
+        log_s = s + np.log(c0 * np.exp(-s) + c1 / -np.expm1(log_dw))
+        grid_min = min(0.0, float(np.min(k * log_s - s * tail)))
+        bound = _log_tail_bound(c0, c1, d, k, tail)
+        assert bound <= grid_min + 1e-9 * max(1.0, abs(grid_min)), (k, tail)
+        if math.isfinite(bound):
+            assert bound >= grid_min - 1e-6 * max(1.0, abs(grid_min)), (k, tail)
+        else:
+            assert d == 0.0 and k <= tail

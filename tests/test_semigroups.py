@@ -102,7 +102,9 @@ def _euler_cases(operator, n_cells):
     return gen, dataclasses.replace(gen, resolvent_power=None), f
 
 
-@pytest.mark.parametrize("t", [1e-300, 1.0, 1e300])
+# at t = 2, 5 and 1e3 the small-m rungs (all rungs at 5 and 1e3) keep the
+# truncated squaring: the power's kernel does not fit the FFT grid
+@pytest.mark.parametrize("t", [1e-300, 1.0, 2.0, 5.0, 1e3, 1e300])
 @pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
 def test_euler_power_matches_sequential_resolves(operator, t):
     # the left shift's first exact step must absorb f(0) != 0; the right
@@ -115,6 +117,33 @@ def test_euler_power_matches_sequential_resolves(operator, t):
             seq = euler_apply(loop, t, m, f).values
             assert np.max(np.abs(closed - seq)) <= 1e-12 * f.norm(), (n_cells, m)
             assert (closed[0] == 0.0) == (operator == "left_shift")
+
+
+@pytest.mark.parametrize("operator", ["left_shift", "right_translation"])
+def test_euler_ladder_takes_one_spectral_power_per_rung(operator, monkeypatch):
+    # the CLI's default ladder at t = 1 on 4000 cells: from m = 16 on, the
+    # kernel of each power fits the FFT grid, so a rung is one rfft and one
+    # irfft; at m = 4 it does not, and the truncated squaring takes more
+    gen, _, f = _euler_cases(operator, 4000)
+    calls = []
+
+    def spy(name):
+        fft = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fft(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, spy(name))
+    for m in (4, 16, 64, 256, 1024):
+        calls.clear()
+        euler_apply(gen, 1.0, m, f)
+        if m == 4:
+            assert len(calls) > 2
+        else:
+            assert sorted(calls) == ["irfft", "rfft"], m
 
 
 @pytest.mark.parametrize("operator", ["left_shift", "right_translation"])

@@ -10,7 +10,9 @@ and OUTDIR's reads ``<outdir>``, so that ``diff -r`` of the output
 directories of two checkouts shows every byte in which their runs differ.
 
 The invocations are the eight commands of README's command-line section,
-two more ``simulate`` runs (the upwind solver, and a longer orbit whose
+``euler`` on the right translation with the default ladder (up to
+m = 1024; README's ``euler`` runs the left shift up to m = 256), two more
+``simulate`` runs (the upwind solver, and a longer orbit whose
 ``--out`` CSV is large), ``simulate --t 1e9`` (rejected before any work)
 and ``check --network`` on the two-cycle with absorption 3000 (a resolvent
 breakdown, after a warning).
@@ -34,6 +36,7 @@ INVOCATIONS = {
     "check_network": ["check", "--network", TWO_CYCLE],
     "euler": ["euler", "--operator", "left_shift", "--t", "1",
               "--m-ladder", "4,16,64,256"],
+    "euler_right_translation": ["euler", "--operator", "right_translation"],
     "counterexample": ["counterexample", "--lambda", "1", "--n", "12"],
     "heat": ["heat", "--lambda", "1", "--n", "2"],
     "simulate": ["simulate", "--network", TWO_CYCLE, "--t", "3",
