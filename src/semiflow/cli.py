@@ -161,8 +161,10 @@ def cmd_check(args) -> int:
         n_cells = args.grid
         if n_cells is None:
             n_cells = 4000 if args.operator == "laplacian" else 2000
-        _bound_grid(n_cells, args.samples * len(lambdas) * SAMPLE_PASSES,
-                    f"--samples {args.samples} and {len(lambdas)} --lambda values")
+        # the laplacian adds the parabola, the right translation the ramp
+        n_samples = max(args.samples, 0) + (args.operator != "left_shift")
+        _bound_grid(n_cells, n_samples * len(lambdas) * SAMPLE_PASSES,
+                    f"{n_samples} samples and {len(lambdas)} --lambda values")
         gen, family, samples, probes = _operator_setup(
             args.operator, n_cells, args.seed, args.samples)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
@@ -180,9 +182,12 @@ def _network_document(path: str):
 def _verdict_network(path: str, n_lambdas: int):
     """The network of a ``--network`` file, once ``_bound_work`` admits its
     verdict: ``network.VERDICT_SAMPLES`` samples at each of ``n_lambdas``
-    lambdas over its E (n + 1) node values."""
+    lambdas over its E (n + 1) node values and one E x E coupling solve."""
     net = load_network(_network_document(path))
-    _bound_work(net.n_edges * (net.grid.n_cells + 1),
+    # each sample's solve counts as E^3 / 2^12 node values: on 2 cores a node
+    # value of a sample took 84-130 ns at each lambda, and a solve 27 ms at
+    # E = 1024, the cost of about 2^18 node values
+    _bound_work(net.n_edges * (net.grid.n_cells + 1) + (net.n_edges ** 3 >> 12),
                 network.VERDICT_SAMPLES * n_lambdas * SAMPLE_PASSES,
                 f"{network.VERDICT_SAMPLES} samples and {n_lambdas} --lambda values")
     return net
@@ -406,9 +411,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bound_lambda_tokens(argv: list) -> None:
+    """Refuse a ``check`` argv whose ``--lambda`` options alone pass the
+    work bound, before argparse spends time quadratic in their count on
+    them: ``cmd_check``'s bound at its node floor and with the fewest
+    samples a run holds, so nothing it admits is refused here."""
+    if argv[:1] != ["check"]:
+        return
+    options = [a.split("=", 1)[0] for a in argv]
+    count = options.count("--lambda")
+    samples = network.VERDICT_SAMPLES if "--network" in options else 1
+    _bound_work(0, samples * count * SAMPLE_PASSES,
+                f"{samples} samples and {count} --lambda values")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        _bound_lambda_tokens(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,11 +51,11 @@ UPWIND_CELL_STEP_LIMIT = 2 ** 28
 ORBIT_BLOCK_VALUES = 2 ** 12
 
 # Largest network a JSON document may describe, checked before anything is
-# allocated.  On 2 cores, ``check --network`` on a ring of 10 cells per edge
-# takes 4-6 s at 1000 edges and 37 s at 2048 (the E x E coupling solves grow
-# like E^3); on the two-cycle it takes 8-9 s and 365 MB at 2^21 node values
-# and 22 s and 677 MB at 2^22.  ``make_network`` stays unbounded: its callers
-# are code, not documents.
+# allocated.  On 2 cores, ``check --network`` at its 3 default lambdas takes
+# 0.9-1.9 s on a ring of 1024 edges of 10 cells (its verdict 2.9-3.6 s at
+# 2048 edges: the E x E coupling solves grow like E^3), and 5.6-5.9 s and
+# 660 MB on the two-cycle at 2^21 node values.  ``make_network`` stays
+# unbounded: its callers are code, not documents.
 DOCUMENT_EDGE_LIMIT = 2 ** 10
 DOCUMENT_VALUE_LIMIT = 2 ** 21
 

@@ -18,13 +18,16 @@ Three model operators:
 The factories take no argument: a generator acts on the grid of the state
 it is given.  Resolvents integrate exp-damped data with the panel-exact
 scheme from ``_kernels``, so lambda * R(lambda) is a sup-norm contraction on
-the nodes at every grid resolution, not just asymptotically.  The two
-translation generators also carry the powers (lambda R(lambda))^m in closed
-form: on node values that vanish at the left end, lambda R(lambda) is a
-lower-triangular Toeplitz matrix, so its m-th power is one causal
-convolution power of its first column.  That power is one spectral power
-of the matrix's symbol where its kernel fits the padded FFT grid, and FFT
-repeated squaring of the truncated column elsewhere
+the nodes at every grid resolution, not just asymptotically.  Both
+translation generators come from one builder, ``_translation_generator``,
+given the value that enters at the left end (0 for the left shift, the left
+value for the right translation), and carry the powers (lambda R(lambda))^m
+in closed form with one routine: lambda R(lambda) fixes that constant u, so
+the power is u + (lambda R_0(lambda))^m (g - u), with R_0 the left shift's
+resolvent.  On node values that vanish at the left end, lambda R_0(lambda)
+is a lower-triangular Toeplitz matrix, known by its symbol, so its power is
+one spectral power of that symbol where its kernel fits the padded FFT
+grid, and FFT repeated squaring of the truncated first column elsewhere
 (``_toeplitz_step_power``).
 """
 
@@ -140,10 +143,11 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     width h, acting on nodes 1..N of node values that vanish at node 0, and
     ``data`` holds nodes 1..N.
 
-    T is lower-triangular Toeplitz.  Its first column c is the response to
-    e_1, read from row 1 on (column 0 of lam * R(lam) lacks the B weight of
-    ``panel_decay_weights``, so it is not Toeplitz); from c_1 on it decays
-    by d = exp(-lam h), so T's symbol is S(w) = c_0 + c_1 w/(1 - d w).  c
+    T is lower-triangular Toeplitz, and is read from its symbol alone.  Its
+    first column is c_0, c_1, c_1 d, c_1 d^2, ... with d = exp(-lam h), so
+    the symbol is S(w) = c_0 + c_1 w/(1 - d w); c_0 and c_1 are rows 1 and 2
+    of lam * R(lam) e_1 on three nodes (column 0 of lam * R(lam) lacks the B
+    weight of ``panel_decay_weights``, so it is not Toeplitz).  The column
     is a probability sequence (c >= 0, S(1) = 1), and so is the kernel of
     T^k, with generating function S^k.
 
@@ -161,15 +165,13 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     if k == 0:
         return data
     n = data.size
-    e1 = np.zeros(n + 1)
-    e1[1] = 1.0
-    column = lam * damped_cumulative_integral(e1, h, lam)[1:]
+    e1 = np.array([0.0, 1.0, 0.0])
+    _, c0, c1 = (lam * damped_cumulative_integral(e1, h, lam)).tolist()
+    d = float(np.exp(-lam * h))
     size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1: nothing wraps into N terms
     rfft, irfft = np.fft.rfft, np.fft.irfft
     _, e = np.frexp(np.max(np.abs(data)))
     out = np.ldexp(data, -e)
-    c0, c1 = float(column[0]), float(column[1])
-    d = float(np.exp(-lam * h))
     if d < 1.0 and _log_tail_bound(c0, c1, d, k, size - n) <= _LOG_TAIL_LIMIT:
         w = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
         base = c0 + c1 * w / (1.0 - d * w)
@@ -181,6 +183,7 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
             if not k:
                 return np.ldexp(irfft(spec, size)[:n], e)
             base = base * base
+    column = np.concatenate(([c0], c1 * d ** np.arange(n - 1)))
     base = rfft(column, size)
     while True:
         if k & 1:
@@ -189,27 +192,6 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
         if not k:
             return np.ldexp(out, e)
         base = rfft(irfft(base * base, size)[:n], size)
-
-
-def _shift_resolvent_power(lam: float, m: int, g: GridFunction) -> GridFunction:
-    """(lam R(lam))^m g for the left shift: one exact step, which makes the
-    left value 0, then the Toeplitz power of the step for the other m - 1."""
-    lam = check_lambda(lam)
-    out = lam * damped_cumulative_integral(g.values, g.grid.h, lam)
-    out[1:] = _toeplitz_step_power(lam, g.grid.h, m - 1, out[1:])
-    return GridFunction(g.grid, out)
-
-
-def _right_translation_resolvent_power(lam: float, m: int,
-                                       g: GridFunction) -> GridFunction:
-    """(lam R(lam))^m g for the right translation.  lam R(lam) fixes the
-    constants and the left value, so (lam R)^m g = g_0 + T^m (g - g_0), with
-    T the Toeplitz step of the left shift."""
-    lam = check_lambda(lam)
-    v0 = g.values[0]
-    out = np.full_like(g.values, v0)
-    out[1:] += _toeplitz_step_power(lam, g.grid.h, m, g.values[1:] - v0)
-    return GridFunction(g.grid, out)
 
 
 def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -226,22 +208,34 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _minus_derivative(f: GridFunction) -> GridFunction:
-    """A f = -f', shared by both translation generators."""
-    return -differentiate(f)
+def _translation_generator(label: str,
+                           resolvent: Callable[[float, GridFunction], GridFunction],
+                           inflow: Callable[[GridFunction], float]) -> Generator:
+    """A f = -f' with the value ``inflow(f)`` entering at the left end, the
+    twin of ``semigroups._translation_semigroup``.  Its domain holds the f
+    whose left value is inflow(f).  Its power u + (lam R_0)^m (g - u), with
+    u = inflow(g), is one exact step of R_0, which makes the left value 0,
+    then the Toeplitz power of the step for the other m - 1."""
+
+    def power(lam: float, m: int, g: GridFunction) -> GridFunction:
+        lam, u = check_lambda(lam), inflow(g)
+        out = lam * damped_cumulative_integral(g.values - u, g.grid.h, lam)
+        out[1:] = _toeplitz_step_power(lam, g.grid.h, m - 1, out[1:])
+        return GridFunction(g.grid, out + u)
+
+    return Generator(label, lambda f: -differentiate(f), resolvent,
+                     lambda f: abs(float(f.values[0]) - inflow(f)) <= 1e-12, power)
 
 
 def left_shift_generator() -> Generator:
     """Left shift A f = -f' with domain {f : f(a) = 0}."""
-    return Generator("left_shift", _minus_derivative, resolvent_shift,
-                     lambda f: abs(float(f.values[0])) <= 1e-12, _shift_resolvent_power)
+    return _translation_generator("left_shift", resolvent_shift, lambda f: 0.0)
 
 
 def right_translation_generator() -> Generator:
     """Translation generator A f = -f' without boundary condition."""
-    return Generator("right_translation", _minus_derivative,
-                     right_translation_resolvent, lambda f: True,
-                     _right_translation_resolvent_power)
+    return _translation_generator("right_translation", right_translation_resolvent,
+                                  lambda f: float(f.values[0]))
 
 
 def laplacian_generator() -> Generator:

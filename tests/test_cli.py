@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import semiflow
-from semiflow import load_network, network
+from semiflow import cli, load_network, network
 from semiflow.cli import build_parser, main
 
 TWO_CYCLE = Path(__file__).resolve().parents[1] / "configs" / "two_cycle.json"
@@ -311,6 +311,12 @@ def test_network_document_at_the_bounds_loads():
     # resolvent down: about 25 s and exit 0 before the count was bounded
     ("check", "--network", str(TWO_CYCLE),
      *[arg for k in range(20000) for arg in ("--lambda", str(1 + k / 1000))]),
+    # the parabola and the ramp resolvent are samples too: with them not
+    # counted these ran for 2-10 s at 1.2 GB and exited 1
+    ("check", "--operator", "laplacian", "--samples", "0", "--grid", "262144",
+     *["--lambda", "1"] * 300),
+    ("check", "--operator", "right_translation", "--samples", "-3", "--grid", "262144",
+     *["--lambda", "1"] * 300),
     ("euler", "--m-ladder", "4,16,100000000"),
     ("euler", "--n-max", "100000000"),
     ("euler", "--grid", "100000000"),
@@ -318,7 +324,8 @@ def test_network_document_at_the_bounds_loads():
     ("heat", "--grid", "100000000"),
     ("resolvent", "--grid", "100000000"),
 ], ids=["resolvent_steps", "check_grid", "check_samples", "check_lambdas",
-        "check_network_lambdas",
+        "check_network_lambdas", "check_laplacian_no_samples",
+        "check_right_translation_negative_samples",
         "euler_ladder", "euler_n_max", "euler_grid", "counterexample_grid",
         "heat_grid", "resolvent_grid"])
 def test_count_options_over_budget_exit_two(argv):
@@ -327,6 +334,54 @@ def test_count_options_over_budget_exit_two(argv):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_lambda_count_over_budget_is_refused_before_parsing(monkeypatch, capsys):
+    # argparse takes time quadratic in the option count: 12-14 s on 2 cores
+    # for these 40000 arguments
+    def no_parser():
+        raise AssertionError("the argv was parsed")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    lambdas = [arg for k in range(20000) for arg in ("--lambda", str(1 + k / 1000))]
+    assert main(["check", "--network", str(TWO_CYCLE), *lambdas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 5 samples and 20000 --lambda values ")
+
+
+@pytest.mark.parametrize("tokens", [("--lambda", "1"), ("--lambda=1",)],
+                         ids=["separate", "joined"])
+def test_lambda_token_bound_refuses_nothing_the_parsed_bound_admits(tokens):
+    # the two-cycle has 802 node values, under the floor of 2^10: the parsed
+    # bound admits 2^30 / (5 * 16 * 2^10) = 13107 lambdas, and so does the
+    # token count, in either spelling
+    cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13107])
+    assert cli._verdict_network(str(TWO_CYCLE), 13107).n_edges == 2
+    refused = "5 samples and 13108 --lambda values"
+    with pytest.raises(ValueError, match=refused):
+        cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13108])
+    with pytest.raises(ValueError, match=refused):
+        cli._verdict_network(str(TWO_CYCLE), 13108)
+
+
+def test_network_bound_counts_the_coupling_solves(tmp_path, monkeypatch, capsys):
+    # on a ring of 1024 edges, 1100 lambdas took 155 s on 2 cores, nearly all
+    # of it in the E x E coupling solves; node visits alone admit 1191
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_ring_document(1024, 10)))
+    assert cli._verdict_network(str(path), 3).n_edges == 1024
+    assert cli._verdict_network(str(TWO_CYCLE), 2000).n_edges == 2
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the verdict ran")
+
+    monkeypatch.setattr(network, "network_generation_verdict", no_solve)
+    lambdas = [arg for k in range(1100) for arg in ("--lambda", str(1 + k / 100))]
+    assert main(["check", "--network", str(path), *lambdas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 5 samples and 1100 --lambda values ")
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -53,6 +53,11 @@ def test_left_shift_domain_check():
     assert gen.domain_check(GridFunction.from_callable(g, lambda x: x))
     assert not gen.domain_check(GridFunction.from_callable(
         g, lambda x: np.ones_like(x)))
+    # no boundary condition: the left value is the inflow, whatever it is
+    right = right_translation_generator()
+    for values in (g.nodes, np.ones(101), np.full(101, -1e300),
+                   np.random.default_rng(0).normal(size=101)):
+        assert right.domain_check(GridFunction(g, values))
 
 
 def test_resolvent_shift_ones_lambda_one():

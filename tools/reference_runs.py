@@ -11,11 +11,12 @@ directories of two checkouts shows every byte in which their runs differ.
 
 The invocations are the eight commands of README's command-line section,
 ``euler`` on the right translation with the default ladder (up to
-m = 1024; README's ``euler`` runs the left shift up to m = 256), two more
-``simulate`` runs (the upwind solver, and a longer orbit whose
-``--out`` CSV is large), ``simulate --t 1e9`` (rejected before any work)
-and ``check --network`` on the two-cycle with absorption 3000 (a resolvent
-breakdown, after a warning).
+m = 1024; README's ``euler`` runs the left shift up to m = 256),
+``check --operator laplacian --samples 0`` (the parabola its only
+sample: admitted, and exits 1), two more ``simulate`` runs (the upwind
+solver, and a longer orbit whose ``--out`` CSV is large), ``simulate --t
+1e9`` (rejected before any work) and ``check --network`` on the
+two-cycle with absorption 3000 (a resolvent breakdown, after a warning).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ INVOCATIONS = {
     "check_left_shift": ["check", "--operator", "left_shift", "--lambda", "1",
                          "--lambda", "10"],
     "check_laplacian": ["check", "--operator", "laplacian"],
+    "check_laplacian_samples_0": ["check", "--operator", "laplacian", "--samples", "0"],
     "check_network": ["check", "--network", TWO_CYCLE],
     "euler": ["euler", "--operator", "left_shift", "--t", "1",
               "--m-ladder", "4,16,64,256"],
