@@ -11,19 +11,19 @@ scheme.
 """
 
 from ._kernels import damped_cumulative_integral
-from .grid import Grid, GridFunction, differentiate, window_sup, write_csv
+from .grid import Grid, GridFunction, differentiate, window_sup
 from .seminorms import (CompactSeminormFamily, MixedSeminorm,
                         WindowOrientation, eval_mixed, eval_pn,
                         seminorm_ladder)
-from .operators import (Generator, ResolventUnavailableError, UpwindMatrix,
+from .operators import (Generator, ResolventUnavailableError,
                         laplacian_generator, left_shift_generator,
                         resolvent_shift, right_translation_generator,
                         right_translation_resolvent, upwind_discretize)
 from .samples import (plateau_ramp, probe_functions, sample_functions,
                       smooth_bump)
-from .semigroups import (LaplaceResult, Semigroup, euler_apply,
-                         laplace_resolvent, orbit_integral_residual,
-                         right_translation_semigroup, shift_semigroup)
+from .semigroups import (Semigroup, euler_apply, laplace_resolvent,
+                         orbit_integral_residual, right_translation_semigroup,
+                         shift_semigroup)
 from .generation import (CheckReport, Witness, check_bi_dissipative,
                          check_hy_powers, check_resolvent_contraction,
                          lumer_phillips_verdict, subdifferential_test)
@@ -40,15 +40,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "damped_cumulative_integral",
-    "Grid", "GridFunction", "differentiate", "window_sup", "write_csv",
+    "Grid", "GridFunction", "differentiate", "window_sup",
     "CompactSeminormFamily", "MixedSeminorm", "WindowOrientation",
     "eval_mixed", "eval_pn", "seminorm_ladder",
-    "Generator", "ResolventUnavailableError", "UpwindMatrix",
+    "Generator", "ResolventUnavailableError",
     "laplacian_generator", "left_shift_generator", "resolvent_shift",
     "right_translation_generator", "right_translation_resolvent",
     "upwind_discretize",
     "plateau_ramp", "probe_functions", "sample_functions", "smooth_bump",
-    "LaplaceResult", "Semigroup", "euler_apply", "laplace_resolvent",
+    "Semigroup", "euler_apply", "laplace_resolvent",
     "orbit_integral_residual", "right_translation_semigroup",
     "shift_semigroup",
     "CheckReport", "Witness", "check_bi_dissipative",

@@ -312,7 +312,10 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     edges feeding edge j's tail.  ``qcum`` holds per-edge cumulative
     integrals of the zero-order coefficient, used for the exponential gain
     along each characteristic segment.  ``cap`` bounds the number of vertex
-    crossings per traced point (``RuntimeError`` beyond it).
+    crossings per traced point (``RuntimeError`` beyond it); ``network``
+    passes ceil(t max c) + 2, which no path reaches, since a full edge takes
+    at least 1/max c.  The argument stays because the benchmark tracer
+    (``perfbench/tracing.py``) reads it.
 
     All nodes at all times are traced at once as a frontier of paths.  Each
     iteration advances every path by one edge segment: a path whose foot

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .generation import lumer_phillips_verdict
-from .grid import Grid, GridFunction, check_lambda, write_csv, write_rows
+from .grid import Grid, GridFunction, check_lambda, write_rows
 from . import network
 from .network import initial_state, load_network, simulate_flow, total_mass
 from .operators import (laplacian_generator, left_shift_generator,
@@ -323,7 +323,8 @@ def cmd_resolvent(args) -> int:
         doc["laplace_tail_bound"] = tail
         doc["laplace_crosscheck_diff"] = (approx - f).norm()
     if args.out is not None:
-        write_csv(f, Path(args.out) / "resolvent.csv")
+        write_rows(Path(args.out) / "resolvent.csv", ["x", "value"],
+                   zip(f.grid.nodes, f.values))
     _emit_json(doc, args.out, "resolvent_summary.json")
     return 0
 
@@ -431,8 +432,9 @@ def main(argv=None) -> int:
         _bound_lambda_tokens(argv)
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
+        # a MemoryError raised by the interpreter itself carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

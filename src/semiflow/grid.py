@@ -196,9 +196,3 @@ def write_rows(path, header: list[str], rows) -> None:
             writer.writerow([v if isinstance(v, str) else
                              (str(v) if isinstance(v, (int, np.integer))
                               else format(float(v), ".17g")) for v in row])
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """Serialize as 'x,value' rows with full double precision."""
-    write_rows(path, ["x", "value"], zip(f.grid.nodes, f.values))
-

@@ -245,27 +245,11 @@ def laplacian_generator() -> Generator:
                      None, lambda f: True)
 
 
-@dataclass(frozen=True)
-class UpwindMatrix:
-    """Dense first-order upwind discretization of the left shift.
-
-    Lower bidiagonal: -1/h on the diagonal, +1/h on the subdiagonal.  The
-    boundary node (where f = 0) is eliminated, so the matrix acts on the
-    remaining n interior and right nodes.
-    """
-
-    size: int
-    h: float
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.float64, copy=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def upwind_discretize(n: int, h: float) -> UpwindMatrix:
-    """Build the n-by-n upwind matrix for mesh width h."""
+def upwind_discretize(n: int, h: float) -> np.ndarray:
+    """The n-by-n first-order upwind matrix of the left shift for mesh width
+    h, read-only: lower bidiagonal, -1/h on the diagonal and +1/h on the
+    subdiagonal.  The boundary node (where f = 0) is eliminated, so the
+    matrix acts on the remaining n interior and right nodes."""
     n = check_integer(n, 1, "matrix size must be an integer >= 1")
     if not h > 0:
         raise ValueError("mesh width must be positive")
@@ -273,4 +257,5 @@ def upwind_discretize(n: int, h: float) -> UpwindMatrix:
     np.fill_diagonal(m, -1.0 / h)
     idx = np.arange(1, n)
     m[idx, idx - 1] = 1.0 / h
-    return UpwindMatrix(n, float(h), m)
+    m.setflags(write=False)
+    return m

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -113,20 +113,15 @@ def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
     return type(f)(f.grid, sg.orbit_sum(times, weights, f) * ds)
 
 
-class LaplaceResult(NamedTuple):
-    value: Any
-    tail_bound: float
-
-
 def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
-                      steps: int) -> LaplaceResult:
+                      steps: int) -> tuple[Any, float]:
     """Approximate R(lambda) f by the truncated Laplace transform of the orbit:
 
         int_0^H exp(-lambda s) T(s) f ds
 
-    with trapezoid time quadrature.  The reported tail bound
-    exp(-lambda H) * ||f|| / lambda dominates the discarded integral for a
-    contraction semigroup.
+    with trapezoid time quadrature, returned with its tail bound
+    exp(-lambda H) * ||f|| / lambda, which dominates the discarded integral
+    for a contraction semigroup.
     """
     lam = check_lambda(lam)
     if not 0 < horizon < math.inf:
@@ -135,7 +130,7 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
     value = _trapezoid_orbit(sg, f, horizon / steps, steps,
                              lambda s: math.exp(-lam * s))
     tail = math.exp(-lam * horizon) * f.norm() / lam
-    return LaplaceResult(value, tail)
+    return value, tail
 
 
 def orbit_integral_residual(gen: Generator, sg: Semigroup, t: float, f: Any,

@@ -177,6 +177,20 @@ def test_simulate_rejects_a_malformed_initial_profile(tmp_path, capsys, initial)
         "error: initial data for edge 0 must be a number or a row of 5 numbers\n")
 
 
+def test_simulate_starts_from_a_valid_initial_profile(tmp_path, capsys):
+    # a constant for edge 0 and a row of n_cells + 1 = 5 values for edge 1
+    doc = dict(json.loads(TWO_CYCLE.read_text()), grid={"n_cells": 4},
+               initial=[0.5, [0, 1, 2, 3, 4]])
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--network", str(path), "--out", str(out_dir)]) == 0
+    rows = [line.split(",") for line in
+            (out_dir / "simulation.csv").read_text().splitlines()[1:]]
+    start = [(int(edge), float(u)) for t, edge, _, u in rows if float(t) == 0.0]
+    assert start == [(0, 0.5)] * 5 + [(1, float(k)) for k in range(5)]
+
+
 def test_non_object_network_document_gives_one_error(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -336,6 +350,22 @@ def test_count_options_over_budget_exit_two(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 1.1 GiB"), "error: Unable to allocate 1.1 GiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_two(monkeypatch, capsys, exc, err):
+    # running out of memory is not a failed certificate (exit 1)
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "euler_apply", no_memory)
+    assert main(["euler", "--grid", "200", "--m-ladder", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_lambda_count_over_budget_is_refused_before_parsing(monkeypatch, capsys):
     # argparse takes time quadratic in the option count: 12-14 s on 2 cores
     # for these 40000 arguments
@@ -453,9 +483,11 @@ def test_check_without_samples_exits_two(samples):
 @pytest.mark.parametrize("argv", [
     ("--operator", "laplacian", "--grid", "4"),
     ("--operator", "left_shift", "--grid", "2", "--samples", "1"),
+    ("--operator", "laplacian", "--grid", "17"),
 ])
 def test_check_on_a_grid_too_coarse_to_fail_exits_two(argv, capsys):
-    # 10 h^2 >= 1: the dissipativity leg could not fail, so it certifies nothing
+    # 10 h^2 >= 1/2: the dissipativity leg passes an lhs at half its rhs, as
+    # the laplacian's parabola has on 17 cells, so it certifies almost nothing
     assert main(["check", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -504,6 +536,38 @@ def test_check_network(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["check_name"] == "lumer_phillips_network"
     assert [s["passed"] for s in doc["sub_reports"]] == [True, True, True]
+
+
+def _network_legs(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    return code, {s["check_name"]: s for s in json.loads(out)["sub_reports"]}
+
+
+def test_check_network_exits_one_on_a_non_contractive_resolvent(monkeypatch, capsys):
+    # twice every solution: lambda ||R f|| reaches about twice ||f||
+    solve = network._network_resolvents
+
+    def doubled(net, lambdas, gs):
+        for solved in solve(net, lambdas, gs):
+            yield [(f * 2.0, budget) for f, budget in solved]
+
+    monkeypatch.setattr(network, "_network_resolvents", doubled)
+    code, legs = _network_legs(capsys, ["check", "--network", str(TWO_CYCLE)])
+    assert code == 1
+    leg = legs["network_resolvent_contraction"]
+    assert not leg["passed"] and leg["witnesses"]
+    assert all(w["lhs"] > w["rhs"] for w in leg["witnesses"])
+    assert legs["adjoint_fixed_vector"]["passed"] and legs["network_range_probe"]["passed"]
+
+
+def test_check_network_exits_one_on_a_broken_fixed_vector(monkeypatch, capsys):
+    monkeypatch.setattr(network, "velocity_fixed_vector_residual", lambda net: 1.0)
+    code, legs = _network_legs(capsys, ["check", "--network", str(TWO_CYCLE)])
+    assert code == 1
+    leg = legs["adjoint_fixed_vector"]
+    assert [(w["input_id"], w["lhs"]) for w in leg["witnesses"]] == [
+        ("velocity_fixed_vector", 1.0)]
+    assert legs["network_resolvent_contraction"]["passed"]
 
 
 def test_resolvent_with_laplace_crosscheck(tmp_path, capsys):

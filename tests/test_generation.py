@@ -134,6 +134,7 @@ def test_hy_powers_upwind_passes():
     m = upwind_discretize(100, 0.01)
     rep = check_hy_powers(m, [1.0], 20)
     assert rep.passed and not rep.witnesses
+    assert rep.parameters == {"size": 100, "lambdas": [1.0], "n_max": 20}
 
 
 def test_hy_powers_single_power_closed_form():
@@ -143,17 +144,13 @@ def test_hy_powers_single_power_closed_form():
     rep = check_hy_powers(m, [lam], 1)
     assert rep.passed
     # ||R|| = 1/(lam + 1/h) <= 1/lam, equality approached as h grows
-    r = np.linalg.inv(lam * np.eye(1) - m.matrix)
+    r = np.linalg.inv(lam * np.eye(1) - m)
     assert r[0, 0] == pytest.approx(1.0 / (lam + 1.0 / h), rel=1e-12)
 
 
 def test_hy_powers_flags_violations():
-    class FakeMatrix:
-        size = 2
-        h = 1.0
-        matrix = np.array([[0.0, 3.0], [0.0, 0.0]])  # nilpotent, not dissipative
-
-    rep = check_hy_powers(FakeMatrix(), [0.5], 3)
+    nilpotent = np.array([[0.0, 3.0], [0.0, 0.0]])  # not dissipative
+    rep = check_hy_powers(nilpotent, [0.5], 3)
     assert not rep.passed
     assert rep.witnesses
 
@@ -279,20 +276,22 @@ def test_verdict_rejects_no_lambdas():
 
 
 def test_bi_dissipative_rejects_a_grid_whose_tolerance_certifies_nothing():
-    # with 10 h^2 >= 1 the test lhs < rhs (1 - 10 h^2) cannot hold, so the
-    # parabola, whose p_2 fails the inequality, would pass on 12 cells of [-2, 2]
+    # with 10 h^2 >= 1/2 the test lhs < rhs (1 - 10 h^2) lets lhs fall to half
+    # of rhs, so the parabola (p_2 lhs 2 against rhs 4) would pass on 12 to 17
+    # cells of [-2, 2]; 18 cells is the coarsest grid on which it fails
     fam = CompactSeminormFamily(WindowOrientation.SYMMETRIC, 2)
     gen = laplacian_generator()
-    for n_cells in (4, 12):
+    for n_cells in (4, 12, 13, 17):
         g = Grid(-2.0, 2.0, n_cells)
         samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
         message = f"grid step h = {g.h} gives the relative tolerance 10 h^2 = {10 * g.h ** 2}"
         for check in (check_bi_dissipative, lumer_phillips_verdict):
             with pytest.raises(ValueError, match=re.escape(message)):
                 check(gen, fam, samples, [1.0])
-    g = Grid(-2.0, 2.0, 400)
-    samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
-    assert not check_bi_dissipative(gen, fam, samples, [1.0]).passed
+    for n_cells in (18, 400):
+        g = Grid(-2.0, 2.0, n_cells)
+        samples = [("parabola", GridFunction.from_callable(g, lambda x: x ** 2))]
+        assert not check_bi_dissipative(gen, fam, samples, [1.0]).passed
 
 
 def test_bi_dissipative_rejects_a_lambda_whose_shift_overflows():

@@ -15,7 +15,7 @@ from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
                       network_generation_verdict, network_resolvent,
                       orbit_integral_residual, plateau_ramp, resolvent_shift,
                       right_translation_resolvent, shift_semigroup,
-                      smooth_bump, upwind_discretize, window_sup, write_csv)
+                      smooth_bump, upwind_discretize, window_sup)
 from semiflow.grid import window_runs, write_rows
 
 
@@ -96,7 +96,7 @@ def test_window_sup_rejects_windows_without_nodes(lo, hi, message):
 
 
 def test_csv_bytes_match_reference_writer(tmp_path):
-    # write_csv before it shared write_rows with the CLI, as written
+    # the x,value rows of the CLI's resolvent.csv, against csv.writer at 17 digits
     import csv
 
     g = Grid(-1.0, 1.0, 37)
@@ -108,7 +108,7 @@ def test_csv_bytes_match_reference_writer(tmp_path):
         for x, v in zip(f.grid.nodes, f.values):
             writer.writerow([format(x, ".17g"), format(v, ".17g")])
     got = tmp_path / "sub" / "got.csv"
-    write_csv(f, got)
+    write_rows(got, ["x", "value"], zip(f.grid.nodes, f.values))
     assert got.read_bytes() == ref.read_bytes()
 
 

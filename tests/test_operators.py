@@ -189,15 +189,15 @@ def test_resolve_rejects_nonpositive_lambda():
 
 def test_upwind_matrix_small_cases():
     m = upwind_discretize(2, 1.0)
-    assert np.array_equal(m.matrix, np.array([[-1.0, 0.0], [1.0, -1.0]]))
+    assert np.array_equal(m, np.array([[-1.0, 0.0], [1.0, -1.0]]))
     m3 = upwind_discretize(3, 0.5)
     ones = np.ones(3)
-    assert np.array_equal(m3.matrix @ ones, np.array([-2.0, 0.0, 0.0]))
+    assert np.array_equal(m3 @ ones, np.array([-2.0, 0.0, 0.0]))
 
 
 def test_upwind_matrix_immutable_and_validated():
     m = upwind_discretize(4, 0.25)
-    assert not m.matrix.flags.writeable
+    assert m.dtype == np.float64 and not m.flags.writeable
     with pytest.raises(ValueError):
         upwind_discretize(0, 1.0)
     with pytest.raises(ValueError):

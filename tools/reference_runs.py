@@ -9,14 +9,17 @@ OUTDIR/NAME then holds ``stdout``, ``stderr``, ``exit_code`` and the
 and OUTDIR's reads ``<outdir>``, so that ``diff -r`` of the output
 directories of two checkouts shows every byte in which their runs differ.
 
-The invocations are the eight commands of README's command-line section,
-``euler`` on the right translation with the default ladder (up to
-m = 1024; README's ``euler`` runs the left shift up to m = 256),
-``check --operator laplacian --samples 0`` (the parabola its only
-sample: admitted, and exits 1), two more ``simulate`` runs (the upwind
-solver, and a longer orbit whose ``--out`` CSV is large), ``simulate --t
-1e9`` (rejected before any work) and ``check --network`` on the
-two-cycle with absorption 3000 (a resolvent breakdown, after a warning).
+The invocations are the eight commands of README's command-line section
+and eight more: ``euler`` on the right translation with the default
+ladder (up to m = 1024; README's ``euler`` runs the left shift up to
+m = 256), ``check --operator laplacian --samples 0`` (the parabola its
+only sample: admitted, and exits 1), ``check --operator laplacian --grid
+17`` (a grid too coarse for the parabola to fail: exits 2), ``resolvent``
+on the right translation with the Laplace cross-check (README's runs the
+left shift), two more ``simulate`` runs (the upwind solver, and a longer
+orbit whose ``--out`` CSV is large), ``simulate --t 1e9`` (rejected
+before any work) and ``check --network`` on the two-cycle with absorption
+3000 (a resolvent breakdown, after a warning).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ INVOCATIONS = {
                          "--lambda", "10"],
     "check_laplacian": ["check", "--operator", "laplacian"],
     "check_laplacian_samples_0": ["check", "--operator", "laplacian", "--samples", "0"],
+    "check_laplacian_grid_17": ["check", "--operator", "laplacian", "--grid", "17"],
     "check_network": ["check", "--network", TWO_CYCLE],
     "euler": ["euler", "--operator", "left_shift", "--t", "1",
               "--m-ladder", "4,16,64,256"],
@@ -45,6 +49,8 @@ INVOCATIONS = {
                  "--solver", "characteristics", "--outputs", "7"],
     "resolvent": ["resolvent", "--operator", "left_shift", "--lambda", "1",
                   "--input", "bump", "--horizon", "15"],
+    "resolvent_right_translation": ["resolvent", "--operator", "right_translation",
+                                    "--input", "ones", "--horizon", "15"],
     "simulate_upwind": ["simulate", "--network", TWO_CYCLE, "--solver", "upwind",
                         "--t", "3", "--outputs", "7"],
     "simulate_t20": ["simulate", "--network", TWO_CYCLE, "--t", "20", "--outputs", "11"],
