@@ -195,18 +195,15 @@ def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
     ``np.interp``'s rounding of x - s, up to about 1e-16 n max|v_{i+1} - v_i|
     per unit weight, which shows only on rough data on fine grids.
     """
-    v = np.asarray(values, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    c = np.asarray(weights, dtype=np.float64)
-    n = v.size - 1
+    n = values.size - 1
     with np.errstate(over="ignore"):  # s / h may pass the float range
         shift = np.minimum(times / h, n + 1.0)
     j = shift.astype(np.intp)
     theta = shift - j
     taps = int(j.max()) + 2
-    kernel = (np.bincount(j, c * (1.0 - theta), minlength=taps)
-              + np.bincount(j + 1, c * theta, minlength=taps))
-    ext = np.concatenate((np.full(taps - 1, float(fill)), v))
+    kernel = (np.bincount(j, weights * (1.0 - theta), minlength=taps)
+              + np.bincount(j + 1, weights * theta, minlength=taps))
+    ext = np.concatenate((np.full(taps - 1, float(fill)), values))
     # outputs taps - 1 .. taps - 1 + n read ext only at 0 .. len(ext) - 1, so
     # a cyclic convolution of length >= len(ext) wraps nothing into them
     size = 1 << (ext.size - 1).bit_length()
@@ -217,12 +214,12 @@ def translation_orbit_sum(values: np.ndarray, h: float, fill: float,
                  * rfft(np.ldexp(kernel, -e_kernel), size), size)
     out = np.ldexp(conv[taps - 1:taps + n], e_data + e_kernel)
     x = np.arange(n + 1) * h
-    near = (float(fill), float(v[0]), float(v[1]))  # F[-1], F[0], F[1]
+    near = (float(fill), float(values[0]), float(values[1]))  # F[-1], F[0], F[1]
     for o in (0, 1):
         node = j + o
         on = node <= n
-        node, s, th, ck = node[on], times[on], theta[on], c[on]
-        exact = translation_row(x[node] - s, x, v, fill)
+        node, s, th, ck = node[on], times[on], theta[on], weights[on]
+        exact = translation_row(x[node] - s, x, values, fill)
         blend = (1.0 - th) * near[o + 1] + th * near[o]
         out += np.bincount(node, ck * (exact - blend), minlength=n + 1)
     return out
@@ -249,10 +246,8 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
     those of ``u[:, :-1] += nu (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] u[:, :-1]``
     on the edge-major state, so the result does not depend on the layout.
     """
-    u = np.array(np.asarray(values, dtype=np.float64).T, order="C")
-    coupling = np.asarray(coupling, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    dtq = np.ascontiguousarray(np.asarray(dtq, dtype=np.float64)[:, :-1].T)
+    u = np.array(values.T, order="C")
+    dtq = np.ascontiguousarray(dtq[:, :-1].T)
     lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
     flux = np.empty_like(lower)
     gain = np.empty_like(lower)
@@ -345,20 +340,15 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     ``history_transport``; this tracer serves speeds that fit no grid, and
     it is the oracle for the history.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    bc = np.asarray(coupling, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    qcum = np.asarray(qcum, dtype=np.float64)
-    h = float(h)
     times = np.asarray(t, dtype=np.float64)
     t_max = float(np.max(times))
-    n_edges, n_nodes = vals.shape
+    n_edges, n_nodes = values.shape
     n = n_nodes - 1
     # CSR of the rows of the coupling matrix (children of each edge)
-    rows, cols = np.nonzero(bc)
+    rows, cols = np.nonzero(coupling)
     n_children = np.bincount(rows, minlength=n_edges)
     first_child = np.cumsum(n_children) - n_children
-    bweight = bc[rows, cols]
+    bweight = coupling[rows, cols]
     # Reject up front what the loop would reject.  An edge is live when it
     # has an infinite backward walk, that is when it has a live child: the
     # fixpoint below, reached in at most n_edges passes.  Each node of a live
@@ -368,7 +358,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     # a last level lost to rounding.  Levels past `cap` raise the crossing
     # cap instead.  The times of a block trace apart, so their bounds add.
     live = n_children > 0
-    while not np.array_equal(fed := (bc != 0) @ live, live):
+    while not np.array_equal(fed := (coupling != 0) @ live, live):
         live = fed
     levels = np.clip(np.ceil(times * float(np.min(c))) - 1.0, 0.0, cap + 1.0)
     bound = float(np.sum(levels)) * np.count_nonzero(live) * n_nodes
@@ -393,7 +383,7 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         idx, frac = _panel(np.minimum(pos[done] + ced * trem[done], 1.0), h, n)
         gain = (_interp(qcum, e, idx, frac) - start_q[done]) / ced
         np.add.at(out, origin[done],
-                  weight[done] * np.exp(gain) * _interp(vals, e, idx, frac))
+                  weight[done] * np.exp(gain) * _interp(values, e, idx, frac))
 
         go = ~done
         e = edge[go]
@@ -431,7 +421,7 @@ def common_step(h: float, c: np.ndarray, times: Sequence[float]) -> Optional[flo
     wins.  A span of so many steps that 64 eps of it reach a quarter step
     cannot show a fit, and fails.
     """
-    spans = np.concatenate([h / np.asarray(c, dtype=np.float64), np.ravel(times)])
+    spans = np.concatenate([h / c, np.ravel(times)])
     spans = spans[spans > 0]
     s0 = float(np.min(spans))
     tol = 64 * np.finfo(np.float64).eps
@@ -490,11 +480,7 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     ``FrontierLimitError`` (a ``ValueError``) naming its largest time,
     before any work.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    bc = np.asarray(coupling, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    qcum = np.asarray(qcum, dtype=np.float64)
-    n_edges, n_nodes = vals.shape
+    n_edges, n_nodes = values.shape
     n = n_nodes - 1
     t_max = max((float(np.max(block)) for block in blocks if block.size), default=0.0)
     last = int(round(t_max / dt))
@@ -507,8 +493,8 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     # steps to cross each edge; a crossing after the last step is never
     # reached, and capping it there keeps the integers small
     cross = n * np.minimum(b, last + 1)
-    rows, cols = np.nonzero(bc)
-    weight = bc[rows, cols][:, None]
+    rows, cols = np.nonzero(coupling)
+    weight = coupling[rows, cols][:, None]
     fed, first = np.unique(rows, return_index=True)
     edge_gain = np.exp(qcum[:, n] / c)[:, None]
 
@@ -524,7 +510,7 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         back = steps - cross[:, None]  # step of the tail value each head reads
         head = edge_gain * tail[edges, np.maximum(back, 0)]
         k, i = np.nonzero(back < 1)    # s <= 1/c_k: still the initial data
-        head[k, i] = _foot_value(vals, qcum, c, b, k, 0, steps[i] // b[k],
+        head[k, i] = _foot_value(values, qcum, c, b, k, 0, steps[i] // b[k],
                                  steps[i] % b[k])
         tail[fed, i0:i0 + steps.size] = np.add.reduceat(weight * head[cols], first,
                                                         axis=0)
@@ -539,5 +525,5 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         out = out_gain * tail[j, np.maximum(back, 0)]
         t, p = np.nonzero(back < 1)    # t <= (1 - x)/c_j: the initial data
         cell, rem = np.divmod(a[t, 0], b[j[p]])
-        out[t, p] = _foot_value(vals, qcum, c, b, j[p], node[p], node[p] + cell, rem)
-        yield out.reshape(block.shape + vals.shape)
+        out[t, p] = _foot_value(values, qcum, c, b, j[p], node[p], node[p] + cell, rem)
+        yield out.reshape(block.shape + values.shape)

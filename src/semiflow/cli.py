@@ -68,8 +68,6 @@ def json_text(obj, indent: int = 0) -> str:
             return "[]"
         rows = [f"{inner}{json_text(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, np.floating):
-        return _fmt(float(obj))
     return _fmt(obj)
 
 
@@ -152,6 +150,11 @@ def _operator_setup(name: str, n_cells: int, seed: int, n_samples: int):
 def cmd_check(args) -> int:
     lambdas = args.lambdas or [0.1, 1.0, 10.0]
     if args.network is not None:
+        if (args.grid, args.samples, args.seed) != (None, None, None):
+            raise ValueError(
+                "--grid, --samples and --seed apply to --operator only: a network's "
+                f"document sets its grid, and its verdict draws {network.VERDICT_SAMPLES} "
+                "samples at seed 0")
         # looked up on the module at each call, so that a wrapper installed
         # there (as the benchmark's tracer does) sees the CLI's calls too
         report = network.network_generation_verdict(
@@ -161,12 +164,13 @@ def cmd_check(args) -> int:
         n_cells = args.grid
         if n_cells is None:
             n_cells = 4000 if args.operator == "laplacian" else 2000
+        n_random = 8 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
         # the laplacian adds the parabola, the right translation the ramp
-        n_samples = max(args.samples, 0) + (args.operator != "left_shift")
+        n_samples = max(n_random, 0) + (args.operator != "left_shift")
         _bound_grid(n_cells, n_samples * len(lambdas) * SAMPLE_PASSES,
                     f"{n_samples} samples and {len(lambdas)} --lambda values")
-        gen, family, samples, probes = _operator_setup(
-            args.operator, n_cells, args.seed, args.samples)
+        gen, family, samples, probes = _operator_setup(args.operator, n_cells, seed, n_random)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
         label = args.operator
     _emit_json(report.to_dict(), args.out, f"check_{label}.json")
@@ -229,6 +233,13 @@ def cmd_counterexample(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     lam = check_lambda(args.lam)
+    lower = math.exp(-lam * (args.n + 1)) / lam
+    if lower < sys.float_info.min:
+        # p_1(R f) underflows with its bound, so a run could only fail
+        raise ValueError(
+            f"the lower bound exp(-lambda (n + 1)) / lambda = {lower!r} is below the "
+            "normal float range, where p_1 of R f cannot be told from 0; use a "
+            "smaller --lambda or --n")
     x_min = max(10.0, args.n + 2.0)
     _bound_grid(args.grid)
     grid = Grid(-x_min, 0.0, args.grid)
@@ -237,7 +248,6 @@ def cmd_counterexample(args) -> int:
     p_n_f = eval_pn(family, args.n, f)
     rf = right_translation_resolvent(lam, f)
     p_1_rf = eval_pn(family, 1, rf)
-    lower = math.exp(-lam * (args.n + 1)) / lam
     passed = (p_n_f <= 1e-12) and (p_1_rf >= lower - 1e-6) and (p_1_rf > 0)
     _emit_json({
         "lambda": lam, "n": int(args.n),
@@ -355,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--network", metavar="PATH")
     p.add_argument("--lambda", dest="lambdas", type=_finite_float, action="append",
                    metavar="LAM", help="resolvent parameter (repeatable)")
-    p.add_argument("--grid", type=int, help="number of grid cells")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, help="number of grid cells (--operator only)")
+    p.add_argument("--samples", type=int, help="random samples (--operator only; default 8)")
+    p.add_argument("--seed", type=int, help="sample seed (--operator only; default 0)")
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_check)
 
@@ -416,12 +426,18 @@ def _bound_lambda_tokens(argv: list) -> None:
     """Refuse a ``check`` argv whose ``--lambda`` options alone pass the
     work bound, before argparse spends time quadratic in their count on
     them: ``cmd_check``'s bound at its node floor and with the fewest
-    samples a run holds, so nothing it admits is refused here."""
+    samples a run holds, so nothing it admits is refused here.  argparse
+    takes any unique prefix of an option, and among ``check``'s options
+    three letters make ``--lambda`` and ``--network`` unique."""
     if argv[:1] != ["check"]:
         return
     options = [a.split("=", 1)[0] for a in argv]
-    count = options.count("--lambda")
-    samples = network.VERDICT_SAMPLES if "--network" in options else 1
+
+    def spelled(option: str) -> int:
+        return sum(o.startswith(option[:3]) and option.startswith(o) for o in options)
+
+    count = spelled("--lambda")
+    samples = network.VERDICT_SAMPLES if spelled("--network") else 1
     _bound_work(0, samples * count * SAMPLE_PASSES,
                 f"{samples} samples and {count} --lambda values")
 

@@ -33,8 +33,8 @@ from ._kernels import (FrontierLimitError, common_step, damped_cumulative_integr
                        frontier_error, history_transport, trace_transport,
                        upwind_sweep)
 from .generation import CheckReport, Witness
-from .grid import (Grid, GridFunction, check_lambda, check_lambdas, check_orbit_sum,
-                   check_times)
+from .grid import (Grid, GridFunction, check_integer, check_lambda, check_lambdas,
+                   check_orbit_sum, check_times)
 from .samples import sample_functions
 from .semigroups import Semigroup
 
@@ -316,27 +316,20 @@ def characteristics_orbit(net: Network, state: EdgeState,
         # for the block's largest t, which covers every time in the block
         cap = int(math.ceil(float(np.max(block)) * c_max)) + 2
         try:
-            values = _trace_block(args, block, cap)
+            try:
+                values = trace_transport(*args, block, cap)
+            except FrontierLimitError:
+                if block.size == 1:
+                    raise
+                values = np.empty(block.shape + state.values.shape)
+                for k in np.argsort(block)[::-1]:
+                    values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
         except FrontierLimitError as exc:
-            t_call = max(float(np.max(b)) for b in blocks)
-            if float(np.max(block)) == t_call:
+            t_max = float(np.max(times))
+            if float(np.max(block)) == t_max:
                 raise
-            raise frontier_error(t_call, exc.entries, exact=False) from None
+            raise frontier_error(t_max, exc.entries, exact=False) from None
         yield from values
-
-
-def _trace_block(args: tuple, block: np.ndarray, cap: int) -> np.ndarray:
-    """Trace one block of times in one call or, over the frontier limit,
-    one time per call, the largest time first."""
-    try:
-        return trace_transport(*args, block, cap)
-    except FrontierLimitError:
-        if block.size == 1:
-            raise
-        values = np.empty(block.shape + args[0].shape)
-        for k in np.argsort(block)[::-1]:
-            values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
-        return values
 
 
 def step_characteristics(net: Network, state: EdgeState, t: float) -> EdgeState:
@@ -675,6 +668,17 @@ def random_flow_network(n_edges: int, seed: int, n_cells: int = 50,
     return make_network(n_vertices, edges, velocities, weights, None, n_cells)
 
 
+def _document_integer(value, name: str) -> int:
+    """The integer ``value`` of a network document's field ``name``:
+    ``ValidationError`` for a number that is not an integer (10.0 is one) or
+    a string, and ``TypeError`` for a value that is no number at all."""
+    try:
+        return check_integer(value, -math.inf, "")
+    except ValueError:
+        raise ValidationError(
+            f"network config field {name} must be an integer, got {value!r}") from None
+
+
 def load_network(doc: dict) -> Network:
     """Build a network from a parsed JSON document, which must be an object.
 
@@ -687,8 +691,9 @@ def load_network(doc: dict) -> Network:
     if not isinstance(doc, dict):
         raise ValidationError("network config must be a JSON object")
     try:
-        n_vertices = int(doc["vertices"])
-        edges = [(int(e["tail"]), int(e["head"])) for e in doc["edges"]]
+        n_vertices = _document_integer(doc["vertices"], "vertices")
+        edges = [(_document_integer(e["tail"], "tail"), _document_integer(e["head"], "head"))
+                 for e in doc["edges"]]
     except KeyError as exc:
         raise ValidationError(f"network config is missing field: {exc}") from exc
     except TypeError as exc:
@@ -696,7 +701,8 @@ def load_network(doc: dict) -> Network:
     weights = None
     if doc.get("weights") is not None:
         try:
-            weights = [(int(w["into_edge"]), int(w["from_edge"]), float(w["w"]))
+            weights = [(_document_integer(w["into_edge"], "into_edge"),
+                        _document_integer(w["from_edge"], "from_edge"), float(w["w"]))
                        for w in doc["weights"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(
@@ -704,7 +710,7 @@ def load_network(doc: dict) -> Network:
     try:
         velocities = ([1.0] * len(edges) if doc.get("velocities") is None
                       else [float(v) for v in doc["velocities"]])
-        n_cells = int(doc.get("grid", {}).get("n_cells", 100))
+        n_cells = _document_integer(doc.get("grid", {}).get("n_cells", 100), "grid.n_cells")
         absorption = doc.get("absorption")
         if absorption is not None:
             absorption = np.asarray(absorption, dtype=np.float64)

@@ -48,6 +48,31 @@ def test_counterexample_rejects_bad_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam, n", [("50", "20"), ("1", "760")])
+def test_counterexample_whose_bound_underflows_exits_two(capsys, lam, n):
+    # exp(-lambda (n + 1)) / lambda is 0 here, and so is p_1 of R f: the run
+    # could only report a failed witness (exit 1) that did not fail
+    assert main(["counterexample", "--lambda", lam, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the lower bound exp(-lambda (n + 1)) / lambda")
+    # lambda (n + 1) = 701 keeps the bound a normal float, and the witness holds
+    assert run_cli(capsys, "counterexample", "--lambda", "1", "--n", "700")[0] == 0
+
+
+@pytest.mark.parametrize("option", [("--grid", "5"), ("--samples", "0"), ("--seed", "7"),
+                                    ("--samples=8",)],
+                         ids=["grid", "samples", "seed", "samples_default_value"])
+def test_check_network_refuses_the_operator_options(capsys, option):
+    # the document sets the grid and the verdict its samples and seed, so the
+    # options would change nothing, even when given their operator default
+    assert main(["check", "--network", str(TWO_CYCLE), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid, --samples and --seed apply to "
+                                   "--operator only")
+
+
 def test_check_left_shift_passes(capsys):
     code, out = run_cli(capsys, "check", "--operator", "left_shift",
                         "--grid", "1000", "--samples", "4")
@@ -380,12 +405,13 @@ def test_lambda_count_over_budget_is_refused_before_parsing(monkeypatch, capsys)
     assert captured.err.startswith("error: 5 samples and 20000 --lambda values ")
 
 
-@pytest.mark.parametrize("tokens", [("--lambda", "1"), ("--lambda=1",)],
-                         ids=["separate", "joined"])
+@pytest.mark.parametrize("tokens", [("--lambda", "1"), ("--lambda=1",), ("--lamb", "1"),
+                                    ("--l=1",)],
+                         ids=["separate", "joined", "prefix", "shortest_prefix_joined"])
 def test_lambda_token_bound_refuses_nothing_the_parsed_bound_admits(tokens):
     # the two-cycle has 802 node values, under the floor of 2^10: the parsed
     # bound admits 2^30 / (5 * 16 * 2^10) = 13107 lambdas, and so does the
-    # token count, in either spelling
+    # token count, in every spelling argparse takes
     cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13107])
     assert cli._verdict_network(str(TWO_CYCLE), 13107).n_edges == 2
     refused = "5 samples and 13108 --lambda values"
@@ -393,6 +419,9 @@ def test_lambda_token_bound_refuses_nothing_the_parsed_bound_admits(tokens):
         cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13108])
     with pytest.raises(ValueError, match=refused):
         cli._verdict_network(str(TWO_CYCLE), 13108)
+    # an abbreviated --network still counts the verdict's 5 samples
+    with pytest.raises(ValueError, match=refused):
+        cli._bound_lambda_tokens(["check", "--net", str(TWO_CYCLE), *tokens * 13108])
 
 
 def test_network_bound_counts_the_coupling_solves(tmp_path, monkeypatch, capsys):

@@ -512,7 +512,10 @@ def test_trace_crossing_cap_precedes_up_front_rejection():
     ([(0, 1), (1, 0)], [1.0, 2.5]),
     ([(0, 1), (1, 2), (2, 0), (1, 0)], [0.7, 1.3, 2.0, 1.0]),
     ([(0, 1), (1, 2), (2, 1)], [1.0, 1.0, 1.0]),
-], ids=["two_cycle", "two_speeds", "branching", "source_fed_cycle"])
+    # edge 1 has a child, but only the source edge 0: the live-edge
+    # fixpoint takes a second pass to drop it
+    ([(0, 1), (1, 2), (2, 3), (3, 2)], [1.0] * 4),
+], ids=["two_cycle", "two_speeds", "branching", "source_fed_cycle", "source_chain"])
 def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
                                                            velocities):
     # with a small limit, scan t upward: the first rejection must come from

@@ -89,6 +89,45 @@ def test_structure_is_rejected_when_the_network_is_built(build, fault):
                     np.ones(len(edges)), np.zeros((len(edges), 11)), Grid(0.0, 1.0, 10))
 
 
+def _two_cycle_with(**kwargs):
+    """``make_network`` of the unit two-cycle on 10 cells, with ``kwargs``
+    in place of its arguments."""
+    args = dict(n_vertices=2, edges=[(0, 1), (1, 0)], velocities=[1.0, 1.0], n_cells=10)
+    return make_network(**{**args, **kwargs})
+
+
+# builders of inputs that break one checked rule each, and their messages
+INPUT_FAULTS = {
+    "vertex_out_of_range": (lambda: _two_cycle_with(edges=[(0, 1), (1, 2)]),
+                            r"edge 1 references vertex outside 0\.\.1"),
+    "zero_velocity": (lambda: _two_cycle_with(velocities=[1.0, 0.0]),
+                      "velocities must be finite and positive"),
+    "nan_velocity": (lambda: _two_cycle_with(velocities=[math.nan, 1.0]),
+                     "velocities must be finite and positive"),
+    "absorption_shape": (lambda: _two_cycle_with(absorption=np.zeros((2, 5))),
+                         r"absorption must have shape \(2, 11\)"),
+    "absorption_not_finite": (lambda: _two_cycle_with(absorption=[0.0, math.inf]),
+                              "absorption values must be finite"),
+    "absorption_length": (lambda: _two_cycle_with(absorption=[0.0, 0.0, 0.0]),
+                          "per-edge absorption needs one constant per edge"),
+    "unknown_edge": (lambda: _two_cycle_with(weights=[(1, 0, 1.0), (0, 2, 1.0)]),
+                     r"weight entry \(0, 2\) references unknown edge"),
+    "negative_weight": (lambda: _two_cycle_with(weights=[(1, 0, 1.0), (0, 1, -1.0)]),
+                        r"weight for \(into=0, from=1\) must be >= 0"),
+    "initial_not_a_list": (lambda: initial_state(_two_cycle_with(), 5),
+                           "initial data must be a list"),
+    "initial_ragged_row": (lambda: initial_state(_two_cycle_with(), [[[1.0, 2.0], [3.0]], 0.0]),
+                           "initial data for edge 0 must be a number or a row of 11 numbers"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_malformed_input_is_rejected(fault):
+    build, message = INPUT_FAULTS[fault]
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 STATE_ENTRIES = {
     "orbit": lambda net, st: list(characteristics_orbit(net, st, [0.5, 1.0])),
     "orbit_sum": lambda net, st: network_semigroup(net).orbit_sum(
@@ -540,6 +579,36 @@ def test_load_network_roundtrip_and_errors():
 def test_load_network_tells_a_wrong_type_from_a_missing_field(edges, message):
     with pytest.raises(ValidationError, match=f"network config (is|field has the) {message}"):
         load_network({"vertices": 2, "edges": edges})
+
+
+def _integer_document(vertices=2, tail=0, head=1, into_edge=1, from_edge=0, n_cells=10):
+    """The unit two-cycle as a document, with the integer fields of its first
+    edge and first weight, its vertex count and its cell count given."""
+    return {"vertices": vertices,
+            "edges": [{"tail": tail, "head": head}, {"tail": 1, "head": 0}],
+            "weights": [{"into_edge": into_edge, "from_edge": from_edge, "w": 1.0},
+                        {"into_edge": 0, "from_edge": 1, "w": 1.0}],
+            "grid": {"n_cells": n_cells}}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertices", 2.7), ("tail", 0.9), ("head", 1.2), ("into_edge", 1.6),
+    ("from_edge", 0.5), ("n_cells", 10.5), ("n_cells", "10"),
+], ids=["vertices", "tail", "head", "into_edge", "from_edge", "n_cells", "n_cells_string"])
+def test_load_network_refuses_an_integer_field_that_is_not_an_integer(field, value):
+    # int() would truncate each number, and read the string as 10
+    name = "grid.n_cells" if field == "n_cells" else field
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"field {name} must be an integer, got {value!r}")):
+        load_network(_integer_document(**{field: value}))
+
+
+def test_load_network_takes_integral_floats_as_integers():
+    net = load_network(_integer_document(2.0, 0.0, 1.0, 1.0, 0.0, 10.0))
+    ref = load_network(_integer_document())
+    assert (net.n_vertices, net.edges, net.weights, net.grid) == (
+        ref.n_vertices, ref.edges, ref.weights, ref.grid)
+    assert isinstance(net.n_vertices, int) and isinstance(net.grid.n_cells, int)
 
 
 def test_edge_state_norm_and_arithmetic():

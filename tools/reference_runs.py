@@ -10,7 +10,7 @@ and OUTDIR's reads ``<outdir>``, so that ``diff -r`` of the output
 directories of two checkouts shows every byte in which their runs differ.
 
 The invocations are the eight commands of README's command-line section
-and eight more: ``euler`` on the right translation with the default
+and ten more: ``euler`` on the right translation with the default
 ladder (up to m = 1024; README's ``euler`` runs the left shift up to
 m = 256), ``check --operator laplacian --samples 0`` (the parabola its
 only sample: admitted, and exits 1), ``check --operator laplacian --grid
@@ -18,8 +18,11 @@ only sample: admitted, and exits 1), ``check --operator laplacian --grid
 on the right translation with the Laplace cross-check (README's runs the
 left shift), two more ``simulate`` runs (the upwind solver, and a longer
 orbit whose ``--out`` CSV is large), ``simulate --t 1e9`` (rejected
-before any work) and ``check --network`` on the two-cycle with absorption
-3000 (a resolvent breakdown, after a warning).
+before any work), ``check --network`` on the two-cycle with absorption
+3000 (a resolvent breakdown, after a warning), ``counterexample --lambda
+50 --n 20`` (a lower bound that underflows: exits 2) and ``check
+--network`` with ``--samples 3`` (an option that applies to ``--operator``
+only: exits 2).
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ INVOCATIONS = {
     "simulate_t20": ["simulate", "--network", TWO_CYCLE, "--t", "20", "--outputs", "11"],
     "simulate_t1e9": ["simulate", "--network", TWO_CYCLE, "--t", "1e9"],
     "check_network_absorption_3000": ["check", "--network", ABSORBING],
+    "counterexample_underflow": ["counterexample", "--lambda", "50", "--n", "20"],
+    "check_network_samples_3": ["check", "--network", TWO_CYCLE, "--samples", "3"],
 }
 
 
