@@ -10,14 +10,15 @@ Subcommands map one-to-one onto the library's verification workflows:
 * ``resolvent``      resolvent evaluation with optional Laplace cross-check
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input or input
-the solvers cannot handle (resolvent breakdown, exact flow over budget).  All
-floating-point output is serialized with 17 significant digits and every
-command is deterministic for a fixed configuration.
+the solvers cannot handle (resolvent breakdown, exact flow over budget).  JSON
+and CSV floats are written with 17 significant digits, and inf or nan exits 2
+instead.  Every command is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .generation import lumer_phillips_verdict
-from .grid import Grid, GridFunction, check_lambda, write_rows
+from .grid import Grid, GridFunction, check_lambda
 from . import network
 from .network import initial_state, load_network, simulate_flow, total_mass
 from .operators import (laplacian_generator, left_shift_generator,
@@ -40,11 +41,15 @@ from .seminorms import (CompactSeminormFamily, WindowOrientation, eval_pn,
 
 
 def _fmt(value) -> str:
+    """A JSON scalar or CSV number: ints in decimal, finite floats to 17 digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"the output holds the non-finite number {value!r}, "
+                             "which JSON and CSV cannot hold")
         return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -71,13 +76,27 @@ def json_text(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
+def _open_out(out_dir, name: str):
+    """A new file ``name`` in the ``--out`` directory, which it creates."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return open(Path(out_dir, name), "w", newline="")
+
+
 def _emit_json(doc: dict, out_dir, name: str) -> None:
     text = json_text(doc) + "\n"
     sys.stdout.write(text)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
+        with _open_out(out_dir, name) as fh:
+            fh.write(text)
+
+
+def _emit_rows(out_dir, name: str, header: list[str], rows) -> None:
+    """CSV ``rows`` of numbers under ``header`` in the ``--out`` file ``name``."""
+    if out_dir is not None:
+        with _open_out(out_dir, name) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
 
 
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
@@ -105,6 +124,12 @@ def _bound_work(nodes: int, passes: int, what: str) -> None:
     if work > WORK_LIMIT:
         raise ValueError(f"{what} would take {work} grid-node visits, more than the "
                          f"limit of {WORK_LIMIT}; use a coarser grid or smaller counts")
+
+
+def _bound_pairs(nodes: int, samples: int, n_lambdas: int) -> None:
+    """``_bound_work`` of a check: SAMPLE_PASSES per (sample, lambda) pair."""
+    _bound_work(nodes, samples * n_lambdas * SAMPLE_PASSES,
+                f"{samples} samples and {n_lambdas} --lambda values")
 
 
 def _bound_grid(n_cells: int, passes: int = 1, what: str = "") -> None:
@@ -168,8 +193,8 @@ def cmd_check(args) -> int:
         seed = 0 if args.seed is None else args.seed
         # the laplacian adds the parabola, the right translation the ramp
         n_samples = max(n_random, 0) + (args.operator != "left_shift")
-        _bound_grid(n_cells, n_samples * len(lambdas) * SAMPLE_PASSES,
-                    f"{n_samples} samples and {len(lambdas)} --lambda values")
+        _bound_grid(n_cells)
+        _bound_pairs(n_cells + 1, n_samples, len(lambdas))
         gen, family, samples, probes = _operator_setup(args.operator, n_cells, seed, n_random)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
         label = args.operator
@@ -184,16 +209,15 @@ def _network_document(path: str):
 
 
 def _verdict_network(path: str, n_lambdas: int):
-    """The network of a ``--network`` file, once ``_bound_work`` admits its
+    """The network of a ``--network`` file, once ``_bound_pairs`` admits its
     verdict: ``network.VERDICT_SAMPLES`` samples at each of ``n_lambdas``
     lambdas over its E (n + 1) node values and one E x E coupling solve."""
     net = load_network(_network_document(path))
     # each sample's solve counts as E^3 / 2^12 node values: on 2 cores a node
     # value of a sample took 84-130 ns at each lambda, and a solve 27 ms at
     # E = 1024, the cost of about 2^18 node values
-    _bound_work(net.n_edges * (net.grid.n_cells + 1) + (net.n_edges ** 3 >> 12),
-                network.VERDICT_SAMPLES * n_lambdas * SAMPLE_PASSES,
-                f"{network.VERDICT_SAMPLES} samples and {n_lambdas} --lambda values")
+    _bound_pairs(net.n_edges * (net.grid.n_cells + 1) + (net.n_edges ** 3 >> 12),
+                 network.VERDICT_SAMPLES, n_lambdas)
     return net
 
 
@@ -217,15 +241,13 @@ def cmd_euler(args) -> int:
         errors = seminorm_ladder(family, grid, (approx - exact).values).tolist()
         rows.extend((m, n, err) for n, err in enumerate(errors, 1))
         summary_errors.append(errors[-1])
-    if args.out is not None:
-        write_rows(Path(args.out) / "euler_convergence.csv",
-                   ["m", "seminorm_index", "error"], rows)
     _emit_json({
         "operator": args.operator, "t": float(args.t), "m_ladder": ladder,
         "seminorm_index": args.n_max,
         "errors": summary_errors,
         "sup_norm_of_f": f.norm(),
     }, args.out, "euler_summary.json")
+    _emit_rows(args.out, "euler_convergence.csv", ["m", "seminorm_index", "error"], rows)
     return 0
 
 
@@ -234,12 +256,13 @@ def cmd_counterexample(args) -> int:
         raise ValueError("window index n must be >= 1")
     lam = check_lambda(args.lam)
     lower = math.exp(-lam * (args.n + 1)) / lam
-    if lower < sys.float_info.min:
-        # p_1(R f) underflows with its bound, so a run could only fail
-        raise ValueError(
-            f"the lower bound exp(-lambda (n + 1)) / lambda = {lower!r} is below the "
-            "normal float range, where p_1 of R f cannot be told from 0; use a "
-            "smaller --lambda or --n")
+    if not sys.float_info.min <= lower < math.inf:
+        # below the normal range p_1(R f) underflows with its bound, so a run
+        # could only fail; past the float range R f = f / lambda overflows too
+        where = ("below the normal float range, where p_1 of R f cannot be told from 0; "
+                 "use a smaller --lambda or --n" if lower < 1 else
+                 "past the float range, and so is R f; use a larger --lambda")
+        raise ValueError(f"the lower bound exp(-lambda (n + 1)) / lambda = {lower!r} is {where}")
     x_min = max(10.0, args.n + 2.0)
     _bound_grid(args.grid)
     grid = Grid(-x_min, 0.0, args.grid)
@@ -262,6 +285,10 @@ def cmd_heat(args) -> int:
     if args.n < 1:
         raise ValueError("window index n must be >= 1")
     n = args.n
+    if not math.isfinite(float(n) * float(n) * lam):
+        # the values lambda x^2 of lambda f would overflow on [-n, n]
+        raise ValueError(f"lambda n^2 = {lam} * {n}^2 is past the float range; use a "
+                         "smaller --lambda or --n")
     _bound_grid(args.grid)
     grid = Grid(-float(n), float(n), args.grid)
     family = CompactSeminormFamily(WindowOrientation.SYMMETRIC, n)
@@ -293,11 +320,6 @@ def cmd_simulate(args) -> int:
     sups = [st.norm() for st in states]
     m0 = masses[0]
     drift = max(abs(m - m0) for m in masses) / max(abs(m0), 1e-300)
-    if args.out is not None:
-        rows = ((float(t), j, float(x), float(u)) for t, st in zip(times, states)
-                for j, row in enumerate(st.values) for x, u in zip(net.grid.nodes, row))
-        write_rows(Path(args.out) / "simulation.csv",
-                   ["t", "edge", "x", "u"], rows)
     _emit_json({
         "solver": args.solver, "t_max": float(args.t), "cfl": float(args.cfl),
         "n_edges": net.n_edges,
@@ -305,6 +327,9 @@ def cmd_simulate(args) -> int:
         "mass": masses, "supnorm_l1": sups,
         "mass_drift_rel": drift,
     }, args.out, "simulate_summary.json")
+    _emit_rows(args.out, "simulation.csv", ["t", "edge", "x", "u"],
+               ((t, j, x, u) for t, st in zip(times, states)
+                for j, row in enumerate(st.values) for x, u in zip(net.grid.nodes, row)))
     return 0
 
 
@@ -332,10 +357,8 @@ def cmd_resolvent(args) -> int:
         doc["laplace_steps"] = int(args.steps)
         doc["laplace_tail_bound"] = tail
         doc["laplace_crosscheck_diff"] = (approx - f).norm()
-    if args.out is not None:
-        write_rows(Path(args.out) / "resolvent.csv", ["x", "value"],
-                   zip(f.grid.nodes, f.values))
     _emit_json(doc, args.out, "resolvent_summary.json")
+    _emit_rows(args.out, "resolvent.csv", ["x", "value"], zip(f.grid.nodes, f.values))
     return 0
 
 
@@ -368,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="number of grid cells (--operator only)")
     p.add_argument("--samples", type=int, help="random samples (--operator only; default 8)")
     p.add_argument("--seed", type=int, help="sample seed (--operator only; default 0)")
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("euler", help="resolvent-to-semigroup convergence ladder")
@@ -379,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4000)
     p.add_argument("--x-max", type=_finite_float, default=6.0)
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_euler)
 
     p = sub.add_parser("counterexample",
@@ -387,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", type=int, default=4000)
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("heat",
@@ -395,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", type=int, default=4000)
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_heat)
 
     p = sub.add_parser("simulate", help="evolve a network transport flow")
@@ -405,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite_float, default=4.0)
     p.add_argument("--cfl", type=_finite_float, default=0.9)
     p.add_argument("--outputs", type=int, default=11)
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("resolvent", help="evaluate a resolvent, optionally "
@@ -417,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", choices=("ones", "bump", "expdecay"), default="bump")
     p.add_argument("--horizon", type=_finite_float)
     p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--out", metavar="DIR")
     p.set_defaults(fn=cmd_resolvent)
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="DIR")
     return parser
 
 
@@ -436,10 +455,8 @@ def _bound_lambda_tokens(argv: list) -> None:
     def spelled(option: str) -> int:
         return sum(o.startswith(option[:3]) and option.startswith(o) for o in options)
 
-    count = spelled("--lambda")
-    samples = network.VERDICT_SAMPLES if spelled("--network") else 1
-    _bound_work(0, samples * count * SAMPLE_PASSES,
-                f"{samples} samples and {count} --lambda values")
+    _bound_pairs(0, network.VERDICT_SAMPLES if spelled("--network") else 1,
+                 spelled("--lambda"))
 
 
 def main(argv=None) -> int:

@@ -114,7 +114,8 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     witnesses = []
     for sid, f in samples:
         pf = seminorm_ladder(family, f.grid, f.values)
-        shifted = f.values * lams - gen.apply(f).values
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            shifted = f.values * lams - gen.apply(f).values
         if not np.all(np.isfinite(shifted)):
             raise ValueError("node values must be finite")
         lhs, rhs = seminorm_ladder(family, f.grid, shifted), lams * pf

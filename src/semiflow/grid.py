@@ -7,11 +7,9 @@ difference stencils, exact on quadratics.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -184,15 +182,3 @@ def window_sup(f: GridFunction, lo: float, hi: float) -> float:
     check_window(f.grid, lo, hi, bool(start < stop))
     return float(np.max(np.abs(f.values[start:stop])))
 
-
-def write_rows(path, header: list[str], rows) -> None:
-    """CSV rows in a new file and directory: strings as given, integers in
-    decimal, every other number with 17 significant digits."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else
-                             (str(v) if isinstance(v, (int, np.integer))
-                              else format(float(v), ".17g")) for v in row])

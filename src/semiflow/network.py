@@ -670,13 +670,22 @@ def random_flow_network(n_edges: int, seed: int, n_cells: int = 50,
 
 def _document_integer(value, name: str) -> int:
     """The integer ``value`` of a network document's field ``name``:
-    ``ValidationError`` for a number that is not an integer (10.0 is one) or
-    a string, and ``TypeError`` for a value that is no number at all."""
+    ``ValidationError`` for a number that is not an integer (10.0 is one), a
+    string or a boolean, and ``TypeError`` for a value that is no number at all."""
     try:
-        return check_integer(value, -math.inf, "")
+        return check_integer(_document_number(value, name), -math.inf, "")
     except ValueError:
         raise ValidationError(
             f"network config field {name} must be an integer, got {value!r}") from None
+
+
+def _document_number(value, name: str):
+    """``value`` of a network document's number field ``name``, as given:
+    ``ValidationError`` for a string or a boolean, which JSON does not count as
+    numbers (``float`` would read "1" and true as 1)."""
+    if isinstance(value, (str, bool)):
+        raise ValidationError(f"network config field {name} must be a number, got {value!r}")
+    return value
 
 
 def load_network(doc: dict) -> Network:
@@ -686,7 +695,8 @@ def load_network(doc: dict) -> Network:
     "weights": [{"into_edge": int, "from_edge": int, "w": float}, ...],
     "velocities": [float, ...], "absorption": [float, ...] or nested lists,
     "grid": {"n_cells": int}}.  Weights may be omitted when every vertex
-    splits its outflow evenly.
+    splits its outflow evenly.  A number is a JSON number, not a string or a
+    boolean.
     """
     if not isinstance(doc, dict):
         raise ValidationError("network config must be a JSON object")
@@ -702,17 +712,20 @@ def load_network(doc: dict) -> Network:
     if doc.get("weights") is not None:
         try:
             weights = [(_document_integer(w["into_edge"], "into_edge"),
-                        _document_integer(w["from_edge"], "from_edge"), float(w["w"]))
+                        _document_integer(w["from_edge"], "from_edge"),
+                        float(_document_number(w["w"], "w")))
                        for w in doc["weights"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 f"weight entries need into_edge, from_edge, w: {exc}") from exc
     try:
-        velocities = ([1.0] * len(edges) if doc.get("velocities") is None
-                      else [float(v) for v in doc["velocities"]])
+        velocities = ([1.0] * len(edges) if doc.get("velocities") is None else
+                      [float(_document_number(v, "velocities")) for v in doc["velocities"]])
         n_cells = _document_integer(doc.get("grid", {}).get("n_cells", 100), "grid.n_cells")
         absorption = doc.get("absorption")
         if absorption is not None:
+            for q in np.asarray(absorption, dtype=object).flat:
+                _document_number(q, "absorption")
             absorption = np.asarray(absorption, dtype=np.float64)
     except (TypeError, AttributeError) as exc:
         raise ValidationError(

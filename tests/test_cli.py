@@ -3,6 +3,7 @@ CSV artifacts, and byte-level determinism."""
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -476,6 +477,59 @@ def test_check_with_huge_lambda_names_the_range_budget(operator):
         "error: lambda = 1e+300 is too large for the range probe: its tolerance "
         "10 (1 + lambda)^2 h^2 max(1, ||g||) overflows\n")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("heat", "--lambda", "1e-310"),
+    ("resolvent", "--lambda", "1e-310", "--horizon", "15"),
+    ("counterexample", "--lambda", "1e-310", "--n", "2"),
+    ("heat", "--lambda", "1e308"),
+    ("check", "--operator", "laplacian", "--lambda", "1e308"),
+], ids=["heat_report_inf", "resolvent_tail_inf", "counterexample_bound_inf",
+        "heat_lambda_n2_inf", "check_laplacian_shifted_inf"])
+def test_a_run_whose_numbers_overflow_is_refused_with_one_line(argv, tmp_path, capsys):
+    # 1/lambda or lambda x^2 passes the float range: the run prints no report
+    # (JSON has no inf), no numpy warning and no --out file, only one error line
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("operator, input_", [
+    ("left_shift", "ones"), ("left_shift", "expdecay"),
+    ("right_translation", "ones"), ("right_translation", "expdecay"),
+])
+def test_resolvent_of_ones_and_expdecay_meets_its_closed_form(capsys, operator, input_):
+    # lambda = 1, horizon H = 15 in ds = H / 3000, h = 20 / 2000 (left shift
+    # on [0, 20], inflow 0) or 10 / 2000 (right translation on [-10, 0], g
+    # extended by g(a)); g(a) = 1 for both inputs
+    code, out = run_cli(capsys, "resolvent", "--operator", operator,
+                        "--input", input_, "--horizon", "15")
+    assert code == 0
+    doc = json.loads(out)
+    lam, horizon, ds, rounding = 1.0, 15.0, 15.0 / 3000, 2000 * 2.0 ** -52
+    if operator == "right_translation":
+        # R g <= g(a) / lambda, attained at a: exact to rounding
+        sup, sup_tol, jump = 1.0 / lam, rounding, 0.0
+    elif input_ == "ones":
+        # R g (x) = (1 - e^(-lambda (x - a))) / lambda, largest at b: the
+        # scheme is exact on linear data
+        sup, sup_tol, jump = (1.0 - math.exp(-20.0 * lam)) / lam, rounding, 1.0
+    else:
+        # R g (x) = (x - a) e^(-(x - a)) at lambda = 1, largest e^-1 at the node
+        # x = 1, within linear interpolation's h^2 max|g''| / (8 lambda)
+        sup, sup_tol, jump = math.exp(-1.0), (20.0 / 2000) ** 2 / (8 * lam), 1.0
+    assert abs(doc["sup_of_result"] - sup) <= sup_tol
+    # the left shift's orbit at a jumps from g(a) to the inflow 0 at s = 0,
+    # where the true integral is 0 and the trapezoid rule's end weight ds/2
+    # is all its error; the smooth part adds its ds^2/12 int |f''| rule with
+    # f = e^(-lambda s), and the tail past H its bound
+    smooth = doc["laplace_tail_bound"] + ds ** 2 / 12 * lam * (1 - math.exp(-lam * horizon))
+    diff = doc["laplace_crosscheck_diff"]
+    assert jump * ds / 2 - rounding <= diff <= jump * ds / 2 + smooth
 
 
 def test_euler_at_tiny_times(capsys):

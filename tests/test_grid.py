@@ -1,5 +1,5 @@
-"""Grid containers, arithmetic, differentiation, windows, the CSV writer,
-the integer check that count arguments share and the lambda check that
+"""Grid containers, arithmetic, differentiation, windows, the CLI's CSV
+writer, the integer check that count arguments share and the lambda check that
 every resolvent entry shares."""
 
 import math
@@ -16,7 +16,8 @@ from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
                       orbit_integral_residual, plateau_ramp, resolvent_shift,
                       right_translation_resolvent, shift_semigroup,
                       smooth_bump, upwind_discretize, window_sup)
-from semiflow.grid import window_runs, write_rows
+from semiflow.cli import _emit_rows
+from semiflow.grid import window_runs
 
 
 def test_grid_basic_properties():
@@ -107,16 +108,14 @@ def test_csv_bytes_match_reference_writer(tmp_path):
         writer.writerow(["x", "value"])
         for x, v in zip(f.grid.nodes, f.values):
             writer.writerow([format(x, ".17g"), format(v, ".17g")])
-    got = tmp_path / "sub" / "got.csv"
-    write_rows(got, ["x", "value"], zip(f.grid.nodes, f.values))
-    assert got.read_bytes() == ref.read_bytes()
+    _emit_rows(tmp_path / "sub", "got.csv", ["x", "value"], zip(f.grid.nodes, f.values))
+    assert (tmp_path / "sub" / "got.csv").read_bytes() == ref.read_bytes()
 
 
 def test_write_rows_formats_each_kind(tmp_path):
-    path = tmp_path / "rows.csv"
-    write_rows(path, ["s", "i", "f"], [("a", 3, 0.1), ("b", np.int64(-2), np.float64(1 / 3))])
-    assert path.read_text().splitlines() == [
-        "s,i,f", "a,3,0.10000000000000001", "b,-2,0.33333333333333331"]
+    _emit_rows(tmp_path, "rows.csv", ["i", "f"], [(3, 0.1), (np.int64(-2), np.float64(1 / 3))])
+    assert (tmp_path / "rows.csv").read_text().splitlines() == [
+        "i,f", "3,0.10000000000000001", "-2,0.33333333333333331"]
 
 
 def test_window_runs_include_endpoints_within_tolerance():

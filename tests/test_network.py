@@ -593,14 +593,42 @@ def _integer_document(vertices=2, tail=0, head=1, into_edge=1, from_edge=0, n_ce
 
 @pytest.mark.parametrize("field, value", [
     ("vertices", 2.7), ("tail", 0.9), ("head", 1.2), ("into_edge", 1.6),
-    ("from_edge", 0.5), ("n_cells", 10.5), ("n_cells", "10"),
-], ids=["vertices", "tail", "head", "into_edge", "from_edge", "n_cells", "n_cells_string"])
+    ("from_edge", 0.5), ("n_cells", 10.5), ("n_cells", "10"), ("tail", False),
+    ("head", True),
+], ids=["vertices", "tail", "head", "into_edge", "from_edge", "n_cells", "n_cells_string",
+        "tail_boolean", "head_boolean"])
 def test_load_network_refuses_an_integer_field_that_is_not_an_integer(field, value):
-    # int() would truncate each number, and read the string as 10
+    # int() would truncate each number, read the string as 10 and a boolean
+    # as 0 or 1
     name = "grid.n_cells" if field == "n_cells" else field
     with pytest.raises(ValidationError,
                        match=re.escape(f"field {name} must be an integer, got {value!r}")):
         load_network(_integer_document(**{field: value}))
+
+
+@pytest.mark.parametrize("field, value, bad", [
+    ("velocities", ["1", True], "'1'"),
+    ("velocities", [1.0, True], "True"),
+    ("weights", [{"into_edge": 1, "from_edge": 0, "w": "1.0"},
+                 {"into_edge": 0, "from_edge": 1, "w": 1.0}], "'1.0'"),
+    ("weights", [{"into_edge": 1, "from_edge": 0, "w": True},
+                 {"into_edge": 0, "from_edge": 1, "w": 1.0}], "True"),
+    ("absorption", ["0.5", "-1"], "'0.5'"),
+    ("absorption", [[0.0] * 11, [0.0] * 10 + [False]], "False"),
+], ids=["velocities_string", "velocities_boolean", "w_string", "w_boolean",
+        "absorption_string", "absorption_nested_boolean"])
+def test_load_network_refuses_a_real_field_that_is_not_a_json_number(field, value, bad):
+    # float() would read "1" and true as 1.0, and numpy the nested false as 0.0
+    name = "w" if field == "weights" else field
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"field {name} must be a number, got {bad}")):
+        load_network({**_integer_document(), field: value})
+
+
+def test_load_network_names_a_malformed_grid():
+    with pytest.raises(ValidationError,
+                       match="malformed velocities, grid or absorption: 'int' object"):
+        load_network({**_integer_document(), "grid": 5})
 
 
 def test_load_network_takes_integral_floats_as_integers():

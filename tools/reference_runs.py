@@ -5,12 +5,15 @@
 OUTDIR must not exist yet.  Each invocation runs in CHECKOUT with its
 ``src`` first on ``PYTHONPATH`` and ``--out OUTDIR/NAME/out``, and
 OUTDIR/NAME then holds ``stdout``, ``stderr``, ``exit_code`` and the
-``--out`` files.  In ``stderr`` the checkout's path reads ``<checkout>``
-and OUTDIR's reads ``<outdir>``, so that ``diff -r`` of the output
-directories of two checkouts shows every byte in which their runs differ.
+``--out`` files.  In ``stderr`` the checkout's path reads ``<checkout>``,
+OUTDIR's reads ``<outdir>`` and the line number of a warning's location
+reads ``<line>`` (``<checkout>/src/semiflow/cli.py:<line>:``, the file name
+kept), so that ``diff -r`` of the output directories of two checkouts shows
+every byte in which their runs differ, but not a warning whose source line
+moved within its module.
 
 The invocations are the eight commands of README's command-line section
-and ten more: ``euler`` on the right translation with the default
+and fifteen more: ``euler`` on the right translation with the default
 ladder (up to m = 1024; README's ``euler`` runs the left shift up to
 m = 256), ``check --operator laplacian --samples 0`` (the parabola its
 only sample: admitted, and exits 1), ``check --operator laplacian --grid
@@ -22,19 +25,25 @@ before any work), ``check --network`` on the two-cycle with absorption
 3000 (a resolvent breakdown, after a warning), ``counterexample --lambda
 50 --n 20`` (a lower bound that underflows: exits 2) and ``check
 --network`` with ``--samples 3`` (an option that applies to ``--operator``
-only: exits 2).
+only: exits 2), three runs at ``--lambda 1e-310`` whose numbers overflow
+(``heat``, ``resolvent`` with the Laplace cross-check and ``counterexample``:
+each exits 2), ``resolvent`` of the left shift on ``--input expdecay`` with
+the cross-check, and ``check --network`` on the two-cycle with the
+velocities ``["1", true]``, which are not JSON numbers (exits 2).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 TWO_CYCLE = "configs/two_cycle.json"
 ABSORBING = "two_cycle_absorption_3000.json"  # written into OUTDIR
+STRING_VELOCITY = "two_cycle_string_velocity.json"  # written into OUTDIR
 
 INVOCATIONS = {
     "check_left_shift": ["check", "--operator", "left_shift", "--lambda", "1",
@@ -61,7 +70,14 @@ INVOCATIONS = {
     "check_network_absorption_3000": ["check", "--network", ABSORBING],
     "counterexample_underflow": ["counterexample", "--lambda", "50", "--n", "20"],
     "check_network_samples_3": ["check", "--network", TWO_CYCLE, "--samples", "3"],
+    "heat_lambda_overflow": ["heat", "--lambda", "1e-310"],
+    "resolvent_lambda_overflow": ["resolvent", "--lambda", "1e-310", "--horizon", "15"],
+    "counterexample_lambda_overflow": ["counterexample", "--lambda", "1e-310", "--n", "2"],
+    "resolvent_expdecay": ["resolvent", "--operator", "left_shift", "--input", "expdecay",
+                           "--horizon", "15"],
+    "check_network_string_velocity": ["check", "--network", STRING_VELOCITY],
 }
+WRITTEN = (ABSORBING, STRING_VELOCITY)
 
 
 def main(argv: list[str]) -> int:
@@ -72,6 +88,7 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True)  # a new directory: no file left by an older run
     doc = json.loads((checkout / TWO_CYCLE).read_text())
     (outdir / ABSORBING).write_text(json.dumps({**doc, "absorption": 3000.0}))
+    (outdir / STRING_VELOCITY).write_text(json.dumps({**doc, "velocities": ["1", True]}))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src") + (os.pathsep + path if path else ""))
     # the longer path first, in case one holds the other
@@ -80,13 +97,14 @@ def main(argv: list[str]) -> int:
     for name, args in INVOCATIONS.items():
         run = outdir / name
         run.mkdir()
-        args = [str(outdir / a) if a == ABSORBING else a for a in args]
+        args = [str(outdir / a) if a in WRITTEN else a for a in args]
         proc = subprocess.run([sys.executable, "-m", "semiflow.cli", *args,
                                "--out", str(run / "out")],
                               cwd=checkout, env=env, capture_output=True, text=True)
         stderr = proc.stderr
         for where, mask in masks:
             stderr = stderr.replace(where, mask)
+        stderr = re.sub(r"(\.py):\d+:", r"\1:<line>:", stderr)
         (run / "stdout").write_text(proc.stdout)
         (run / "stderr").write_text(stderr)
         (run / "exit_code").write_text(f"{proc.returncode}\n")
