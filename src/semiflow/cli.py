@@ -110,7 +110,11 @@ _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 # 15 B per node of each sample or lambda: ~1.1 GB (extrapolated) for the
 # worst admitted run, one sample at 2**26 / nodes lambdas or the reverse.
 # `resolvent --horizon` sums its orbit as one convolution, under 1 s near the
-# bound.  WORK_LIMIT keeps a run under about a minute, GRID_LIMIT a state at 8 MB.
+# bound.  WORK_LIMIT keeps a run under about a minute, GRID_LIMIT a state at 8 MB,
+# and ARGV_LIMIT, checked before parsing, the parse inside that: argparse takes
+# time quadratic in the option count, and 2**12 one-argument options (`--n=2`)
+# parsed in 0.41 s, 2**11 two-argument ones in 0.11 s (2**13: 1.7 s, 0.41 s).
+ARGV_LIMIT = 2 ** 12
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10
 SAMPLE_PASSES = 2 ** 4
@@ -335,8 +339,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_resolvent(args) -> int:
     lam = check_lambda(args.lam)
-    _bound_grid(args.grid, 1 if args.horizon is None else args.steps + 2,
-                f"--steps {args.steps}")
+    if args.horizon is None and args.steps is not None:
+        raise ValueError("--steps applies to --horizon only: it counts the orbit "
+                         "steps of the Laplace cross-check")
+    steps = 3000 if args.steps is None else args.steps
+    _bound_grid(args.grid, 1 if args.horizon is None else steps + 2, f"--steps {steps}")
     grid, gen, sg, _ = _translation_setup(
         args.operator, args.grid, 20.0 if args.operator == "left_shift" else 10.0)
     if args.input == "ones":
@@ -352,9 +359,9 @@ def cmd_resolvent(args) -> int:
         "sup_of_result": f.norm(),
     }
     if args.horizon is not None:
-        approx, tail = laplace_resolvent(sg, lam, g, args.horizon, args.steps)
+        approx, tail = laplace_resolvent(sg, lam, g, args.horizon, steps)
         doc["laplace_horizon"] = float(args.horizon)
-        doc["laplace_steps"] = int(args.steps)
+        doc["laplace_steps"] = steps
         doc["laplace_tail_bound"] = tail
         doc["laplace_crosscheck_diff"] = (approx - f).norm()
     _emit_json(doc, args.out, "resolvent_summary.json")
@@ -434,35 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--input", choices=("ones", "bump", "expdecay"), default="bump")
     p.add_argument("--horizon", type=_finite_float)
-    p.add_argument("--steps", type=int, default=3000)
+    p.add_argument("--steps", type=int)
     p.set_defaults(fn=cmd_resolvent)
     for p in sub.choices.values():
         p.add_argument("--out", metavar="DIR")
     return parser
 
 
-def _bound_lambda_tokens(argv: list) -> None:
-    """Refuse a ``check`` argv whose ``--lambda`` options alone pass the
-    work bound, before argparse spends time quadratic in their count on
-    them: ``cmd_check``'s bound at its node floor and with the fewest
-    samples a run holds, so nothing it admits is refused here.  argparse
-    takes any unique prefix of an option, and among ``check``'s options
-    three letters make ``--lambda`` and ``--network`` unique."""
-    if argv[:1] != ["check"]:
-        return
-    options = [a.split("=", 1)[0] for a in argv]
-
-    def spelled(option: str) -> int:
-        return sum(o.startswith(option[:3]) and option.startswith(o) for o in options)
-
-    _bound_pairs(0, network.VERDICT_SAMPLES if spelled("--network") else 1,
-                 spelled("--lambda"))
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _bound_lambda_tokens(argv)
+        if len(argv) > ARGV_LIMIT:
+            raise ValueError(f"{len(argv)} arguments exceed the limit of {ARGV_LIMIT}")
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:

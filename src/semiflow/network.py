@@ -377,9 +377,9 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(
             f"{n_outputs} output times of {n_values} values each exceed the "
             f"limit of {_kernels.FRONTIER_LIMIT} stored values; request fewer outputs")
+    if not 0 < cfl <= 1.0:
+        raise ValueError(f"CFL target must lie in (0, 1], got {cfl!r}")
     if solver == "upwind":
-        if not 0 < cfl <= 1.0:
-            raise ValueError("CFL target must lie in (0, 1]")
         seg = t_final / (n_outputs - 1)
         dt_max = cfl * net.grid.h / float(np.max(net.velocities))
         k_steps = max(1, int(math.ceil(seg / dt_max - 1e-9)))

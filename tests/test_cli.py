@@ -403,26 +403,54 @@ def test_lambda_count_over_budget_is_refused_before_parsing(monkeypatch, capsys)
     assert main(["check", "--network", str(TWO_CYCLE), *lambdas]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 5 samples and 20000 --lambda values ")
+    assert captured.err.startswith("error: 40003 arguments exceed the limit of 4096")
 
 
-@pytest.mark.parametrize("tokens", [("--lambda", "1"), ("--lambda=1",), ("--lamb", "1"),
-                                    ("--l=1",)],
-                         ids=["separate", "joined", "prefix", "shortest_prefix_joined"])
-def test_lambda_token_bound_refuses_nothing_the_parsed_bound_admits(tokens):
+ARGV_PREFIXES = {
+    "check": (("check", "--operator", "left_shift"), ("--grid", "100")),
+    "euler": (("euler",), ("--grid", "100")),
+    "counterexample": (("counterexample",), ("--n", "2")),
+    "heat": (("heat",), ("--n", "2")),
+    "simulate": (("simulate", "--network", str(TWO_CYCLE)), ("--outputs", "3")),
+    "resolvent": (("resolvent",), ("--grid", "100")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_PREFIXES))
+def test_argv_over_the_limit_is_refused_before_parsing(command, monkeypatch, capsys):
+    # the parse alone takes time quadratic in the options, whichever repeat
+    def no_parser():
+        raise AssertionError("the argv was parsed")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    prefix, pair = ARGV_PREFIXES[command]
+    argv = [*prefix, *pair * ((cli.ARGV_LIMIT + 1 - len(prefix)) // 2)]
+    assert len(argv) == cli.ARGV_LIMIT + 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {cli.ARGV_LIMIT + 1} arguments exceed the limit "
+                            f"of {cli.ARGV_LIMIT}\n")
+
+
+def test_argv_at_the_limit_is_parsed(capsys):
+    # the parsed pair bound names the count of --lambda values it read
+    n_pairs = (cli.ARGV_LIMIT - 6) // 2
+    argv = ["check", "--operator", "left_shift", "--samples", "100000", "--lambda=1",
+            *["--lambda", "1"] * n_pairs]
+    assert len(argv) == cli.ARGV_LIMIT
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 100000 samples and {n_pairs + 1} --lambda values ")
+
+
+def test_network_pair_bound_admits_13107_lambdas_on_the_two_cycle():
     # the two-cycle has 802 node values, under the floor of 2^10: the parsed
-    # bound admits 2^30 / (5 * 16 * 2^10) = 13107 lambdas, and so does the
-    # token count, in every spelling argparse takes
-    cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13107])
+    # bound admits 2^30 / (5 * 16 * 2^10) = 13107 lambdas
     assert cli._verdict_network(str(TWO_CYCLE), 13107).n_edges == 2
-    refused = "5 samples and 13108 --lambda values"
-    with pytest.raises(ValueError, match=refused):
-        cli._bound_lambda_tokens(["check", f"--network={TWO_CYCLE}", *tokens * 13108])
-    with pytest.raises(ValueError, match=refused):
+    with pytest.raises(ValueError, match="5 samples and 13108 --lambda values"):
         cli._verdict_network(str(TWO_CYCLE), 13108)
-    # an abbreviated --network still counts the verdict's 5 samples
-    with pytest.raises(ValueError, match=refused):
-        cli._bound_lambda_tokens(["check", "--net", str(TWO_CYCLE), *tokens * 13108])
 
 
 def test_network_bound_counts_the_coupling_solves(tmp_path, monkeypatch, capsys):
@@ -653,6 +681,22 @@ def test_check_network_exits_one_on_a_broken_fixed_vector(monkeypatch, capsys):
     assert legs["network_resolvent_contraction"]["passed"]
 
 
+@pytest.mark.parametrize("argv", [("--steps", "0"), ("--grid", "100", "--steps", "-7"),
+                                  ("--steps", "3000")], ids=["zero", "negative", "default"])
+def test_resolvent_refuses_steps_without_horizon(argv, capsys):
+    # only the Laplace cross-check reads --steps, so the run would ignore it
+    assert main(["resolvent", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --steps applies to --horizon only")
+
+
+def test_resolvent_horizon_takes_3000_steps_by_default(capsys):
+    code, out = run_cli(capsys, "resolvent", "--horizon", "15")
+    assert code == 0
+    assert json.loads(out)["laplace_steps"] == 3000
+
+
 def test_resolvent_with_laplace_crosscheck(tmp_path, capsys):
     out_dir = tmp_path / "res"
     code, out = run_cli(capsys, "resolvent", "--operator", "left_shift",
@@ -686,6 +730,12 @@ def test_json_floats_have_17_significant_digits(capsys):
     _, out = run_cli(capsys, "counterexample")
     # the frozen lower bound must appear at full precision
     assert "0.049787068367863944" in out
+
+
+def test_json_text_of_an_empty_object_and_an_unsupported_value():
+    assert cli.json_text({}) == "{}"
+    with pytest.raises(TypeError, match="cannot serialize <class 'complex'>"):
+        cli._fmt(1j)
 
 
 def test_overflowed_damping_warning_quotes_q_inf(tmp_path):

@@ -162,6 +162,14 @@ def test_subdifferential_interior_max():
     assert rep.passed
 
 
+def test_subdifferential_needs_a_positive_seminorm():
+    # f vanishes on window 5 = [0, 5] of the left shift: no functional norms it
+    g, gen, fam = _left_shift_setup()
+    f = GridFunction.from_callable(g, lambda x: np.where(x > 6.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"subdifferential test needs p_n\(f\) > 0"):
+        subdifferential_test(gen, fam, f, 5)
+
+
 def test_subdifferential_boundary_max():
     g, gen, fam = _left_shift_setup()
     f = GridFunction.from_callable(g, lambda x: np.tanh(x))  # increasing

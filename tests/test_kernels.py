@@ -224,6 +224,12 @@ def test_damped_integral_validates_input():
         K.damped_cumulative_integral(np.ones(1), 0.1, 1.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+def test_damped_integral_rejects_a_panel_width_that_is_not_positive(h):
+    with pytest.raises(ValueError, match="panel width must be positive"):
+        K.damped_cumulative_integral(np.ones(5), h, 1.0)
+
+
 def test_damped_integral_stacked_rows_match_single_rows():
     rng = np.random.default_rng(4)
     v = rng.normal(size=(5, 61))

@@ -118,6 +118,8 @@ INPUT_FAULTS = {
                            "initial data must be a list"),
     "initial_ragged_row": (lambda: initial_state(_two_cycle_with(), [[[1.0, 2.0], [3.0]], 0.0]),
                            "initial data for edge 0 must be a number or a row of 11 numbers"),
+    "norm_weight_count": (lambda: supnorm_l1_weighted(initial_state(_two_cycle_with()), [1.0]),
+                          "need one weight per edge"),
 }
 
 
@@ -236,6 +238,15 @@ def test_upwind_rejects_cfl_violation():
     st = initial_state(net)
     with pytest.raises(ValueError, match="CFL"):
         simulate_flow(net, st, 1.0, "upwind", cfl=10.0)
+
+
+@pytest.mark.parametrize("solver", ["characteristics", "upwind"])
+@pytest.mark.parametrize("cfl", [-5.0, 0.0, 1.5])
+def test_simulate_flow_rejects_a_cfl_target_outside_the_unit_interval(solver, cfl):
+    # the characteristics solver reads no CFL target, but a summary reports it
+    net = two_cycle(n_cells=20)
+    with pytest.raises(ValueError, match=re.escape(f"CFL target must lie in (0, 1], got {cfl}")):
+        simulate_flow(net, initial_state(net), 1.0, solver, cfl=cfl)
 
 
 def test_upwind_mass_drift_small():
@@ -474,6 +485,11 @@ def test_random_networks_fixed_vector_bulk():
         net = random_flow_network(3 + (seed * 7) % 198, seed=seed, n_cells=8)
         worst = max(worst, velocity_fixed_vector_residual(net))
     assert worst <= 1e-12
+
+
+def test_random_network_needs_two_edges():
+    with pytest.raises(ValueError, match="need at least two edges"):
+        random_flow_network(1, seed=0)
 
 
 def test_random_network_column_stochastic_and_reproducible():

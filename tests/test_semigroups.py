@@ -211,6 +211,13 @@ def test_orbit_integral_residual_zero_function():
     assert orbit_integral_residual(gen, sg, 0.5, z, steps=100) == 0.0
 
 
+def test_orbit_integral_residual_at_time_zero_is_zero():
+    # both sides of A int_0^0 T(s) f ds = T(0) f - f vanish
+    f = smooth_bump(Grid(0.0, 10.0, 500), 4.0, 2.0)
+    assert f.norm() > 0
+    assert orbit_integral_residual(left_shift_generator(), shift_semigroup(), 0.0, f) == 0.0
+
+
 def test_orbit_integral_residual_shift_pair():
     g = Grid(0.0, 10.0, 2000)
     gen = left_shift_generator()

@@ -13,7 +13,7 @@ every byte in which their runs differ, but not a warning whose source line
 moved within its module.
 
 The invocations are the eight commands of README's command-line section
-and fifteen more: ``euler`` on the right translation with the default
+and eighteen more: ``euler`` on the right translation with the default
 ladder (up to m = 1024; README's ``euler`` runs the left shift up to
 m = 256), ``check --operator laplacian --samples 0`` (the parabola its
 only sample: admitted, and exits 1), ``check --operator laplacian --grid
@@ -28,8 +28,11 @@ before any work), ``check --network`` on the two-cycle with absorption
 only: exits 2), three runs at ``--lambda 1e-310`` whose numbers overflow
 (``heat``, ``resolvent`` with the Laplace cross-check and ``counterexample``:
 each exits 2), ``resolvent`` of the left shift on ``--input expdecay`` with
-the cross-check, and ``check --network`` on the two-cycle with the
-velocities ``["1", true]``, which are not JSON numbers (exits 2).
+the cross-check, ``check --network`` on the two-cycle with the velocities
+``["1", true]``, which are not JSON numbers (exits 2), ``heat`` with 2100
+``--n 2`` options (more arguments than the CLI parses: exits 2),
+``resolvent --steps 0`` (``--steps`` without ``--horizon``: exits 2) and
+``simulate --cfl -5`` (a CFL target outside (0, 1]: exits 2).
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ INVOCATIONS = {
     "resolvent_expdecay": ["resolvent", "--operator", "left_shift", "--input", "expdecay",
                            "--horizon", "15"],
     "check_network_string_velocity": ["check", "--network", STRING_VELOCITY],
+    "heat_argv_over_limit": ["heat", *["--n", "2"] * 2100],
+    "resolvent_steps_without_horizon": ["resolvent", "--steps", "0"],
+    "simulate_cfl_negative": ["simulate", "--network", TWO_CYCLE, "--cfl", "-5"],
 }
 WRITTEN = (ABSORBING, STRING_VELOCITY)
 
