@@ -15,7 +15,9 @@ Kernels:
 
 ``upwind_sweep``
     Explicit first-order upwind steps for edge transport toward x = 0 with
-    vertex redistribution of the outflow.
+    vertex redistribution of the outflow: a node-major march of four numpy
+    calls per step, each node a weighted sum of itself and its upstream
+    neighbour, so that a unit-CFL step is an exact shift.
 
 ``trace_transport``
     Exact evolution of edge transport by backtracking characteristics
@@ -234,29 +236,27 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
     """March ``n_steps`` explicit upwind steps and return the new edge values,
     a fresh C-ordered array of the shape of ``values``, (E, n + 1).
 
-    Interior nodes use the one-sided difference toward the tail (transport
-    runs from x = 1 toward x = 0); each tail node is then refilled from the
-    just-updated head values through the velocity-weighted coupling matrix,
-    which keeps the unit-CFL step a shift, up to the rounding of
-    u_i + (u_{i+1} - u_i).
+    Interior nodes take the upwind step toward the tail (transport runs
+    from x = 1 toward x = 0) as the weighted sum ``keep u_i + nu u_{i+1}``,
+    with ``keep = 1 - nu + dtq`` formed once per call, which differs from
+    ``u_i + nu (u_{i+1} - u_i) + dtq u_i`` at rounding level only; each tail
+    node is then refilled from the just-updated head values through the
+    velocity-weighted coupling matrix.  At nu = 1 and dtq = 0, keep is
+    exactly 0, so a unit-CFL step is an exact shift.
 
     The march runs node-major, on a copy of shape (n + 1, E), so that the
-    head row and the tail row are contiguous, and each step is six numpy
-    calls into two buffers allocated once.  The arithmetic and its order are
-    those of ``u[:, :-1] += nu (u[:, 1:] - u[:, :-1]) + dtq[:, :-1] u[:, :-1]``
-    on the edge-major state, so the result does not depend on the layout.
+    head row and the tail row are contiguous, and each step is four numpy
+    calls, with one buffer allocated once; the result does not depend on
+    the layout of ``values``.
     """
     u = np.array(values.T, order="C")
-    dtq = np.ascontiguousarray(dtq[:, :-1].T)
+    keep = np.ascontiguousarray((1.0 - nu) + dtq[:, :-1].T)
     lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
-    flux = np.empty_like(lower)
-    gain = np.empty_like(lower)
+    inflow = np.empty_like(lower)
     for _ in range(int(n_steps)):
-        np.subtract(upper, lower, out=flux)
-        np.multiply(nu, flux, out=flux)
-        np.multiply(dtq, lower, out=gain)
-        np.add(flux, gain, out=flux)
-        np.add(lower, flux, out=lower)
+        np.multiply(nu, upper, out=inflow)
+        np.multiply(keep, lower, out=lower)
+        np.add(lower, inflow, out=lower)
         np.matmul(coupling, head, out=tail)
     return u.T.copy()
 

@@ -195,6 +195,8 @@ def cmd_check(args) -> int:
             n_cells = 4000 if args.operator == "laplacian" else 2000
         n_random = 8 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
+        if seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {seed}")
         # the laplacian adds the parabola, the right translation the ramp
         n_samples = max(n_random, 0) + (args.operator != "left_shift")
         _bound_grid(n_cells)

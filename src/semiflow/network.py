@@ -41,10 +41,10 @@ from .semigroups import Semigroup
 
 # Most cell-steps (edge nodes times time steps) one ``simulate_flow`` upwind
 # march may take.  On a 2-core Xeon with numpy 2.4 a cell-step of the
-# node-major march costs 2.5 ns with 64 edges of 401 nodes, 11 ns with 2
-# edges of 401 nodes and 14 ns with 8 edges of 51 nodes (per-step overhead
-# dominates small states), so this keeps a march under about 1-4 s.  The
-# default CLI march takes 1.4e6.
+# node-major march (best of 5 marches of 2e7 cell-steps) costs 1.4 ns with
+# 64 edges of 401 nodes, 7.1 ns with 2 edges of 401 nodes and 7.2 ns with 8
+# edges of 51 nodes (per-step overhead dominates small states), so this
+# keeps a march under about 0.4-2 s.  The default CLI march takes 1.4e6.
 UPWIND_CELL_STEP_LIMIT = 2 ** 28
 
 # Most state values in one block of times of ``characteristics_orbit``.
@@ -382,13 +382,17 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     if solver == "upwind":
         seg = t_final / (n_outputs - 1)
         dt_max = cfl * net.grid.h / float(np.max(net.velocities))
-        k_steps = max(1, int(math.ceil(seg / dt_max - 1e-9)))
-        cell_steps = (n_outputs - 1) * k_steps * n_values
+        # counted in floats: a tiny CFL target overflows seg / dt_max or
+        # underflows dt_max to 0, and refusing the count before int() keeps
+        # its digits out of the message
+        steps = np.ceil(max(seg / dt_max - 1e-9, 1.0)) if dt_max else math.inf
+        cell_steps = (n_outputs - 1) * steps * n_values
         if cell_steps > UPWIND_CELL_STEP_LIMIT:
             raise ValueError(
-                f"the upwind march would take {cell_steps} cell-steps, more than "
-                f"the limit of {UPWIND_CELL_STEP_LIMIT}; shorten t or coarsen "
-                "the grid")
+                f"the upwind march would take {cell_steps:.15g} cell-steps at CFL "
+                f"target {cfl!r}, more than the limit of {UPWIND_CELL_STEP_LIMIT}; "
+                "shorten t, coarsen the grid or raise the CFL target")
+        k_steps = int(steps)
     elif solver != "characteristics":
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     times = np.linspace(0.0, t_final, n_outputs)

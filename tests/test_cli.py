@@ -591,6 +591,28 @@ def test_check_without_samples_exits_two(samples):
     assert proc.stdout == ""
 
 
+def test_check_refuses_a_negative_seed(capsys):
+    # numpy's own refusal would name neither the option nor the value
+    assert main(["check", "--operator", "left_shift", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("cfl", ["1e-300", "5e-324"])
+def test_simulate_with_a_tiny_cfl_target_exits_two_with_one_short_line(cfl):
+    # the step count overflows (1e-300) or the step underflows to 0 (5e-324)
+    proc = run_cli_process("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind",
+                           "--cfl", cfl, "--t", "1", "--outputs", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error: the upwind march would take ")
+    assert f"CFL target {cfl}" in line
+    assert f"the limit of {network.UPWIND_CELL_STEP_LIMIT}" in line
+    assert len(line) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ("--operator", "laplacian", "--grid", "4"),
     ("--operator", "left_shift", "--grid", "2", "--samples", "1"),

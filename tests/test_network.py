@@ -20,7 +20,7 @@ from semiflow import (Edge, EdgeState, Grid, GridFunction, Network,
                       supnorm_l1_weighted, total_mass,
                       velocity_fixed_vector_residual, weighted_bc)
 from semiflow.generation import CheckReport, Witness
-from semiflow.network import characteristics_orbit
+from semiflow.network import UPWIND_CELL_STEP_LIMIT, characteristics_orbit
 
 
 def two_cycle(n_cells=400, velocities=(1.0, 1.0), absorption=None):
@@ -783,6 +783,21 @@ def test_simulate_upwind_cell_step_limit(monkeypatch):
     monkeypatch.setattr(network_module, "UPWIND_CELL_STEP_LIMIT", 80 * 82 - 1)
     with pytest.raises(ValueError, match="6560 cell-steps"):
         simulate_flow(net, st, 1.0, "upwind", cfl=0.5, n_outputs=3)
+
+
+@pytest.mark.parametrize("cfl", [1e-300, 5e-324])
+def test_simulate_upwind_refuses_a_tiny_cfl_target_by_its_float_count(cfl):
+    # at 1e-300 the count is ~3e305 and at 5e-324 the step dt_max underflows
+    # to 0: both are refused with one short line, not the count's 300 digits
+    # or a division by zero
+    net = two_cycle(n_cells=40)
+    with pytest.raises(ValueError) as info:
+        simulate_flow(net, initial_state(net), 1.0, "upwind", cfl=cfl, n_outputs=2)
+    message = str(info.value)
+    assert message.startswith("the upwind march would take ")
+    assert (f"cell-steps at CFL target {cfl!r}, more than the limit of "
+            f"{UPWIND_CELL_STEP_LIMIT}") in message
+    assert "\n" not in message and len(message) < 200
 
 
 def test_network_verdict_rejects_no_samples():

@@ -13,7 +13,7 @@ every byte in which their runs differ, but not a warning whose source line
 moved within its module.
 
 The invocations are the eight commands of README's command-line section
-and eighteen more: ``euler`` on the right translation with the default
+and twenty more: ``euler`` on the right translation with the default
 ladder (up to m = 1024; README's ``euler`` runs the left shift up to
 m = 256), ``check --operator laplacian --samples 0`` (the parabola its
 only sample: admitted, and exits 1), ``check --operator laplacian --grid
@@ -31,8 +31,11 @@ each exits 2), ``resolvent`` of the left shift on ``--input expdecay`` with
 the cross-check, ``check --network`` on the two-cycle with the velocities
 ``["1", true]``, which are not JSON numbers (exits 2), ``heat`` with 2100
 ``--n 2`` options (more arguments than the CLI parses: exits 2),
-``resolvent --steps 0`` (``--steps`` without ``--horizon``: exits 2) and
-``simulate --cfl -5`` (a CFL target outside (0, 1]: exits 2).
+``resolvent --steps 0`` (``--steps`` without ``--horizon``: exits 2),
+``simulate --cfl -5`` (a CFL target outside (0, 1]: exits 2), ``simulate
+--solver upwind --cfl 1e-300`` (a CFL target so small that the march's
+cell-step count is ~1e305: exits 2) and ``check --operator left_shift
+--seed -1`` (a negative sample seed: exits 2).
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ INVOCATIONS = {
     "heat_argv_over_limit": ["heat", *["--n", "2"] * 2100],
     "resolvent_steps_without_horizon": ["resolvent", "--steps", "0"],
     "simulate_cfl_negative": ["simulate", "--network", TWO_CYCLE, "--cfl", "-5"],
+    "simulate_cfl_tiny": ["simulate", "--network", TWO_CYCLE, "--solver", "upwind",
+                          "--cfl", "1e-300", "--t", "1", "--outputs", "2"],
+    "check_seed_negative": ["check", "--operator", "left_shift", "--seed", "-1"],
 }
 WRITTEN = (ABSORBING, STRING_VELOCITY)
 
