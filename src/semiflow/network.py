@@ -50,12 +50,22 @@ UPWIND_CELL_STEP_LIMIT = 2 ** 28
 # Most state values in one block of times of ``characteristics_orbit``.
 ORBIT_BLOCK_VALUES = 2 ** 12
 
+# Most node values in one group of states of ``_network_resolvents``, at
+# E (n + 1) values a state and at least one state a group.  At 400 cells 2
+# samples of 8-32 edges are one group, 2 of 64 edges two groups and the
+# two-cycle's 5 one; at 2^21 node values each state is a group of its own.
+# On 2 cores, graph-verdict's median op takes 3.36 ms with these groups and
+# 3.68 ms with a loop over single states (faster in 9 of 10 alternating
+# pairs of 8 s runs, peak RSS within 0.2 MB): small states pay numpy's
+# per-call cost once a group, not once a state.
+GROUP_VALUES = 2 ** 15
+
 # Largest network a JSON document may describe, checked before anything is
 # allocated.  On 2 cores, ``check --network`` at its 3 default lambdas takes
-# 0.9-1.9 s on a ring of 1024 edges of 10 cells (its verdict 2.9-3.6 s at
-# 2048 edges: the E x E coupling solves grow like E^3), and 5.6-5.9 s and
-# 660 MB on the two-cycle at 2^21 node values.  ``make_network`` stays
-# unbounded: its callers are code, not documents.
+# 0.6-1.5 s and 75 MB on a ring of 1024 edges of 10 cells (its verdict
+# 2.9-3.6 s at 2048 edges: the E x E coupling solves grow like E^3), and
+# 4.2-4.3 s and 341 MB on the two-cycle at 2^21 node values.
+# ``make_network`` stays unbounded: its callers are code, not documents.
 DOCUMENT_EDGE_LIMIT = 2 ** 10
 DOCUMENT_VALUE_LIMIT = 2 ** 21
 
@@ -473,15 +483,17 @@ def _network_resolvents(net: Network, lambdas: Sequence[float],
     ``lambdas``: for each lambda in turn, the solutions in the order of
     ``gs``, each with its ``defect_budget``.
 
-    What does not depend on lambda is done once: the states are checked
-    and stacked with every edge reversed, and the panel means of the
-    absorption are taken.  At each lambda the rates, the decay factors and
-    the coupling system are built once, and one damped-integral call
-    integrates all S E edge rows of the S states.  The coupling solve and
-    the checks then run state by state, in order, so the first breakdown
+    At each lambda the rates, the decay factors and the coupling system are
+    built once.  The states are then taken in groups of consecutive states
+    of at most ``GROUP_VALUES`` node values (at least one state), so the
+    working set does not grow with their number: one damped-integral call
+    integrates the group's edge rows, reversed, and the finiteness and the
+    consistency defect are taken on the whole group.  The coupling solves
+    and the checks run state by state, in order, so the first breakdown
     raises as a one-state call would, and no later lambda is solved.  The
     "not strictly damped" warning (q >= 1) depends on lambda alone: it is
-    given once per lambda, attributed to the caller's caller.
+    given once per lambda, before its solves, attributed to the caller's
+    caller.
     """
     lambdas = [check_lambda(lam) for lam in lambdas]
     for g in gs:
@@ -493,15 +505,16 @@ def _network_resolvents(net: Network, lambdas: Sequence[float],
     bc = net.coupling
     n_edges = net.n_edges
     q_mean = 0.5 * (q[:, :-1] + q[:, 1:])  # per panel
-    # every edge of every state, from the tail to the head
-    reversed_stack = np.stack([g.values[:, ::-1] for g in gs]).reshape(-1, n + 1)
+    size = max(1, GROUP_VALUES // (n_edges * (n + 1)))
 
     for lam in lambdas:
+        solved = []  # the previous lambda's list is the caller's alone
         with np.errstate(over="ignore", invalid="ignore"):
             rates = (lam - q_mean) / c[:, None]
             zsum = np.zeros((n_edges, n + 1))
             zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
             suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
+            del zsum
             nu = suffix[:, 0]
             # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
             q_norm = float(np.max((c * nu) @ bc / c))
@@ -518,58 +531,76 @@ def _network_resolvents(net: Network, lambdas: Sequence[float],
                     f"{q_norm!r}, not below 1); attempting a direct solve; increase "
                     "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
             system = np.eye(n_edges) - nu[:, None] * bc
-            # int_x^1 exp-damped g, every edge of every state integrated
-            # from the tail at once
             row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
                          else rates[:, ::-1])
-            backward = damped_cumulative_integral(
-                reversed_stack, h, np.tile(row_rates, (len(gs), 1)))
-            backward = backward.reshape(len(gs), n_edges, n + 1)[..., ::-1]
 
-        solved = []
-        for g, back in zip(gs, backward):
+        for start in range(0, len(gs), size):
+            group = gs[start:start + size]
             with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    f0 = np.linalg.solve(system, back[:, 0] / c)
-                except np.linalg.LinAlgError:
-                    raise _breakdown(lam, "the vertex coupling system is singular") from None
-                f = suffix * (bc @ f0)[:, None] + back / c[:, None]
-                if not np.all(np.isfinite(f)):
+                # int_x^1 exp-damped g, every edge of the group integrated
+                # from the tail at once
+                back = damped_cumulative_integral(
+                    np.stack([g.values[:, ::-1] for g in group]).reshape(-1, n + 1),
+                    h, np.tile(row_rates, (len(group), 1)))
+                f = back.reshape(len(group), n_edges, n + 1)[..., ::-1] / c[:, None]
+                del back
+                for fs in f:
+                    try:
+                        f0 = np.linalg.solve(system, fs[:, 0])
+                    except np.linalg.LinAlgError:
+                        raise _breakdown(lam, "the vertex coupling system is singular") from None
+                    fs += suffix * (bc @ f0)[:, None]
+                finite = np.all(np.isfinite(f), axis=(1, 2))
+                worst = _defect_sups(net, lam, f, [g.values for g in group])
+            for g, fs, fs_finite, fs_worst in zip(group, f, finite, worst.tolist()):
+                if not fs_finite:
                     raise _breakdown(lam, "the solution is not finite")
-            bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
-            if not bc_residual <= 1e-9:
-                raise _breakdown(lam, f"boundary condition residual {bc_residual!r} "
-                                 "exceeds 1e-9")
-            fstate = EdgeState(net.grid, f)
-            worst = resolvent_defect_norm(net, lam, g, fstate)
-            tol = defect_budget(net, lam, f, g.values)
-            if not worst <= tol:
-                raise _breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
-                                 f"scheme budget {tol!r}")
-            solved.append((fstate, tol))
+                bc_residual = float(np.max(np.abs(fs[:, -1] - bc @ fs[:, 0])))
+                if not bc_residual <= 1e-9:
+                    raise _breakdown(lam, f"boundary condition residual {bc_residual!r} "
+                                     "exceeds 1e-9")
+                tol = defect_budget(net, lam, fs, g.values)
+                if not fs_worst <= tol:
+                    raise _breakdown(lam, f"resolvent consistency defect {fs_worst!r} "
+                                     f"exceeds the scheme budget {tol!r}")
+                solved.append((EdgeState(net.grid, fs), tol))
+            del f, fs
         # only the solutions outlive the lambda
-        del rates, zsum, suffix, nu, system, row_rates, backward, back, f
+        del rates, suffix, nu, system, row_rates
         yield solved
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
                           f: EdgeState) -> float:
     """Sup of |lambda f - A f - g| over all edges and nodes."""
-    dfdx = np.gradient(f.values, net.grid.h, axis=1, edge_order=2)
-    defect = lam * f.values - (net.velocities[:, None] * dfdx
-                               + net.absorption * f.values) - g.values
-    return float(np.max(np.abs(defect)))
+    return float(_defect_sups(net, lam, f.values[None], [g.values])[0])
+
+
+def _defect_sups(net: Network, lam: float, fs: np.ndarray, gs) -> np.ndarray:
+    """``resolvent_defect_norm`` of each solution of the stack ``fs``, shape
+    (S, E, n + 1), against the right-hand side of ``gs`` in the same place,
+    in one gradient pass and in place of its output."""
+    defect = np.gradient(fs, net.grid.h, axis=-1, edge_order=2)
+    defect *= net.velocities[:, None]
+    defect += net.absorption * fs
+    np.subtract(lam * fs, defect, out=defect)
+    for d, g in zip(defect, gs):
+        d -= g
+    return np.max(np.abs(defect, out=defect), axis=(1, 2))
 
 
 def supnorm_l1_weighted(state: EdgeState, weights: np.ndarray) -> float:
     """Max over grid nodes of the weighted l1 vertex sum of edge values.
 
-    With the edge velocities as weights this is the norm in which the vertex
-    redistribution never amplifies: the velocity vector is a left fixed
-    vector of the velocity-adjusted coupling matrix, so its weighted column
-    sums are exactly 1.  The plain l1 sum can grow at a vertex by a velocity
-    ratio, so contraction statements for mixed-velocity networks are made in
-    this weighted norm.
+    With the edge velocities as weights a vertex does not amplify: the
+    velocity vector is a left fixed vector of the velocity-adjusted coupling
+    matrix, so its weighted column sums are exactly 1, where the plain l1 sum
+    can grow at a vertex by a velocity ratio.  The flow itself still grows
+    in this norm when the speeds differ: on the two-cycle with speeds 1 and
+    2 and data 1 on the slow edge, the slow edge keeps its data on [0, 1 - t]
+    and the fast one holds half of it on [1 - 2t, 1], and on the overlap the
+    weighted sum is 2.  So a contraction in this norm is a theorem only for
+    equal speeds.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (state.values.shape[0],):
@@ -593,8 +624,10 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     """Generation verdict for the transport operator on the network.
 
     Three legs: resolvent contraction in the velocity-weighted sup-l1 norm
-    (the dissipativity consequence in this setting; the velocity weighting
-    is what makes the vertex redistribution non-expansive), the fixed-vector
+    (the dissipativity consequence in this setting for equal speeds; on
+    mixed speeds lambda ||R(lambda) g||_c can exceed ||g||_c, see
+    ``supnorm_l1_weighted``, and the leg passes only where the samples miss
+    such data), the fixed-vector
     identity of the adjoint coupling (the vertex-level pairing identity)
     within 1e-12 max(1, max c), and the surjectivity probe, whose defect and
     boundary-condition residuals ``network_resolvent`` enforces by raising
@@ -612,8 +645,10 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
     solves = _network_resolvents(net, lambdas, [g for _, g in states])
-    for lam, solved in zip(lambdas, solves):
-        for (sid, _), rhs, (fstate, budget) in zip(states, g_norms, solved):
+    for lam in lambdas:
+        # only this zip holds the lambda's solutions: they are dropped before
+        # the next lambda is solved
+        for (sid, _), rhs, (fstate, budget) in zip(states, g_norms, next(solves)):
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
                 if lhs > rhs * (1.0 + 1e-6):
@@ -622,6 +657,7 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
             range_tol = max(range_tol, budget)
+        del fstate
     # the residual c_j |sum_i B_ij - 1| has the units of a velocity, and
     # build_adjacency admits column sums within 1e-12 of 1
     identity_wit = []

@@ -19,6 +19,7 @@ from semiflow import (Edge, EdgeState, Grid, GridFunction, Network,
                       sample_states, simulate_flow, step_characteristics,
                       supnorm_l1_weighted, total_mass,
                       velocity_fixed_vector_residual, weighted_bc)
+import semiflow.network as nw
 from semiflow.generation import CheckReport, Witness
 from semiflow.network import UPWIND_CELL_STEP_LIMIT, characteristics_orbit
 
@@ -341,6 +342,39 @@ def test_plain_norm_contraction_fails_for_mixed_velocities():
                   / g.norm() for lam in (4.0, 20.0)]
     assert ratios[0] > 1.5
     assert ratios[1] > 1.9
+
+
+def test_weighted_norm_grows_on_mixed_speeds_where_mass_does_not():
+    # the two-cycle with speeds 1 and 2, no absorption, and g = 1 on the slow
+    # edge 0, 0 on the fast edge 1, so ||g||_c = 1.  A vertex does not
+    # amplify in ||.||_c, but the flow does: at t = 0.25 the slow edge keeps
+    # its data on [0, 0.75], the fast edge holds c_0 / c_1 = 1/2 of it on
+    # [0.5, 1], and on the overlap c_0 * 1 + c_1 / 2 = 2.  The resolvent, the
+    # Laplace transform of the flow, grows as well, so a contraction in
+    # ||.||_c is a theorem only for equal speeds.  The mass norm sum_j int
+    # |f_j| does not grow.
+    net = two_cycle(n_cells=400, velocities=(1.0, 2.0))
+    c, h = net.velocities, net.grid.h
+    ones = np.ones(net.grid.n_cells + 1)
+    g = EdgeState(net.grid, np.stack([ones, 0.0 * ones]))
+    assert supnorm_l1_weighted(g, c) == 1.0
+    (flow,) = characteristics_orbit(net, g, [0.25])
+    assert supnorm_l1_weighted(EdgeState(net.grid, flow), c) == 2.0
+    for lam in (0.5, 2.0):
+        f = network_resolvent(net, lam, g)
+        # 1.332 and 1.311
+        assert lam * supnorm_l1_weighted(f, c) > 1.25
+        # Integrating lam f - c f' = g over the edges, the vertex terms
+        # sum_j c_j (f_j(1) - f_j(0)) cancel (c^T Bc = c^T), so
+        # lam ||f||_1 = ||g||_1 for f >= 0.  The trapezoid rule errs by at
+        # most h^2 / 12 sup|f_j''| on an edge of length 1, and
+        # f_j'' = lam (lam f_j - g_j) / c_j^2, monotone in x, so its sup is
+        # at a node; 1e-12 covers the rounding of the solve and the sums.
+        assert np.all(f.values >= 0.0)
+        slack = sum(h * h / 12.0 * lam * np.max(np.abs(lam * fj - gj)) / cj ** 2
+                    for fj, gj, cj in zip(f.values, g.values, c))
+        tol = lam * slack / total_mass(g) + 1e-12
+        assert lam * total_mass(f) / total_mass(g) <= 1.0 + tol
 
 
 # The per-edge resolvent that the batched solve replaced, kept as written.
@@ -1115,3 +1149,194 @@ def test_sample_states_draws_each_state_through_sample_functions(monkeypatch):
         states = sample_states(net, k, 9)
         assert len(states) == k
         assert calls == [(net.n_edges, 9 + 1000 * i) for i in range(k)]
+
+
+# The solve before the states were taken in groups: one damped integral per
+# lambda over every edge of every state.  Copied as it was, but for the
+# module prefix of the network's private names and of ``defect_budget``,
+# which the solve looks up on its module.
+
+def _network_resolvents_stacked(net, lambdas, gs):
+    lambdas = [nw.check_lambda(lam) for lam in lambdas]
+    for g in gs:
+        nw._check_state(net, g)
+    h = net.grid.h
+    n = net.grid.n_cells
+    c = net.velocities
+    q = net.absorption
+    bc = net.coupling
+    n_edges = net.n_edges
+    q_mean = 0.5 * (q[:, :-1] + q[:, 1:])  # per panel
+    # every edge of every state, from the tail to the head
+    reversed_stack = np.stack([g.values[:, ::-1] for g in gs]).reshape(-1, n + 1)
+
+    for lam in lambdas:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = (lam - q_mean) / c[:, None]
+            zsum = np.zeros((n_edges, n + 1))
+            zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
+            suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
+            nu = suffix[:, 0]
+            # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
+            q_norm = float(np.max((c * nu) @ bc / c))
+            if math.isnan(q_norm):
+                # an overflowed nu_j times a zero of Bc is nan in the
+                # product; such a term is 0, and any other one is inf
+                terms = np.where(bc != 0, (c * nu)[:, None] * bc, 0.0)
+                q_norm = float(np.max(terms.sum(axis=0) / c))
+            if not q_norm < 1.0:
+                # the Neumann series no longer guarantees that the system is
+                # invertible; the solves below are direct either way
+                warnings.warn(
+                    "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+                    f"{q_norm!r}, not below 1); attempting a direct solve; increase "
+                    "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
+            system = np.eye(n_edges) - nu[:, None] * bc
+            # int_x^1 exp-damped g, every edge of every state integrated
+            # from the tail at once
+            row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
+                         else rates[:, ::-1])
+            backward = damped_cumulative_integral(
+                reversed_stack, h, np.tile(row_rates, (len(gs), 1)))
+            backward = backward.reshape(len(gs), n_edges, n + 1)[..., ::-1]
+
+        solved = []
+        for g, back in zip(gs, backward):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    f0 = np.linalg.solve(system, back[:, 0] / c)
+                except np.linalg.LinAlgError:
+                    raise nw._breakdown(lam, "the vertex coupling system is singular") from None
+                f = suffix * (bc @ f0)[:, None] + back / c[:, None]
+                if not np.all(np.isfinite(f)):
+                    raise nw._breakdown(lam, "the solution is not finite")
+            bc_residual = float(np.max(np.abs(f[:, -1] - bc @ f[:, 0])))
+            if not bc_residual <= 1e-9:
+                raise nw._breakdown(lam, f"boundary condition residual {bc_residual!r} "
+                                    "exceeds 1e-9")
+            fstate = EdgeState(net.grid, f)
+            worst = resolvent_defect_norm(net, lam, g, fstate)
+            tol = nw.defect_budget(net, lam, f, g.values)
+            if not worst <= tol:
+                raise nw._breakdown(lam, f"resolvent consistency defect {worst!r} exceeds the "
+                                    f"scheme budget {tol!r}")
+            solved.append((fstate, tol))
+        # only the solutions outlive the lambda
+        del rates, zsum, suffix, nu, system, row_rates, backward, back, f
+        yield solved
+
+
+def _solve_outcome(solve, net, lambdas, gs):
+    """The bytes of every solution and budget that ``solve`` yields, the
+    messages of its warnings and the text of the breakdown it raises (None
+    when it raises none)."""
+    pairs, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for solved in solve(net, lambdas, gs):
+                pairs.append([(f.values.tobytes(), np.float64(budget).tobytes())
+                              for f, budget in solved])
+        except RuntimeError as exc:
+            error = str(exc)
+    return pairs, [str(w.message) for w in caught], error
+
+
+def _counting_integral(calls):
+    """``damped_cumulative_integral`` that appends its row count to ``calls``."""
+    def spy(values, h, rate):
+        calls.append(len(values))
+        return damped_cumulative_integral(values, h, rate)
+    return spy
+
+
+def _group_network(n_edges, varying):
+    # mixed speeds, absorption on every edge: constant along each edge (one
+    # rate per row) or varying along it (per-panel rates)
+    shape = random_flow_network(n_edges, seed=n_edges, n_cells=400)
+    q = -np.random.default_rng(n_edges).uniform(0.0, 1.0, n_edges)
+    if varying:
+        q = np.outer(q, 1.0 + np.sin(3.0 * shape.grid.nodes))
+    return make_network(shape.n_vertices, [(e.tail, e.head) for e in shape.edges],
+                        shape.velocities, shape.weights, q, 400)
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["constant", "varying"])
+@pytest.mark.parametrize("n_edges", [2, 8, 64])
+def test_grouped_resolvents_match_the_stacked_solve(monkeypatch, n_edges, varying):
+    net = _group_network(n_edges, varying)
+    lambdas = [0.02, 0.1, 1.0, 10.0]
+    state_values = n_edges * (net.grid.n_cells + 1)
+    gs = [g for _, g in sample_states(net, 5, 7)]
+    calls = []
+    monkeypatch.setattr(nw, "damped_cumulative_integral", _counting_integral(calls))
+    for count in (1, 2, 5):
+        expected = _solve_outcome(_network_resolvents_stacked, net, lambdas, gs[:count])
+        assert expected[2] is None and len(expected[0]) == len(lambdas)
+        for group_values in (nw.GROUP_VALUES, 1, 2 ** 40):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(nw, "GROUP_VALUES", group_values)
+                got = _solve_outcome(nw._network_resolvents, net, lambdas, gs[:count])
+            assert got == expected, (count, group_values)
+            # at least one state a group, and no more than group_values values
+            size = max(1, group_values // state_values)
+            groups = [min(size, count - start) for start in range(0, count, size)]
+            assert calls == [n_edges * k for k in groups] * len(lambdas)
+
+
+@pytest.mark.parametrize("group_values, integrals", [(None, 2), (1, 3)],
+                         ids=["shipped", "one_state"])
+def test_grouped_resolvents_raise_where_the_stacked_solve_does(
+        monkeypatch, group_values, integrals):
+    # a budget that no defect meets on the third call, the first sample at
+    # lambda 1: the stacked solve's error, and lambda 10 is never integrated
+    net = _group_network(8, False)
+    gs = [g for _, g in sample_states(net, 2, 7)]
+    budgets = []
+
+    def third_fails(*args):
+        budgets.append(args[1])
+        return -1.0 if len(budgets) == 3 else defect_budget(*args)
+
+    monkeypatch.setattr(nw, "defect_budget", third_fails)
+    expected = _solve_outcome(_network_resolvents_stacked, net, [0.1, 1.0, 10.0], gs)
+    assert expected[2].startswith("network resolvent breaks down at lambda 1.0: "
+                                  "resolvent consistency defect ")
+    assert expected[2].endswith("exceeds the scheme budget -1.0")
+    assert budgets == [0.1, 0.1, 1.0]
+    if group_values is not None:
+        monkeypatch.setattr(nw, "GROUP_VALUES", group_values)
+    calls = []
+    monkeypatch.setattr(nw, "damped_cumulative_integral", _counting_integral(calls))
+    budgets.clear()
+    got = _solve_outcome(nw._network_resolvents, net, [0.1, 1.0, 10.0], gs)
+    assert got == expected
+    assert budgets == [0.1, 0.1, 1.0]
+    # the groups of lambda 0.1, then the one that holds the first sample at 1
+    assert len(calls) == integrals
+
+
+def test_verdict_working_set_stays_near_one_group():
+    # tracemalloc's peak over the verdict on 5 samples at n = 2^16, in units
+    # of one state's E (n + 1) float64 values; each state is a group of its
+    # own here.  At the peak, the last sample's damped integral at a lambda,
+    # these are live: the 5 samples, 4 solutions of this lambda (the
+    # previous lambda's are dropped), the absorption's panel means and this
+    # lambda's rates and decay factors (3), and the integral's reversed
+    # input, its transposed copy and its output (3): 15, and 16.3 measured
+    # with the 1.2 states that outlive the verdict (the grid's nodes and the
+    # imports).  The bound allows one more group's four working arrays: 20.
+    # The stacked solve held the reversed rows, the integral's transposed
+    # copy and its output of all 5 samples at once, and the previous
+    # lambda's 5 solutions besides, and read 34.5-35.2 on this count.
+    import tracemalloc
+    net = two_cycle(n_cells=2 ** 16)
+    state_bytes = net.n_edges * (net.grid.n_cells + 1) * 8
+    tracemalloc.start()
+    try:
+        network_generation_verdict(net, [0.1, 1.0, 10.0], 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / state_bytes < 20.0

@@ -13,7 +13,7 @@ every byte in which their runs differ, but not a warning whose source line
 moved within its module.
 
 The invocations are the eight commands of README's command-line section
-and twenty more: ``euler`` on the right translation with the default
+and twenty-three more: ``euler`` on the right translation with the default
 ladder (up to m = 1024; README's ``euler`` runs the left shift up to
 m = 256), ``check --operator laplacian --samples 0`` (the parabola its
 only sample: admitted, and exits 1), ``check --operator laplacian --grid
@@ -34,8 +34,13 @@ the cross-check, ``check --network`` on the two-cycle with the velocities
 ``resolvent --steps 0`` (``--steps`` without ``--horizon``: exits 2),
 ``simulate --cfl -5`` (a CFL target outside (0, 1]: exits 2), ``simulate
 --solver upwind --cfl 1e-300`` (a CFL target so small that the march's
-cell-step count is ~1e305: exits 2) and ``check --operator left_shift
---seed -1`` (a negative sample seed: exits 2).
+cell-step count is ~1e305: exits 2), ``check --operator left_shift
+--seed -1`` (a negative sample seed: exits 2) and three more ``check
+--network`` runs: a network of 3 vertices and 4 edges at speeds 1, 2, 0.5
+and 1.5 whose absorption varies along each edge (per-panel rates), the
+two-cycle at ``--lambda 1e-12`` (a boundary-residual breakdown: exits 2)
+and a ring of 4 edges and 8192 cells, whose states are each more than
+``network.GROUP_VALUES`` node values and so are solved one at a time.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ from pathlib import Path
 TWO_CYCLE = "configs/two_cycle.json"
 ABSORBING = "two_cycle_absorption_3000.json"  # written into OUTDIR
 STRING_VELOCITY = "two_cycle_string_velocity.json"  # written into OUTDIR
+MIXED = "mixed_speeds_varying_absorption.json"  # written into OUTDIR
+RING = "ring_8192_cells.json"  # written into OUTDIR
 
 INVOCATIONS = {
     "check_left_shift": ["check", "--operator", "left_shift", "--lambda", "1",
@@ -88,8 +95,11 @@ INVOCATIONS = {
     "simulate_cfl_tiny": ["simulate", "--network", TWO_CYCLE, "--solver", "upwind",
                           "--cfl", "1e-300", "--t", "1", "--outputs", "2"],
     "check_seed_negative": ["check", "--operator", "left_shift", "--seed", "-1"],
+    "check_network_mixed_varying": ["check", "--network", MIXED],
+    "check_network_lambda_tiny": ["check", "--network", TWO_CYCLE, "--lambda", "1e-12"],
+    "check_network_ring_8192": ["check", "--network", RING],
 }
-WRITTEN = (ABSORBING, STRING_VELOCITY)
+WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING)
 
 
 def main(argv: list[str]) -> int:
@@ -101,6 +111,16 @@ def main(argv: list[str]) -> int:
     doc = json.loads((checkout / TWO_CYCLE).read_text())
     (outdir / ABSORBING).write_text(json.dumps({**doc, "absorption": 3000.0}))
     (outdir / STRING_VELOCITY).write_text(json.dumps({**doc, "velocities": ["1", True]}))
+    (outdir / MIXED).write_text(json.dumps({
+        "vertices": 3, "edges": [{"tail": t, "head": h} for t, h in
+                                 ((0, 1), (1, 2), (2, 0), (2, 1))],
+        "velocities": [1.0, 2.0, 0.5, 1.5],
+        "absorption": [[-0.25 * (j + 1) * (1.0 + (i / 40) ** 2) for i in range(41)]
+                       for j in range(4)],
+        "grid": {"n_cells": 40}}))
+    (outdir / RING).write_text(json.dumps({
+        "vertices": 4, "edges": [{"tail": k, "head": (k + 1) % 4} for k in range(4)],
+        "grid": {"n_cells": 8192}}))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src") + (os.pathsep + path if path else ""))
     # the longer path first, in case one holds the other
