@@ -62,9 +62,9 @@ GROUP_VALUES = 2 ** 15
 
 # Largest network a JSON document may describe, checked before anything is
 # allocated.  On 2 cores, ``check --network`` at its 3 default lambdas takes
-# 0.6-1.5 s and 75 MB on a ring of 1024 edges of 10 cells (its verdict
+# 0.6-1.6 s and 75 MB on a ring of 1024 edges of 10 cells (its verdict
 # 2.9-3.6 s at 2048 edges: the E x E coupling solves grow like E^3), and
-# 4.2-4.3 s and 341 MB on the two-cycle at 2^21 node values.
+# 4.4-4.8 s and 269 MB on the two-cycle at 2^21 node values.
 # ``make_network`` stays unbounded: its callers are code, not documents.
 DOCUMENT_EDGE_LIMIT = 2 ** 10
 DOCUMENT_VALUE_LIMIT = 2 ** 21
@@ -473,29 +473,27 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     defect over the scheme budget (a nan residual is over).  Overflow and
     invalid values raise no numpy warning: the finiteness check reports them.
     """
-    return next(_network_resolvents(net, [lam], [g]))[0][0]
+    return next(_network_resolvents(net, lam, [g]))[0]
 
 
-def _network_resolvents(net: Network, lambdas: Sequence[float],
-                        gs: Sequence[EdgeState]
-                        ) -> Iterator[list[tuple[EdgeState, float]]]:
-    """``network_resolvent`` for each state of ``gs`` at each lambda of
-    ``lambdas``: for each lambda in turn, the solutions in the order of
-    ``gs``, each with its ``defect_budget``.
+def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
+                        ) -> Iterator[tuple[EdgeState, float]]:
+    """``network_resolvent`` of each state of ``gs`` at ``lam``, in the order
+    of ``gs``: each solution with its ``defect_budget``, yielded as soon as
+    it has passed its checks.
 
-    At each lambda the rates, the decay factors and the coupling system are
-    built once.  The states are then taken in groups of consecutive states
-    of at most ``GROUP_VALUES`` node values (at least one state), so the
-    working set does not grow with their number: one damped-integral call
-    integrates the group's edge rows, reversed, and the finiteness and the
-    consistency defect are taken on the whole group.  The coupling solves
-    and the checks run state by state, in order, so the first breakdown
-    raises as a one-state call would, and no later lambda is solved.  The
-    "not strictly damped" warning (q >= 1) depends on lambda alone: it is
-    given once per lambda, before its solves, attributed to the caller's
-    caller.
+    The rates, the decay factors and the coupling system are built once.
+    The states are then taken in groups of consecutive states of at most
+    ``GROUP_VALUES`` node values (at least one state), so the working set
+    does not grow with their number: one damped-integral call integrates
+    the group's edge rows, reversed, and the finiteness and the consistency
+    defect are taken on the whole group.  The coupling solves and the
+    checks run state by state, in order, so the first breakdown raises as a
+    one-state call would.  The "not strictly damped" warning (q >= 1)
+    depends on lambda alone: it is given once, before the first integral,
+    attributed to the caller's caller.
     """
-    lambdas = [check_lambda(lam) for lam in lambdas]
+    lam = check_lambda(lam)
     for g in gs:
         _check_state(net, g)
     h = net.grid.h
@@ -504,70 +502,64 @@ def _network_resolvents(net: Network, lambdas: Sequence[float],
     q = net.absorption
     bc = net.coupling
     n_edges = net.n_edges
-    q_mean = 0.5 * (q[:, :-1] + q[:, 1:])  # per panel
     size = max(1, GROUP_VALUES // (n_edges * (n + 1)))
 
-    for lam in lambdas:
-        solved = []  # the previous lambda's list is the caller's alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = (lam - q_mean) / c[:, None]
-            zsum = np.zeros((n_edges, n + 1))
-            zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
-            suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
-            del zsum
-            nu = suffix[:, 0]
-            # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
-            q_norm = float(np.max((c * nu) @ bc / c))
-            if math.isnan(q_norm):
-                # an overflowed nu_j times a zero of Bc is nan in the
-                # product; such a term is 0, and any other one is inf
-                terms = np.where(bc != 0, (c * nu)[:, None] * bc, 0.0)
-                q_norm = float(np.max(terms.sum(axis=0) / c))
-            if not q_norm < 1.0:
-                # the Neumann series no longer guarantees that the system is
-                # invertible; the solves below are direct either way
-                warnings.warn(
-                    "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
-                    f"{q_norm!r}, not below 1); attempting a direct solve; increase "
-                    "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
-            system = np.eye(n_edges) - nu[:, None] * bc
-            row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
-                         else rates[:, ::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]
+        zsum = np.zeros((n_edges, n + 1))
+        zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
+        suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
+        del zsum
+        nu = suffix[:, 0]
+        # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
+        q_norm = float(np.max((c * nu) @ bc / c))
+        if math.isnan(q_norm):
+            # an overflowed nu_j times a zero of Bc is nan in the
+            # product; such a term is 0, and any other one is inf
+            terms = np.where(bc != 0, (c * nu)[:, None] * bc, 0.0)
+            q_norm = float(np.max(terms.sum(axis=0) / c))
+        if not q_norm < 1.0:
+            # the Neumann series no longer guarantees that the system is
+            # invertible; the solves below are direct either way
+            warnings.warn(
+                "vertex coupling is not strictly damped (q = max_k sum_j nu_j B_jk = "
+                f"{q_norm!r}, not below 1); attempting a direct solve; increase "
+                "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
+        system = np.eye(n_edges) - nu[:, None] * bc
+        row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
+                     else rates[:, ::-1])
 
-        for start in range(0, len(gs), size):
-            group = gs[start:start + size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # int_x^1 exp-damped g, every edge of the group integrated
-                # from the tail at once
-                back = damped_cumulative_integral(
-                    np.stack([g.values[:, ::-1] for g in group]).reshape(-1, n + 1),
-                    h, np.tile(row_rates, (len(group), 1)))
-                f = back.reshape(len(group), n_edges, n + 1)[..., ::-1] / c[:, None]
-                del back
-                for fs in f:
-                    try:
-                        f0 = np.linalg.solve(system, fs[:, 0])
-                    except np.linalg.LinAlgError:
-                        raise _breakdown(lam, "the vertex coupling system is singular") from None
-                    fs += suffix * (bc @ f0)[:, None]
-                finite = np.all(np.isfinite(f), axis=(1, 2))
-                worst = _defect_sups(net, lam, f, [g.values for g in group])
-            for g, fs, fs_finite, fs_worst in zip(group, f, finite, worst.tolist()):
-                if not fs_finite:
-                    raise _breakdown(lam, "the solution is not finite")
-                bc_residual = float(np.max(np.abs(fs[:, -1] - bc @ fs[:, 0])))
-                if not bc_residual <= 1e-9:
-                    raise _breakdown(lam, f"boundary condition residual {bc_residual!r} "
-                                     "exceeds 1e-9")
-                tol = defect_budget(net, lam, fs, g.values)
-                if not fs_worst <= tol:
-                    raise _breakdown(lam, f"resolvent consistency defect {fs_worst!r} "
-                                     f"exceeds the scheme budget {tol!r}")
-                solved.append((EdgeState(net.grid, fs), tol))
-            del f, fs
-        # only the solutions outlive the lambda
-        del rates, suffix, nu, system, row_rates
-        yield solved
+    for start in range(0, len(gs), size):
+        group = gs[start:start + size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # int_x^1 exp-damped g, every edge of the group integrated
+            # from the tail at once
+            back = damped_cumulative_integral(
+                np.stack([g.values[:, ::-1] for g in group]).reshape(-1, n + 1),
+                h, np.tile(row_rates, (len(group), 1)))
+            f = back.reshape(len(group), n_edges, n + 1)[..., ::-1] / c[:, None]
+            del back
+            for fs in f:
+                try:
+                    f0 = np.linalg.solve(system, fs[:, 0])
+                except np.linalg.LinAlgError:
+                    raise _breakdown(lam, "the vertex coupling system is singular") from None
+                fs += suffix * (bc @ f0)[:, None]
+            finite = np.all(np.isfinite(f), axis=(1, 2))
+            worst = _defect_sups(net, lam, f, [g.values for g in group])
+        for g, fs, fs_finite, fs_worst in zip(group, f, finite, worst.tolist()):
+            if not fs_finite:
+                raise _breakdown(lam, "the solution is not finite")
+            bc_residual = float(np.max(np.abs(fs[:, -1] - bc @ fs[:, 0])))
+            if not bc_residual <= 1e-9:
+                raise _breakdown(lam, f"boundary condition residual {bc_residual!r} "
+                                 "exceeds 1e-9")
+            tol = defect_budget(net, lam, fs, g.values)
+            if not fs_worst <= tol:
+                raise _breakdown(lam, f"resolvent consistency defect {fs_worst!r} "
+                                 f"exceeds the scheme budget {tol!r}")
+            yield EdgeState(net.grid, fs), tol
+        del f, fs
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
@@ -613,8 +605,8 @@ def sample_states(net: Network, count: int, seed: int) -> list[tuple[str, EdgeSt
     out = []
     for k in range(count):
         rows = sample_functions(net.grid, net.n_edges, seed + 1000 * k)
-        vals = np.stack([f.values for _, f in rows])
-        out.append((f"state:seed={seed}:k={k}", EdgeState(net.grid, vals)))
+        out.append((f"state:seed={seed}:k={k}",
+                    EdgeState(net.grid, [f.values for _, f in rows])))
     return out
 
 
@@ -640,15 +632,12 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
         raise ValueError("the network verdict needs at least one sample")
     lambdas = check_lambdas(lambdas)
     contraction_wit = []
-    states = sample_states(net, n_samples, seed)
-    g_norms = [supnorm_l1_weighted(g, net.velocities) for _, g in states]
+    ids, gs = zip(*sample_states(net, n_samples, seed))
+    g_norms = [supnorm_l1_weighted(g, net.velocities) for g in gs]
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
-    solves = _network_resolvents(net, lambdas, [g for _, g in states])
     for lam in lambdas:
-        # only this zip holds the lambda's solutions: they are dropped before
-        # the next lambda is solved
-        for (sid, _), rhs, (fstate, budget) in zip(states, g_norms, next(solves)):
+        for sid, rhs, (fstate, budget) in zip(ids, g_norms, _network_resolvents(net, lam, gs)):
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
                 if lhs > rhs * (1.0 + 1e-6):
@@ -657,7 +646,6 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
             range_tol = max(range_tol, budget)
-        del fstate
     # the residual c_j |sum_i B_ij - 1| has the units of a velocity, and
     # build_adjacency admits column sums within 1e-12 of 1
     identity_wit = []

@@ -120,8 +120,11 @@ def laplace_resolvent(sg: Semigroup, lam: float, f: Any, horizon: float,
         int_0^H exp(-lambda s) T(s) f ds
 
     with trapezoid time quadrature, returned with its tail bound
-    exp(-lambda H) * ||f|| / lambda, which dominates the discarded integral
-    for a contraction semigroup.
+    exp(-lambda H) * ||f|| / lambda.  That bound dominates the discarded
+    integral only where T(t) is a contraction in ``f.norm()``.  The network
+    flow on mixed speeds is not one: on the two-cycle with speeds 1 and 2,
+    ||T(t) g|| reaches 2 ||g|| for data on the fast edge, and at lambda = 1
+    and H = 2 the discarded part is 1.25 times the returned bound.
     """
     lam = check_lambda(lam)
     if not 0 < horizon < math.inf:

@@ -680,9 +680,9 @@ def test_check_network_exits_one_on_a_non_contractive_resolvent(monkeypatch, cap
     # twice every solution: lambda ||R f|| reaches about twice ||f||
     solve = network._network_resolvents
 
-    def doubled(net, lambdas, gs):
-        for solved in solve(net, lambdas, gs):
-            yield [(f * 2.0, budget) for f, budget in solved]
+    def doubled(net, lam, gs):
+        for f, budget in solve(net, lam, gs):
+            yield f * 2.0, budget
 
     monkeypatch.setattr(network, "_network_resolvents", doubled)
     code, legs = _network_legs(capsys, ["check", "--network", str(TWO_CYCLE)])

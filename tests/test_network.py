@@ -1226,10 +1226,17 @@ def _network_resolvents_stacked(net, lambdas, gs):
         yield solved
 
 
+def _lambda_by_lambda(net, lambdas, gs):
+    """The grouped solve in the stacked solve's shape: one list of solutions
+    per lambda, each lambda's read whole before the next is solved."""
+    for lam in lambdas:
+        yield list(nw._network_resolvents(net, lam, gs))
+
+
 def _solve_outcome(solve, net, lambdas, gs):
-    """The bytes of every solution and budget that ``solve`` yields, the
-    messages of its warnings and the text of the breakdown it raises (None
-    when it raises none)."""
+    """The bytes of every solution and budget that ``solve`` yields, one list
+    per lambda, the messages of its warnings and the text of the breakdown
+    it raises (None when it raises none)."""
     pairs, error = [], None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1277,7 +1284,7 @@ def test_grouped_resolvents_match_the_stacked_solve(monkeypatch, n_edges, varyin
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(nw, "GROUP_VALUES", group_values)
-                got = _solve_outcome(nw._network_resolvents, net, lambdas, gs[:count])
+                got = _solve_outcome(_lambda_by_lambda, net, lambdas, gs[:count])
             assert got == expected, (count, group_values)
             # at least one state a group, and no more than group_values values
             size = max(1, group_values // state_values)
@@ -1310,7 +1317,7 @@ def test_grouped_resolvents_raise_where_the_stacked_solve_does(
     calls = []
     monkeypatch.setattr(nw, "damped_cumulative_integral", _counting_integral(calls))
     budgets.clear()
-    got = _solve_outcome(nw._network_resolvents, net, [0.1, 1.0, 10.0], gs)
+    got = _solve_outcome(_lambda_by_lambda, net, [0.1, 1.0, 10.0], gs)
     assert got == expected
     assert budgets == [0.1, 0.1, 1.0]
     # the groups of lambda 0.1, then the one that holds the first sample at 1
@@ -1320,16 +1327,15 @@ def test_grouped_resolvents_raise_where_the_stacked_solve_does(
 def test_verdict_working_set_stays_near_one_group():
     # tracemalloc's peak over the verdict on 5 samples at n = 2^16, in units
     # of one state's E (n + 1) float64 values; each state is a group of its
-    # own here.  At the peak, the last sample's damped integral at a lambda,
-    # these are live: the 5 samples, 4 solutions of this lambda (the
-    # previous lambda's are dropped), the absorption's panel means and this
-    # lambda's rates and decay factors (3), and the integral's reversed
-    # input, its transposed copy and its output (3): 15, and 16.3 measured
-    # with the 1.2 states that outlive the verdict (the grid's nodes and the
-    # imports).  The bound allows one more group's four working arrays: 20.
-    # The stacked solve held the reversed rows, the integral's transposed
-    # copy and its output of all 5 samples at once, and the previous
-    # lambda's 5 solutions besides, and read 34.5-35.2 on this count.
+    # own here.  At the peak, a damped integral at a lambda, these are live:
+    # the 5 samples, the one solution the verdict still holds (it takes each
+    # as it is checked), this lambda's rates and decay factors (2), and the
+    # integral's reversed input, its transposed copy and its output (3): 11,
+    # and 12.3 measured with the 1.2 states that outlive the verdict (the
+    # grid's nodes and the imports).  The bound allows under two states more:
+    # 14.  The verdict that held a lambda's list of solutions (4 of them at
+    # this peak) and the absorption's panel means read 16.3, and the stacked
+    # solve, all 5 samples' integral arrays at once, 34.5-35.2.
     import tracemalloc
     net = two_cycle(n_cells=2 ** 16)
     state_bytes = net.n_edges * (net.grid.n_cells + 1) * 8
@@ -1339,4 +1345,4 @@ def test_verdict_working_set_stays_near_one_group():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / state_bytes < 20.0
+    assert peak / state_bytes < 14.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from semiflow import (CompactSeminormFamily, Grid, GridFunction,
-                      WindowOrientation, euler_apply, eval_pn,
+                      WindowOrientation, euler_apply, eval_pn, initial_state,
                       laplace_resolvent, left_shift_generator,
                       make_network, network_semigroup, orbit_integral_residual,
                       random_flow_network, right_translation_generator,
@@ -192,6 +192,23 @@ def test_laplace_tail_bound_formula():
     f = smooth_bump(g, 2.0, 1.0, amplitude=3.0)
     _, tail = laplace_resolvent(sg, 2.0, f, 5.0, 100)
     assert tail == pytest.approx(np.exp(-10.0) * 3.0 / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("speeds, inside", [((1.0, 1.0), True), ((1.0, 2.0), False)],
+                         ids=["equal_speeds", "mixed_speeds"])
+def test_laplace_tail_bound_holds_for_a_contraction_only(speeds, inside):
+    # the part of the integral that H = 2 discards, as the gap to H = 40 at
+    # the same step: on equal speeds the flow is a contraction in the state
+    # norm and the gap is the bound up to quadrature error; on speeds 1 and 2
+    # data on the fast edge reaches norm 2, and the gap is 1.25 times the bound
+    net = make_network(2, [(0, 1), (1, 0)], list(speeds), n_cells=40)
+    sg = network_semigroup(net)
+    g = initial_state(net, [0.0, 1.0])
+    short, tail = laplace_resolvent(sg, 1.0, g, 2.0, 400)
+    long, _ = laplace_resolvent(sg, 1.0, g, 40.0, 8000)
+    assert tail == math.exp(-2.0)
+    gap = (long - short).norm()
+    assert (gap <= tail * (1.0 + 1e-5)) if inside else (gap > 1.2 * tail)
 
 
 def test_orbit_integral_residual_small_t():
