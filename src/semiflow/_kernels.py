@@ -351,14 +351,15 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     bweight = coupling[rows, cols]
     # Reject up front what the loop would reject.  An edge is live when it
     # has an infinite backward walk, that is when it has a live child: the
-    # fixpoint below, reached in at most n_edges passes.  Each node of a live
-    # edge keeps a path through live children while its remaining time
-    # exceeds 1/min(c), so each of the first ceil(t min c) - 1 levels adds at
-    # least one entry per such node; the entries the loop starts with cover
-    # a last level lost to rounding.  Levels past `cap` raise the crossing
-    # cap instead.  The times of a block trace apart, so their bounds add.
+    # fixpoint below, reached in at most n_edges passes, each a read of the
+    # child table (rows, cols) at O(nnz) cost.  Each node of a live edge
+    # keeps a path through live children while its remaining time exceeds
+    # 1/min(c), so each of the first ceil(t min c) - 1 levels adds at least
+    # one entry per such node; the entries the loop starts with cover a last
+    # level lost to rounding.  Levels past `cap` raise the crossing cap
+    # instead.  The times of a block trace apart, so their bounds add.
     live = n_children > 0
-    while not np.array_equal(fed := (coupling != 0) @ live, live):
+    while not np.array_equal(fed := np.bincount(rows, live[cols], n_edges) > 0, live):
         live = fed
     levels = np.clip(np.ceil(times * float(np.min(c))) - 1.0, 0.0, cap + 1.0)
     bound = float(np.sum(levels)) * np.count_nonzero(live) * n_nodes

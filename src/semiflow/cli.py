@@ -412,19 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5)
     p.set_defaults(fn=cmd_euler)
 
-    p = sub.add_parser("counterexample",
-                       help="windowed contraction failure for the free translation")
-    p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int, default=4000)
-    p.set_defaults(fn=cmd_counterexample)
-
-    p = sub.add_parser("heat",
-                       help="windowed dissipativity failure for the second derivative")
-    p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int, default=4000)
-    p.set_defaults(fn=cmd_heat)
+    for name, summary, fn in (
+            ("counterexample", "windowed contraction failure for the free translation",
+             cmd_counterexample),
+            ("heat", "windowed dissipativity failure for the second derivative",
+             cmd_heat)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--grid", type=int, default=4000)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("simulate", help="evolve a network transport flow")
     p.add_argument("--network", required=True, metavar="PATH")

@@ -389,28 +389,27 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
             f"limit of {_kernels.FRONTIER_LIMIT} stored values; request fewer outputs")
     if not 0 < cfl <= 1.0:
         raise ValueError(f"CFL target must lie in (0, 1], got {cfl!r}")
-    if solver == "upwind":
-        seg = t_final / (n_outputs - 1)
-        dt_max = cfl * net.grid.h / float(np.max(net.velocities))
-        # counted in floats: a tiny CFL target overflows seg / dt_max or
-        # underflows dt_max to 0, and refusing the count before int() keeps
-        # its digits out of the message
-        steps = np.ceil(max(seg / dt_max - 1e-9, 1.0)) if dt_max else math.inf
-        cell_steps = (n_outputs - 1) * steps * n_values
-        if cell_steps > UPWIND_CELL_STEP_LIMIT:
-            raise ValueError(
-                f"the upwind march would take {cell_steps:.15g} cell-steps at CFL "
-                f"target {cfl!r}, more than the limit of {UPWIND_CELL_STEP_LIMIT}; "
-                "shorten t, coarsen the grid or raise the CFL target")
-        k_steps = int(steps)
-    elif solver != "characteristics":
-        raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     times = np.linspace(0.0, t_final, n_outputs)
     if solver == "characteristics":
         return times, [EdgeState(net.grid, values)
                        for values in characteristics_orbit(net, state, times)]
-    # k_steps rounds seg / dt_max up, less a 1e-9 slack for rounding, so
-    # max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
+    if solver != "upwind":
+        raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
+    seg = t_final / (n_outputs - 1)
+    dt_max = cfl * net.grid.h / float(np.max(net.velocities))
+    # counted in floats: a tiny CFL target overflows seg / dt_max or
+    # underflows dt_max to 0, and refusing the count before int() keeps
+    # its digits out of the message
+    steps = np.ceil(max(seg / dt_max - 1e-9, 1.0)) if dt_max else math.inf
+    cell_steps = (n_outputs - 1) * steps * n_values
+    if cell_steps > UPWIND_CELL_STEP_LIMIT:
+        raise ValueError(
+            f"the upwind march would take {cell_steps:.15g} cell-steps at CFL "
+            f"target {cfl!r}, more than the limit of {UPWIND_CELL_STEP_LIMIT}; "
+            "shorten t, coarsen the grid or raise the CFL target")
+    # the step count rounds seg / dt_max up, less a 1e-9 slack for rounding,
+    # so max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
+    k_steps = int(steps)
     dt = seg / k_steps
     nu = net.velocities * dt / net.grid.h
     dtq = dt * net.absorption
@@ -625,8 +624,12 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     boundary-condition residuals ``network_resolvent`` enforces by raising
     ``RuntimeError``.  Positive absorption values shift the contraction
     bound: (lambda - max(0, sup q)) replaces lambda, and lambda values at or
-    below the shift are skipped for that leg.  At least one sample and one
-    lambda are required.
+    below the shift are skipped for that leg.  If every lambda is skipped,
+    the leg has checked nothing and fails with one witness
+    ``lambda_above_shift`` whose lhs is the shift and whose rhs is the
+    largest lambda; it is added after every lambda is solved, so a
+    breakdown still raises first.  At least one sample and one lambda are
+    required.
     """
     if n_samples < 1:
         raise ValueError("the network verdict needs at least one sample")
@@ -646,6 +649,10 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
             range_tol = max(range_tol, budget)
+    if max(lambdas) <= shift:
+        # no lambda reached the contraction leg, which must not pass unchecked
+        contraction_wit.append(Witness("lambda_above_shift", None, None,
+                                       shift, max(lambdas)))
     # the residual c_j |sum_i B_ij - 1| has the units of a velocity, and
     # build_adjacency admits column sums within 1e-12 of 1
     identity_wit = []

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,19 @@ def test_grid_below_two_cells_exits_two(argv, grid, capsys):
     assert captured.err == "error: grid requires an integer n_cells >= 2\n"
 
 
+@pytest.mark.parametrize("argv", [("check", "--operator", "left_shift"), ("euler",),
+                                  ("counterexample",), ("heat",), ("resolvent",)],
+                         ids=lambda argv: argv[0])
+def test_grid_over_the_limit_exits_two(argv, capsys):
+    # refused in process before any grid is built
+    grid = cli.GRID_LIMIT + 1
+    assert main([*argv, "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --grid {grid} exceeds the limit of "
+                            f"{cli.GRID_LIMIT} cells\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--network", str(TWO_CYCLE), "--solver", "upwind", "--t", "inf"),
     ("resolvent", "--lambda", "inf"),
@@ -701,6 +715,31 @@ def test_check_network_exits_one_on_a_broken_fixed_vector(monkeypatch, capsys):
     assert [(w["input_id"], w["lhs"]) for w in leg["witnesses"]] == [
         ("velocity_fixed_vector", 1.0)]
     assert legs["network_resolvent_contraction"]["passed"]
+
+
+@pytest.mark.parametrize("lambdas, code", [(("1", "1.5"), 1), (("1", "3"), 0)],
+                         ids=["none_above", "one_above"])
+def test_check_network_fails_when_no_lambda_exceeds_the_shift(tmp_path, capsys,
+                                                              lambdas, code):
+    # absorption 2 shifts the contraction bound: lambda <= 2 is skipped, and
+    # a run that skips every lambda has checked nothing, so it fails with one
+    # witness (the shift against the largest lambda) and still reports
+    doc = dict(json.loads(TWO_CYCLE.read_text()), absorption=2.0,
+               grid={"n_cells": 200})
+    path = tmp_path / "absorbing.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--network", str(path)]
+    for lam in lambdas:
+        argv += ["--lambda", lam]
+    with warnings.catch_warnings():
+        # lambda 1 and 1.5 are below the absorption: not strictly damped
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, legs = _network_legs(capsys, argv)
+    assert got == code
+    leg = legs["network_resolvent_contraction"]
+    witnesses = [(w["input_id"], w["lambda"], w["lhs"], w["rhs"]) for w in leg["witnesses"]]
+    assert witnesses == ([("lambda_above_shift", None, 2.0, 1.5)] if code else [])
+    assert legs["adjoint_fixed_vector"]["passed"] and legs["network_range_probe"]["passed"]
 
 
 @pytest.mark.parametrize("argv", [("--steps", "0"), ("--grid", "100", "--steps", "-7"),

@@ -455,6 +455,31 @@ def test_orbit_splits_blocks_over_the_frontier_limit(monkeypatch):
     assert calls == [[20.0, 1.0, 30.0, 2.0], [30.0]]
 
 
+def test_orbit_of_one_time_blocks_names_its_largest_time(monkeypatch):
+    # two-cycle of 2048 cells at speeds 1 and sqrt 2: a state holds more
+    # than ORBIT_BLOCK_VALUES values, so each block is one time and a block
+    # over the limit is not split; t = 1e9 is rejected up front with at
+    # least (1e9 - 1) 2 2049 entries, and the error names the orbit's
+    # largest time with that count as a lower bound
+    net = semiflow.make_network(2, [(0, 1), (1, 0)], [1.0, 2.0 ** 0.5],
+                                n_cells=2048)
+    st = semiflow.initial_state(net)
+    assert st.values.size > semiflow.network.ORBIT_BLOCK_VALUES
+    calls = []
+
+    def spy(*a):
+        calls.append(np.asarray(a[5]).tolist())
+        return K.trace_transport(*a)
+
+    monkeypatch.setattr(semiflow.network, "trace_transport", spy)
+    with pytest.raises(K.FrontierLimitError) as info:
+        list(semiflow.network.characteristics_orbit(net, st, [0.5, 1e9, 2e9]))
+    assert calls == [[0.5], [1e9]]
+    assert str(info.value).startswith(
+        "characteristic tracing to t = 2000000000.0 would create at least "
+        "4097999995902 frontier entries")
+
+
 def test_trace_crossing_cap_raises():
     net = semiflow.make_network(2, [(0, 1), (1, 0)], velocities=[1.0, 1.0],
                                 n_cells=20)
@@ -521,7 +546,15 @@ def test_trace_crossing_cap_precedes_up_front_rejection():
     # edge 1 has a child, but only the source edge 0: the live-edge
     # fixpoint takes a second pass to drop it
     ([(0, 1), (1, 2), (2, 3), (3, 2)], [1.0] * 4),
-], ids=["two_cycle", "two_speeds", "branching", "source_fed_cycle", "source_chain"])
+    # truncation ladders closed at the root: a 16-edge line k -> k - 1 and a
+    # depth-3 binary in-tree, each with a loop at vertex 0, the one live
+    # edge; speeds from 2 up let its bound pass the limit within the scan
+    ([(0, 0)] + [(k, k - 1) for k in range(1, 16)],
+     [2.0 * 2.0 ** (k % 2 / 2) for k in range(16)]),
+    ([(0, 0)] + [(v, (v - 1) // 2) for v in range(1, 15)],
+     [2.0 * 2.0 ** (k % 2 / 2) for k in range(15)]),
+], ids=["two_cycle", "two_speeds", "branching", "source_fed_cycle", "source_chain",
+        "line_16", "binary_in_tree_3"])
 def test_trace_rejects_up_front_only_what_the_loop_rejects(monkeypatch, edges,
                                                            velocities):
     # with a small limit, scan t upward: the first rejection must come from

@@ -41,6 +41,12 @@ and 1.5 whose absorption varies along each edge (per-panel rates), the
 two-cycle at ``--lambda 1e-12`` (a boundary-residual breakdown: exits 2)
 and a ring of 4 edges and 8192 cells, whose states are each more than
 ``network.GROUP_VALUES`` node values and so are solved one at a time.
+Then eight more: ``--help`` of the CLI and of each of its six
+subcommands, and ``simulate`` on a line of 1024 edges k -> k - 1 closed
+by a loop at vertex 0, at speeds 1 and sqrt 2 in turn and 4 cells, where
+the exact flow traces one time per call and every edge but the loop is
+dead.  Every invocation runs with ``COLUMNS=80``, so that the width of
+argparse's text does not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ ABSORBING = "two_cycle_absorption_3000.json"  # written into OUTDIR
 STRING_VELOCITY = "two_cycle_string_velocity.json"  # written into OUTDIR
 MIXED = "mixed_speeds_varying_absorption.json"  # written into OUTDIR
 RING = "ring_8192_cells.json"  # written into OUTDIR
+LINE = "line_1024_edges_mixed_speeds.json"  # written into OUTDIR
 
 INVOCATIONS = {
     "check_left_shift": ["check", "--operator", "left_shift", "--lambda", "1",
@@ -98,8 +105,12 @@ INVOCATIONS = {
     "check_network_mixed_varying": ["check", "--network", MIXED],
     "check_network_lambda_tiny": ["check", "--network", TWO_CYCLE, "--lambda", "1e-12"],
     "check_network_ring_8192": ["check", "--network", RING],
+    "help": ["--help"],
+    **{f"{command}_help": [command, "--help"] for command in
+       ("check", "euler", "counterexample", "heat", "simulate", "resolvent")},
+    "simulate_line_1024": ["simulate", "--network", LINE, "--t", "1.1", "--outputs", "3"],
 }
-WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING)
+WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE)
 
 
 def main(argv: list[str]) -> int:
@@ -121,8 +132,14 @@ def main(argv: list[str]) -> int:
     (outdir / RING).write_text(json.dumps({
         "vertices": 4, "edges": [{"tail": k, "head": (k + 1) % 4} for k in range(4)],
         "grid": {"n_cells": 8192}}))
+    (outdir / LINE).write_text(json.dumps({
+        "vertices": 1024,
+        "edges": [{"tail": k, "head": max(k - 1, 0)} for k in range(1024)],
+        "velocities": [2.0 ** (k % 2 / 2) for k in range(1024)],
+        "initial": [1.0] * 1024, "grid": {"n_cells": 4}}))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src") + (os.pathsep + path if path else ""))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(checkout / "src") + (os.pathsep + path if path else ""))
     # the longer path first, in case one holds the other
     masks = sorted([(str(checkout), "<checkout>"), (str(outdir), "<outdir>")],
                    key=lambda m: -len(m[0]))
