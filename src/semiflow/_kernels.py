@@ -32,6 +32,7 @@ Kernels:
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -70,6 +71,20 @@ def panel_decay_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a_ser = 0.5 - zr / 3.0 + zr * zr / 8.0
     b_ser = 0.5 - zr / 6.0 + zr * zr / 24.0
     return d, np.where(small, a_ser, a_big), np.where(small, b_ser, b_big)
+
+
+def _scalar_decay_weights(rate: float, h: float) -> tuple[float, float, float]:
+    """d, h A and h B of :func:`panel_decay_weights` for one rate, as Python
+    floats from one ``np.exp`` and one ``np.expm1`` (``math``'s differ from
+    numpy's in the last bit on some arguments), equal to the per-panel
+    weights of the same rate bit for bit; an overflowing z = rate h takes
+    its limit d = hA = 0, hB = 1/rate."""
+    z = rate * h
+    d = float(np.exp(-z))
+    if abs(z) < 1e-4:
+        return d, (0.5 - z / 3.0 + z * z / 8.0) * h, (0.5 - z / 6.0 + z * z / 24.0) * h
+    q = -float(np.expm1(-z)) / z
+    return d, (q - d) / z * h, 1.0 / rate if z == math.inf else (1.0 - q) / z * h
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +126,22 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         raise ValueError("rate must be a scalar, one value per row or one value "
                          "per panel of each row")
     panel = rate_arr.ndim > 0 and not per_row
-    # node-major: the march below runs along axis 0, and node i of every row
-    # is one contiguous slice
-    if per_row:
-        rate_arr = rate_arr[:, 0]
-    elif panel:
-        rate_arr = np.ascontiguousarray(rate_arr.T)
-    with np.errstate(over="ignore"):
-        z = rate_arr * h
-    d, a, b = panel_decay_weights(z)
-    ha, hb = a * h, b * h
-    over = z == np.inf
-    if np.any(over):
-        hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
     if not rate_arr.ndim:
-        d, ha, hb = float(d), float(ha), float(hb)
+        d, ha, hb = _scalar_decay_weights(float(rate_arr), float(h))
+    else:
+        # node-major: the march below runs along axis 0, and node i of every
+        # row is one contiguous slice
+        if per_row:
+            rate_arr = rate_arr[:, 0]
+        elif panel:
+            rate_arr = np.ascontiguousarray(rate_arr.T)
+        with np.errstate(over="ignore"):
+            z = rate_arr * h
+        d, a, b = panel_decay_weights(z)
+        ha, hb = a * h, b * h
+        over = z == np.inf
+        if np.any(over):
+            hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
     # a copy, never the caller's array: once w is built it is spent, and
     # its first n nodes are the buffer of every pass
     vt = v.T.copy()

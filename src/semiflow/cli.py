@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)  # what json.dumps does with a str
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -102,23 +103,29 @@ def _emit_rows(out_dir, name: str, header: list[str], rows) -> None:
 _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 
 # Count options are bounded before any work.  Measured on 2 cores, a resolve
-# costs 20-60 ns per grid node plus 40-70 us (about 2**10 nodes' worth), and
-# a seminorm ladder (all windows of a state) 1-2 ns per node plus 18-27 us,
-# so the per-rung `--n-max` passes of `euler` over-count.  A `check` pair of
-# a sample and a lambda, range probes included, took 0.5-1.3 resolve passes
-# at 2**18 nodes, so SAMPLE_PASSES per pair over-counts too.  Peak RSS takes
-# 15 B per node of each sample or lambda: ~1.1 GB (extrapolated) for the
-# worst admitted run, one sample at 2**26 / nodes lambdas or the reverse.
+# costs 10-30 ns per grid node plus about 20 us (about 2**10 nodes' worth),
+# and a seminorm ladder (all windows of a state) 1-1.4 ns per node plus about
+# 10 us, so the per-rung `--n-max` passes of `euler` over-count.  A `check`
+# pair of a sample and a lambda, range probes included, took 0.5-1.3 resolve
+# passes at 2**18 nodes, so SAMPLE_PASSES per pair over-counts too.
 # `resolvent --horizon` sums its orbit as one convolution, under 1 s near the
 # bound.  WORK_LIMIT keeps a run under about a minute, GRID_LIMIT a state at 8 MB,
 # and ARGV_LIMIT, checked before parsing, the parse inside that: argparse takes
 # time quadratic in the option count, and 2**12 one-argument options (`--n=2`)
 # parsed in 0.41 s, 2**11 two-argument ones in 0.11 s (2**13: 1.7 s, 0.41 s).
+# A `check` holds its samples and range probes, and per sample a stack of
+# (lambda - A) f over the lambdas: peak RSS took 14-16 B per node of each
+# sample and 16-24 B per node of each lambda, over about 45 MB.
+# ROW_VALUES_LIMIT admits twelve rows of the largest grid, the default check
+# (8 samples, the ramp or the parabola, 3 lambdas) at --grid GRID_LIMIT, and
+# no more: the right translation peaked at 349 MB there with 2 samples and 10
+# lambdas, and at 325 MB at 2**18 cells with 2 samples and 45 lambdas.
 ARGV_LIMIT = 2 ** 12
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10
 SAMPLE_PASSES = 2 ** 4
 WORK_LIMIT = 2 ** 30
+ROW_VALUES_LIMIT = 12 * (GRID_LIMIT + 1)
 
 
 def _bound_work(nodes: int, passes: int, what: str) -> None:
@@ -134,6 +141,16 @@ def _bound_pairs(nodes: int, samples: int, n_lambdas: int) -> None:
     """``_bound_work`` of a check: SAMPLE_PASSES per (sample, lambda) pair."""
     _bound_work(nodes, samples * n_lambdas * SAMPLE_PASSES,
                 f"{samples} samples and {n_lambdas} --lambda values")
+
+
+def _bound_rows(nodes: int, samples: int, n_lambdas: int) -> None:
+    """Reject a check whose sample and lambda rows of ``nodes`` node values
+    would hold more than ROW_VALUES_LIMIT node values together."""
+    values = nodes * (samples + n_lambdas)
+    if values > ROW_VALUES_LIMIT:
+        raise ValueError(f"{samples} samples and {n_lambdas} --lambda values would hold "
+                         f"{values} node values, more than the limit of {ROW_VALUES_LIMIT}; "
+                         "use a coarser grid or smaller counts")
 
 
 def _bound_grid(n_cells: int, passes: int = 1, what: str = "") -> None:
@@ -201,6 +218,7 @@ def cmd_check(args) -> int:
         n_samples = max(n_random, 0) + (args.operator != "left_shift")
         _bound_grid(n_cells)
         _bound_pairs(n_cells + 1, n_samples, len(lambdas))
+        _bound_rows(n_cells + 1, n_samples, len(lambdas))
         gen, family, samples, probes = _operator_setup(args.operator, n_cells, seed, n_random)
         report = lumer_phillips_verdict(gen, family, samples, lambdas, probes)
         label = args.operator

@@ -272,7 +272,10 @@ def lumer_phillips_verdict(gen: Generator, family: CompactSeminormFamily,
                 if not gen.domain_check(fsol):
                     range_witnesses.append(Witness(f"domain:{sid}", lam,
                                                    None, 1.0, 0.0))
-                defect = (fsol * lam - gen.apply(fsol) - g).norm()
+                defect = float(np.max(np.abs(
+                    fsol.values * lam - gen.apply(fsol).values - g.values)))
+                if not math.isfinite(defect):
+                    raise ValueError("node values must be finite")
                 if defect > tol:
                     range_witnesses.append(Witness(f"range:{sid}", lam,
                                                    None, defect, tol))

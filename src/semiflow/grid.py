@@ -73,6 +73,10 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValueError("grid requires a < b")
+        # as Python floats, so that equal grids have equal nodes (a float32
+        # endpoint equal to a float would otherwise give float32 nodes)
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "n_cells", check_integer(
             self.n_cells, 2, "grid requires an integer n_cells >= 2"))
 

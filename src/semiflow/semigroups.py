@@ -107,9 +107,10 @@ def _trapezoid_orbit(sg: Semigroup, f: Any, ds: float, steps: int,
                      damping: Callable[[float], float]) -> Any:
     """Trapezoid rule for int_0^{steps ds} damping(s) T(s) f ds, summed on
     node values by ``sg.orbit_sum`` into one state of the type of ``f``."""
-    times = [k * ds for k in range(int(steps) + 1)]
-    weights = [(0.5 if k in (0, steps) else 1.0) * damping(s)
-               for k, s in enumerate(times)]
+    times = np.arange(int(steps) + 1) * ds
+    weights = np.fromiter(map(damping, times.tolist()), np.float64, times.size)
+    weights[0] *= 0.5  # the two ends: steps >= 1 at both callers
+    weights[-1] *= 0.5
     return type(f)(f.grid, sg.orbit_sum(times, weights, f) * ds)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,20 @@ def eval_pn(family: CompactSeminormFamily, n: int, f: GridFunction) -> float:
     return window_sup(f, lo, hi)
 
 
+@lru_cache(maxsize=8)
+def _ladder_runs(grid: Grid, family: CompactSeminormFamily) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grid.window_runs` of the windows 1..N, read-only, once window 1
+    passes ``check_window``.  Cached by value of the two frozen arguments: a
+    check reads one grid and one family for all its samples.  An entry keeps
+    its grid's nodes alive (8 MB at the CLI's largest grid); a raised error
+    is never cached."""
+    start, stop = window_runs(grid, *family.windows())
+    check_window(grid, *family.window(1), bool(start[0] < stop[0]))
+    start.setflags(write=False)
+    stop.setflags(write=False)
+    return start, stop
+
+
 def seminorm_ladder(family: CompactSeminormFamily, grid: Grid, values) -> np.ndarray:
     """p_1..p_N of node values on ``grid``: shape (..., n_nodes) -> (..., N).
 
@@ -97,13 +112,13 @@ def seminorm_ladder(family: CompactSeminormFamily, grid: Grid, values) -> np.nda
     and p_n = max(p_{n-1}, max over ring n), a ring being the at most two
     runs that window n adds.  Max is exact, so each entry equals
     :func:`eval_pn` bit for bit.  Window 1 lies inside every other, so it
-    alone is checked, with ``window_sup``'s errors.
+    alone is checked, with ``window_sup``'s errors.  The runs of a grid and
+    family are found once (``_ladder_runs``).
     """
     a = np.abs(values)
     if a.shape[-1:] != (grid.n_cells + 1,):
         raise ValueError(f"expected {grid.n_cells + 1} node values, got shape {a.shape}")
-    start, stop = window_runs(grid, *family.windows())
-    check_window(grid, *family.window(1), bool(start[0] < stop[0]))
+    start, stop = _ladder_runs(grid, family)
     # maxima over [start_n, start_{n-1}) and, on the reversed nodes, over
     # [stop_{n-1}, stop_n); the last run of each reduceat is not a ring.  An
     # empty run reads one node of window n - 1, which leaves the max as it is

@@ -815,3 +815,38 @@ def test_overflowed_damping_warning_quotes_q_inf(tmp_path):
     assert lines[-1] == ("error: network resolvent breaks down at lambda 0.1: "
                          "the solution is not finite")
     assert "nan" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", 'say "hi"', "back\\slash", "tab\tnewline\nreturn\r",
+    "\x00\x01\x1f\x7f", "λ − A", "Kühnemund", "  ", "\U0001d4d5 and \ud800",
+    "\"\\/\b\f"])
+def test_fmt_of_a_string_is_json_dumps_text(text):
+    assert cli._fmt(text) == json.dumps(text)
+
+
+def test_check_over_the_row_limit_exits_two_before_any_work(monkeypatch, capsys):
+    # the right translation adds the ramp to its one random sample: 2 sample
+    # rows and 46 lambda rows of 2**18 + 1 nodes pass the limit, and the
+    # work bound alone would admit them
+    def no_setup(*args):
+        raise AssertionError("the check was set up")
+
+    monkeypatch.setattr(cli, "_operator_setup", no_setup)
+    lambdas = [arg for lam in range(1, 47) for arg in ("--lambda", str(lam))]
+    assert main(["check", "--operator", "right_translation", "--grid", "262144",
+                 "--samples", "1", *lambdas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: 2 samples and 46 --lambda values would hold {48 * 262145} node "
+        f"values, more than the limit of {cli.ROW_VALUES_LIMIT}; use a coarser grid "
+        "or smaller counts\n")
+    cli._bound_pairs(262145, 2, 46)
+
+
+def test_row_limit_admits_the_default_check_at_the_largest_grid():
+    # 8 random samples, the ramp or the parabola, and 3 lambdas
+    cli._bound_rows(cli.GRID_LIMIT + 1, 9, 3)
+    with pytest.raises(ValueError, match="would hold"):
+        cli._bound_rows(cli.GRID_LIMIT + 1, 10, 3)

@@ -39,6 +39,16 @@ def test_grid_validation():
         Grid(0.0, float("inf"), 10)
 
 
+def test_equal_grids_have_equal_float_nodes():
+    # endpoints are kept as Python floats: a float32 endpoint equal to a
+    # float gives the same grid, float64 nodes included
+    g = Grid(np.float32(0.5), 10, 19)
+    assert type(g.a) is float and type(g.b) is float
+    assert g == Grid(0.5, 10.0, 19) and hash(g) == hash(Grid(0.5, 10.0, 19))
+    assert g.nodes.dtype == np.float64
+    assert np.array_equal(g.nodes, Grid(0.5, 10.0, 19).nodes)
+
+
 def test_grid_function_shape_and_immutability():
     g = Grid(0.0, 1.0, 4)
     f = GridFunction(g, np.zeros(5))

@@ -480,3 +480,38 @@ def test_translations_of_data_near_the_float_limit():
         ref = laplace_resolvent(sg, 1.0, small, 2.0, 8)[0].values
         got = laplace_resolvent(sg, 1.0, big, 2.0, 8)[0].values
         assert np.array_equal(got, np.ldexp(ref, 1020)), sg.label
+
+
+def _trapezoid_orbit_per_k(sg, f, ds, steps, damping):
+    # the quadrature as written before its times and weights became arrays
+    times = [k * ds for k in range(int(steps) + 1)]
+    weights = [(0.5 if k in (0, steps) else 1.0) * damping(s)
+               for k, s in enumerate(times)]
+    return type(f)(f.grid, sg.orbit_sum(times, weights, f) * ds)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3000])
+def test_trapezoid_orbit_equals_the_per_k_loop(steps):
+    # the same times and weights reach orbit_sum, and the same state comes
+    # back, bit for bit
+    grid = Grid(0.0, 20.0, 2000)
+    f = GridFunction(grid, np.exp(-(grid.nodes - 10.0) ** 2))
+    for horizon, damping in ((15.0, lambda s: math.exp(-s)), (2.5, lambda s: 1.0),
+                             (15.0, lambda s: -0.5 * math.exp(-3.7 * s))):
+        seen = []
+        shift = shift_semigroup()
+
+        def orbit_sum(times, weights, state):
+            seen.append((np.asarray(times, np.float64), np.asarray(weights, np.float64)))
+            return shift.orbit_sum(times, weights, state)
+
+        sg = dataclasses.replace(shift, orbit_sum=orbit_sum)
+        ds = horizon / steps
+        got = _trapezoid_orbit(sg, f, ds, steps, damping)
+        ref = _trapezoid_orbit_per_k(sg, f, ds, steps, damping)
+        assert got.grid == ref.grid
+        assert np.array_equal(got.values.view(np.uint64), ref.values.view(np.uint64))
+        (times, weights), (ref_times, ref_weights) = seen
+        assert times.size == steps + 1
+        assert np.array_equal(times.view(np.uint64), ref_times.view(np.uint64))
+        assert np.array_equal(weights.view(np.uint64), ref_weights.view(np.uint64))

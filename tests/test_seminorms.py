@@ -177,3 +177,30 @@ def test_ladder_rejects_a_window_without_nodes_as_eval_pn_does(orientation, grid
 def test_ladder_rejects_values_off_the_grid():
     with pytest.raises(ValueError, match="expected 11 node values"):
         seminorm_ladder(RIGHT10, Grid(0.0, 10.0, 10), np.ones((2, 12)))
+
+
+def test_ladder_window_runs_are_cached_read_only():
+    from semiflow.seminorms import _ladder_runs
+    grid, fam = Grid(0.0, 20.0, 2000), CompactSeminormFamily(WindowOrientation.RIGHT, 10)
+    start, stop = _ladder_runs(grid, fam)
+    assert not start.flags.writeable and not stop.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        start[0] = 5
+    # an equal grid and family, built anew, read the same arrays
+    again = _ladder_runs(Grid(0, 20, 2000), CompactSeminormFamily(WindowOrientation.RIGHT, 10))
+    assert again[0] is start and again[1] is stop
+
+
+def test_ladder_error_is_raised_on_every_call():
+    # [0, 1] meets [-0.5, 9.5] but holds none of its nodes: an error is
+    # never cached, so each call raises it again
+    from semiflow.seminorms import _ladder_runs
+    grid, fam = Grid(-0.5, 9.5, 2), CompactSeminormFamily(WindowOrientation.RIGHT, 8)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError, match="contains no grid node") as err:
+            seminorm_ladder(fam, grid, np.ones(3))
+        messages.append(str(err.value))
+    assert messages == ["window [0.0, 1.0] contains no grid node"] * 3
+    with pytest.raises(ValueError, match="contains no grid node"):
+        _ladder_runs(grid, fam)

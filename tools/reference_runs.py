@@ -45,8 +45,12 @@ Then eight more: ``--help`` of the CLI and of each of its six
 subcommands, and ``simulate`` on a line of 1024 edges k -> k - 1 closed
 by a loop at vertex 0, at speeds 1 and sqrt 2 in turn and 4 cells, where
 the exact flow traces one time per call and every edge but the loop is
-dead.  Every invocation runs with ``COLUMNS=80``, so that the width of
-argparse's text does not depend on the terminal.
+dead.  Last, three runs at the default lambdas and seed: ``check
+--operator right_translation`` (its range leg, and the report with the
+most witnesses), ``check --operator left_shift`` and ``resolvent
+--horizon 15 --steps 1`` (a trapezoid of only its two end weights), for
+forty-two in all.  Every invocation runs with ``COLUMNS=80``, so that the
+width of argparse's text does not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -109,6 +113,9 @@ INVOCATIONS = {
     **{f"{command}_help": [command, "--help"] for command in
        ("check", "euler", "counterexample", "heat", "simulate", "resolvent")},
     "simulate_line_1024": ["simulate", "--network", LINE, "--t", "1.1", "--outputs", "3"],
+    "check_right_translation": ["check", "--operator", "right_translation"],
+    "check_left_shift_defaults": ["check", "--operator", "left_shift"],
+    "resolvent_steps_1": ["resolvent", "--horizon", "15", "--steps", "1"],
 }
 WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE)
 
