@@ -91,7 +91,9 @@ def _scalar_decay_weights(rate: float, h: float) -> tuple[float, float, float]:
 # damped cumulative integral
 
 
-def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray:
+def damped_cumulative_integral(values: np.ndarray, h: float, rate, *,
+                               out: Optional[tuple[np.ndarray, np.ndarray]] = None
+                               ) -> np.ndarray:
     """Cumulative solution of y' = -rate(x) y + v(x), y = 0 at the left end,
     along the last axis of one row or of a stack of rows.
 
@@ -102,6 +104,11 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     rate : one of three shapes: a scalar rate for every panel; one rate per
         row, shape (rows, 1), for a stack; or per-panel rates, shape (n,)
         for one row and (rows, n) for a stack
+    out : optional pair ``(work, result)`` of float64 arrays of the
+        node-major shape ``values.shape[::-1]``, sharing no memory with
+        ``values``, for the march to run in instead of two new arrays:
+        ``work`` is its scratch and ``result`` takes the solution node-major,
+        so the call returns ``result.T``
 
     Exact when the rate is panel-constant and v is piecewise linear.  Each
     row of a stack gives the same result, bit for bit, as on its own, and a
@@ -109,9 +116,12 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
     to it.  Where rate * h overflows to inf, the panel takes its limit as
     rate * h -> inf, d = hA = 0 and hB = 1/rate, so y_i = v_i / rate.
 
-    The march runs node-major, along axis 0 of a transposed copy of the
-    data, which then serves as its scratch and as the storage of the
-    result: a new C-ordered array, with the input left as it is.
+    The march runs node-major, along axis 0: in a transposed copy of the
+    data, which then serves as its scratch, and in the node-major result.
+    Without ``out`` both arrays are new, and the spent copy then stores the
+    result row-major, a new C-ordered array; with ``out`` they are the
+    caller's, and the call returns the same values, bit for bit, as the
+    transposed view of ``result``.  The input is left as it is either way.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
@@ -144,10 +154,17 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
             hb = np.where(over, 1.0 / np.where(over, rate_arr, 1.0), hb)
     # a copy, never the caller's array: once w is built it is spent, and
     # its first n nodes are the buffer of every pass
-    vt = v.T.copy()
-    out = np.empty_like(vt)
-    out[0] = 0.0
-    w = out[1:]
+    if out is None:
+        vt = v.T.copy()
+        y = np.empty_like(vt)
+    else:
+        vt, y = out
+        if any(a.shape != v.shape[::-1] or a.dtype != np.float64 for a in out):
+            raise ValueError("out must be two float64 arrays of the node-major "
+                             f"shape {v.shape[::-1]}")
+        np.copyto(vt, v.T)
+    y[0] = 0.0
+    w = y[1:]
     np.multiply(ha, vt[:-1], out=w)
     np.multiply(hb, vt[1:], out=vt[1:])
     w += vt[1:]
@@ -169,11 +186,11 @@ def damped_cumulative_integral(values: np.ndarray, h: float, rate) -> np.ndarray
         else:
             d *= d
         s *= 2
-    if v.ndim == 1:
-        return out
+    if v.ndim == 1 or out is not None:
+        return y.T
     # back to row-major in the spent copy, so no third array is live
     result = vt.reshape(v.shape)
-    result[...] = out.T
+    result[...] = y.T
     return result
 
 

@@ -114,12 +114,12 @@ _OPERATOR_CHOICES = ("left_shift", "right_translation", "laplacian")
 # time quadratic in the option count, and 2**12 one-argument options (`--n=2`)
 # parsed in 0.41 s, 2**11 two-argument ones in 0.11 s (2**13: 1.7 s, 0.41 s).
 # A `check` holds its samples and range probes, and per sample a stack of
-# (lambda - A) f over the lambdas: peak RSS took 14-16 B per node of each
-# sample and 16-24 B per node of each lambda, over about 45 MB.
+# (lambda - A) f over the lambdas, formed in place: peak RSS took 15 B per
+# node of each sample and 16-17 B per node of each lambda, over about 45 MB.
 # ROW_VALUES_LIMIT admits twelve rows of the largest grid, the default check
 # (8 samples, the ramp or the parabola, 3 lambdas) at --grid GRID_LIMIT, and
-# no more: the right translation peaked at 349 MB there with 2 samples and 10
-# lambdas, and at 325 MB at 2**18 cells with 2 samples and 45 lambdas.
+# no more: the right translation peaked at 270 MB there with 2 samples and 10
+# lambdas, and at 246 MB at 2**18 cells with 2 samples and 45 lambdas.
 ARGV_LIMIT = 2 ** 12
 GRID_LIMIT = 2 ** 20
 PASS_NODES_MIN = 2 ** 10

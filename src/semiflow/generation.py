@@ -96,7 +96,9 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     there an lhs at half its rhs passes (the parabola's under the laplacian)
     and the check certifies almost nothing.  At least one sample is
     required.  Each sample costs one seminorm ladder for f and one for the
-    stack of (lambda - A) f over all lambdas.
+    stack of (lambda - A) f over all lambdas, formed in place: at most two
+    such stacks are held at once, this one with the ladder's |.| of it or
+    with the next sample's lambda f, which replaces it.
     """
     _require_samples(samples, "the dissipativity check")
     lambdas = check_lambdas(lambdas)
@@ -115,7 +117,8 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     for sid, f in samples:
         pf = seminorm_ladder(family, f.grid, f.values)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            shifted = f.values * lams - gen.apply(f).values
+            shifted = f.values * lams
+            shifted -= gen.apply(f).values
         if not np.all(np.isfinite(shifted)):
             raise ValueError("node values must be finite")
         lhs, rhs = seminorm_ladder(family, f.grid, shifted), lams * pf

@@ -51,20 +51,21 @@ UPWIND_CELL_STEP_LIMIT = 2 ** 28
 ORBIT_BLOCK_VALUES = 2 ** 12
 
 # Most node values in one group of states of ``_network_resolvents``, at
-# E (n + 1) values a state and at least one state a group.  At 400 cells 2
-# samples of 8-32 edges are one group, 2 of 64 edges two groups and the
-# two-cycle's 5 one; at 2^21 node values each state is a group of its own.
-# On 2 cores, graph-verdict's median op takes 3.36 ms with these groups and
-# 3.68 ms with a loop over single states (faster in 9 of 10 alternating
-# pairs of 8 s runs, peak RSS within 0.2 MB): small states pay numpy's
-# per-call cost once a group, not once a state.
+# E (n + 1) values a state and at least one state a group, and in one block
+# of columns of ``supnorm_l1_weighted``.  At 400 cells 2 samples of 8-32
+# edges are one group, 2 of 64 edges two groups and the two-cycle's 5 one;
+# at 2^21 node values each state is a group of its own.  On 2 cores,
+# graph-verdict's median op takes 3.37 ms with these groups and 4.00 ms
+# with one state a group (faster in 4 of 4 alternating pairs of 8 s runs,
+# peak RSS within 0.2 MB): small states pay numpy's per-call cost once a
+# group, not once a state.
 GROUP_VALUES = 2 ** 15
 
 # Largest network a JSON document may describe, checked before anything is
 # allocated.  On 2 cores, ``check --network`` at its 3 default lambdas takes
-# 0.6-1.6 s and 75 MB on a ring of 1024 edges of 10 cells (its verdict
-# 2.9-3.6 s at 2048 edges: the E x E coupling solves grow like E^3), and
-# 4.4-4.8 s and 269 MB on the two-cycle at 2^21 node values.
+# 0.6 s and 68 MB on a ring of 1024 edges of 10 cells (its verdict 2.9-3.6 s
+# at 2048 edges: the E x E coupling solves grow like E^3), and 4.3-5.0 s and
+# 253 MB on the two-cycle at 2^21 node values.
 # ``make_network`` stays unbounded: its callers are code, not documents.
 DOCUMENT_EDGE_LIMIT = 2 ** 10
 DOCUMENT_VALUE_LIMIT = 2 ** 21
@@ -432,16 +433,29 @@ def defect_budget(net: Network, lam: float, f_values: np.ndarray,
     data), plus a roundoff floor.  A genuinely wrong solution overshoots this
     by orders of magnitude because its defect scales with the solution itself
     rather than with h^2.
+
+    The third differences are those of ``np.diff(f_values, n=3, axis=1)``,
+    taken in one array: the second and third levels run in place along the
+    flattened rows, so the last entries of each row take differences across
+    the seam to the next row, which are never read.
     """
     h = net.grid.h
     c_max = float(np.max(net.velocities))
-    q_max = float(np.max(np.abs(net.absorption)))
-    d3 = np.abs(np.diff(f_values, n=3, axis=1))
+    q_max = _abs_max(net.absorption)
+    d = np.subtract(f_values[:, 1:], f_values[:, :-1])
+    flat = d.ravel()
+    for _ in range(2):
+        np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    d3 = np.abs(d[:, :-2], out=d[:, :-2])
     t3 = float(np.max(d3)) / h ** 3 if d3.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(f_values))),
-                float(np.max(np.abs(g_values))))
+    scale = max(1.0, _abs_max(f_values), _abs_max(g_values))
     roundoff = 100.0 * np.finfo(float).eps * (lam + q_max + c_max / h) * scale
     return float(4.0 * h * h * c_max * t3 + roundoff)
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max |x| without an array of |x|."""
+    return float(max(x.max(), -x.min()))
 
 
 def _breakdown(lam: float, what: str) -> RuntimeError:
@@ -475,22 +489,36 @@ def network_resolvent(net: Network, lam: float, g: EdgeState) -> EdgeState:
     return next(_network_resolvents(net, lam, [g]))[0]
 
 
-def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
+def _group_work(net: Network, count: int) -> np.ndarray:
+    """Three rows of one group's node values, for ``_network_resolvents`` to
+    compute in, for groups of up to ``count`` states: as many consecutive
+    states as fit in ``GROUP_VALUES`` node values, and at least one."""
+    state_values = net.n_edges * (net.grid.n_cells + 1)
+    return np.empty((3, min(count, max(1, GROUP_VALUES // state_values)) * state_values))
+
+
+def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState],
+                        work: Optional[np.ndarray] = None
                         ) -> Iterator[tuple[EdgeState, float]]:
     """``network_resolvent`` of each state of ``gs`` at ``lam``, in the order
     of ``gs``: each solution with its ``defect_budget``, yielded as soon as
     it has passed its checks.
 
     The rates, the decay factors and the coupling system are built once.
-    The states are then taken in groups of consecutive states of at most
-    ``GROUP_VALUES`` node values (at least one state), so the working set
-    does not grow with their number: one damped-integral call integrates
-    the group's edge rows, reversed, and the finiteness and the consistency
-    defect are taken on the whole group.  The coupling solves and the
-    checks run state by state, in order, so the first breakdown raises as a
-    one-state call would.  The "not strictly damped" warning (q >= 1)
-    depends on lambda alone: it is given once, before the first integral,
-    attributed to the caller's caller.
+    The states are then taken in groups of consecutive states, as many as
+    the three rows of ``work`` hold (``_group_work``, made for ``gs`` when
+    not given), so the working set does not grow with their number, and
+    every group computes in those rows: one damped-integral call
+    integrates the group's edge rows, reversed, and the finiteness and the
+    consistency defect are taken on the whole group.  The first row holds
+    the reversed rows and then the solutions; the second is the integral's
+    scratch and then holds one term at a time; the third takes the
+    integral node-major and then the defect.  A caller that solves several
+    lambdas passes one ``work`` to all of them.  The coupling solves and
+    the checks run state by state, in order, so the first breakdown raises
+    as a one-state call would, and each state yielded is a copy.  The "not
+    strictly damped" warning (q >= 1) depends on lambda alone: it is given
+    once, before the first integral, attributed to the caller's caller.
     """
     lam = check_lambda(lam)
     for g in gs:
@@ -501,14 +529,20 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
     q = net.absorption
     bc = net.coupling
     n_edges = net.n_edges
-    size = max(1, GROUP_VALUES // (n_edges * (n + 1)))
+    if work is None:
+        work = _group_work(net, len(gs))
+    size = max(1, work.shape[1] // (n_edges * (n + 1)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         rates = (lam - 0.5 * (q[:, :-1] + q[:, 1:])) / c[:, None]
-        zsum = np.zeros((n_edges, n + 1))
-        zsum[:, :-1] = np.cumsum((rates * h)[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.exp(-zsum)  # exp(phi(x) - phi(1)) <= 1 for lam > q
-        del zsum
+        # exp(phi(x) - phi(1)) <= 1 for lam > q: exp of minus the sums of
+        # rates h from each node to the tail, formed in place
+        suffix = np.empty((n_edges, n + 1))
+        suffix[:, -1] = 0.0
+        zsum = suffix[:, -2::-1]  # the panels from the tail
+        np.multiply(rates[:, ::-1], h, out=zsum)
+        np.cumsum(zsum, axis=1, out=zsum)
+        np.exp(np.negative(suffix, out=suffix), out=suffix)
         nu = suffix[:, 0]
         # ||diag(nu) Bc||_c = max_k sum_j c_j nu_j Bc_jk / c_k
         q_norm = float(np.max((c * nu) @ bc / c))
@@ -525,27 +559,34 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
                 f"{q_norm!r}, not below 1); attempting a direct solve; increase "
                 "lambda for a guaranteed solve", RuntimeWarning, stacklevel=3)
         system = np.eye(n_edges) - nu[:, None] * bc
-        row_rates = (rates[:, :1] if np.all(rates == rates[:, :1])
+        row_rates = (rates[:, :1].copy() if np.all(rates == rates[:, :1])
                      else rates[:, ::-1])
+        del rates  # per-row rates keep only their copy
 
     for start in range(0, len(gs), size):
         group = gs[start:start + size]
+        rows = len(group) * n_edges
+        stack, scratch, nodes = work[:, :rows * (n + 1)]
+        f = stack.reshape(len(group), n_edges, n + 1)
+        for fs, g in zip(f, group):
+            fs[...] = g.values[:, ::-1]
         with np.errstate(over="ignore", invalid="ignore"):
             # int_x^1 exp-damped g, every edge of the group integrated
             # from the tail at once
             back = damped_cumulative_integral(
-                np.stack([g.values[:, ::-1] for g in group]).reshape(-1, n + 1),
-                h, np.tile(row_rates, (len(group), 1)))
-            f = back.reshape(len(group), n_edges, n + 1)[..., ::-1] / c[:, None]
-            del back
+                stack.reshape(rows, n + 1), h, np.tile(row_rates, (len(group), 1)),
+                out=(scratch.reshape(n + 1, rows), nodes.reshape(n + 1, rows)))
+            np.divide(back.reshape(f.shape)[..., ::-1], c[:, None], out=f)
+            term = scratch[:n_edges * (n + 1)].reshape(n_edges, n + 1)
             for fs in f:
                 try:
                     f0 = np.linalg.solve(system, fs[:, 0])
                 except np.linalg.LinAlgError:
                     raise _breakdown(lam, "the vertex coupling system is singular") from None
-                fs += suffix * (bc @ f0)[:, None]
+                fs += np.multiply(suffix, (bc @ f0)[:, None], out=term)
             finite = np.all(np.isfinite(f), axis=(1, 2))
-            worst = _defect_sups(net, lam, f, [g.values for g in group])
+            worst = _defect_sups(net, lam, f, [g.values for g in group],
+                                 work[1:, :f.size])
         for g, fs, fs_finite, fs_worst in zip(group, f, finite, worst.tolist()):
             if not fs_finite:
                 raise _breakdown(lam, "the solution is not finite")
@@ -558,7 +599,6 @@ def _network_resolvents(net: Network, lam: float, gs: Sequence[EdgeState]
                 raise _breakdown(lam, f"resolvent consistency defect {fs_worst!r} "
                                  f"exceeds the scheme budget {tol!r}")
             yield EdgeState(net.grid, fs), tol
-        del f, fs
 
 
 def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
@@ -567,14 +607,26 @@ def resolvent_defect_norm(net: Network, lam: float, g: EdgeState,
     return float(_defect_sups(net, lam, f.values[None], [g.values])[0])
 
 
-def _defect_sups(net: Network, lam: float, fs: np.ndarray, gs) -> np.ndarray:
+def _defect_sups(net: Network, lam: float, fs: np.ndarray, gs,
+                 work: Optional[np.ndarray] = None) -> np.ndarray:
     """``resolvent_defect_norm`` of each solution of the stack ``fs``, shape
-    (S, E, n + 1), against the right-hand side of ``gs`` in the same place,
-    in one gradient pass and in place of its output."""
-    defect = np.gradient(fs, net.grid.h, axis=-1, edge_order=2)
+    (S, E, n + 1), against the right-hand side of ``gs`` in the same place.
+
+    It computes in two arrays of the size of ``fs``, the two rows of
+    ``work`` when given: the defect in the second, which starts as
+    ``np.gradient(fs, h, axis=-1, edge_order=2)``, its stencil written
+    there bit for bit, and the terms q f and lambda f in turn in the first.
+    """
+    h = net.grid.h
+    term, defect = (np.empty((2,) + fs.shape) if work is None
+                    else work.reshape((2,) + fs.shape))
+    np.subtract(fs[..., 2:], fs[..., :-2], out=defect[..., 1:-1])
+    defect[..., 1:-1] /= 2.0 * h
+    defect[..., 0] = -1.5 / h * fs[..., 0] + 2.0 / h * fs[..., 1] + -0.5 / h * fs[..., 2]
+    defect[..., -1] = 0.5 / h * fs[..., -3] + -2.0 / h * fs[..., -2] + 1.5 / h * fs[..., -1]
     defect *= net.velocities[:, None]
-    defect += net.absorption * fs
-    np.subtract(lam * fs, defect, out=defect)
+    defect += np.multiply(net.absorption, fs, out=term)
+    np.subtract(np.multiply(fs, lam, out=term), defect, out=defect)
     for d, g in zip(defect, gs):
         d -= g
     return np.max(np.abs(defect, out=defect), axis=(1, 2))
@@ -594,9 +646,18 @@ def supnorm_l1_weighted(state: EdgeState, weights: np.ndarray) -> float:
     equal speeds.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (state.values.shape[0],):
+    v = state.values
+    if w.shape != (v.shape[0],):
         raise ValidationError("need one weight per edge")
-    return float(np.max(np.sum(w[:, None] * np.abs(state.values), axis=0)))
+    # blocks of columns of at most GROUP_VALUES values, so that no temporary
+    # is state-sized; each column sums its edges as over the whole state
+    cols = max(1, GROUP_VALUES // v.shape[0])
+    sups = []
+    for start in range(0, v.shape[1], cols):
+        weighted = np.abs(v[:, start:start + cols])
+        weighted *= w[:, None]
+        sups.append(np.max(np.sum(weighted, axis=0)))
+    return float(np.max(sups))
 
 
 def sample_states(net: Network, count: int, seed: int) -> list[tuple[str, EdgeState]]:
@@ -639,8 +700,11 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
     g_norms = [supnorm_l1_weighted(g, net.velocities) for g in gs]
     shift = max(0.0, float(np.max(net.absorption)))
     range_tol = 0.0
+    work = _group_work(net, n_samples)
     for lam in lambdas:
-        for sid, rhs, (fstate, budget) in zip(ids, g_norms, _network_resolvents(net, lam, gs)):
+        solutions = _network_resolvents(net, lam, gs, work=work)
+        for sid, rhs in zip(ids, g_norms):
+            fstate, budget = next(solutions)
             if lam > shift:
                 lhs = (lam - shift) * supnorm_l1_weighted(fstate, net.velocities)
                 if lhs > rhs * (1.0 + 1e-6):
@@ -649,6 +713,7 @@ def network_generation_verdict(net: Network, lambdas: Sequence[float],
             # this budget and the boundary condition within 1e-9, by raising
             # (a breakdown exits 2 from the CLI), so the leg has no witnesses
             range_tol = max(range_tol, budget)
+            del fstate  # not held while the next solution is made
     if max(lambdas) <= shift:
         # no lambda reached the contraction leg, which must not pass unchecked
         contraction_wit.append(Witness("lambda_above_shift", None, None,

@@ -694,8 +694,8 @@ def test_check_network_exits_one_on_a_non_contractive_resolvent(monkeypatch, cap
     # twice every solution: lambda ||R f|| reaches about twice ||f||
     solve = network._network_resolvents
 
-    def doubled(net, lam, gs):
-        for f, budget in solve(net, lam, gs):
+    def doubled(net, lam, gs, **kwargs):
+        for f, budget in solve(net, lam, gs, **kwargs):
             yield f * 2.0, budget
 
     monkeypatch.setattr(network, "_network_resolvents", doubled)

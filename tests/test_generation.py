@@ -78,6 +78,33 @@ def test_bi_dissipative_evaluates_each_sample_seminorm_once(monkeypatch):
     assert shapes == [(501,), (len(lambdas), 501)] * len(samples)
 
 
+@pytest.mark.parametrize("make_gen, vanish_left",
+                         [(left_shift_generator, True), (right_translation_generator, False)],
+                         ids=["left_shift", "right_translation"])
+def test_bi_dissipative_holds_at_most_two_lambda_stacks(make_gen, vanish_left):
+    # tracemalloc's peak over a second check (the first fills the window-run
+    # cache), in units of one (lambda, nodes) stack: the stack of
+    # (lambda - A) f, formed in place, and the ladder's |.| of it, 2.02
+    # measured with 16 lambdas, where a row is 1/16 of a stack.  Forming
+    # (lambda - A) f as a new array, beside lambda f and the previous
+    # sample's stack, read 3.07
+    import tracemalloc
+    n = 2 ** 14
+    g = Grid(0.0, 20.0, n)
+    gen = make_gen()
+    fam = CompactSeminormFamily(WindowOrientation.RIGHT, 10)
+    samples = sample_functions(g, 4, seed=0, vanish_left=vanish_left)
+    lambdas = [0.1 * (k + 1) for k in range(16)]
+    check_bi_dissipative(gen, fam, samples, lambdas)
+    tracemalloc.start()
+    try:
+        check_bi_dissipative(gen, fam, samples, lambdas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(lambdas) * (n + 1) * 8) < 2.1
+
+
 def test_bi_dissipative_zero_sample():
     g, gen, fam = _left_shift_setup(500)
     z = GridFunction(g, np.zeros(501))

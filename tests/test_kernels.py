@@ -875,10 +875,14 @@ def test_network_kernels_keep_their_positional_signatures():
 def test_damped_integral_keeps_its_positional_signature():
     # the benchmark's tracer patches the damped integral by name on
     # semiflow.network and semiflow.operators and reads its arguments by
-    # position: the data first, the rate third
+    # position: the data first, the rate third; the destination is a keyword
     from semiflow import network, operators
-    assert list(inspect.signature(K.damped_cumulative_integral).parameters) == [
-        "values", "h", "rate"]
+    params = inspect.signature(K.damped_cumulative_integral).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        ("values", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("h", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("rate", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("out", inspect.Parameter.KEYWORD_ONLY)]
     assert network.damped_cumulative_integral is K.damped_cumulative_integral
     assert operators.damped_cumulative_integral is K.damped_cumulative_integral
 
@@ -980,6 +984,43 @@ def test_damped_integral_node_major_march_is_bit_identical(rows, regime):
                 non_finite = non_finite or not np.all(np.isfinite(got))
     # only the negative regime reaches the overflow it is meant to test
     assert non_finite == (regime == "negative")
+
+
+@pytest.mark.parametrize("regime", list(DAMPED_REGIMES))
+@pytest.mark.parametrize("rows", [None, 1, 16, 128], ids=["1d", "1", "16", "128"])
+def test_damped_integral_destination_matches_the_allocating_call(rows, regime):
+    # with out=(work, result) the march runs in the caller's node-major
+    # arrays, filled with nan beforehand, and returns result.T: the
+    # allocating call's bits, the input untouched
+    h, draw = DAMPED_REGIMES[regime]
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 200):
+        shape = (n + 1,) if rows is None else (rows, n + 1)
+        v = rng.standard_normal(shape)
+        v[..., :(n + 1) // 2] = 0.0
+        rates = {"scalar": float(draw(rng, ())),
+                 "per_panel": draw(rng, shape[:-1] + (n,))}
+        if rows is not None:
+            rates["per_row"] = draw(rng, (rows, 1))
+        for kind, rate in rates.items():
+            case = (n, kind)
+            before = v.copy()
+            out = (np.full(shape[::-1], np.nan), np.full(shape[::-1], np.nan))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = K.damped_cumulative_integral(v, h, rate)
+                got = K.damped_cumulative_integral(v, h, rate, out=out)
+            assert got.shape == ref.shape, case
+            assert got.tobytes() == ref.tobytes(), case
+            assert got.base is out[1] or got is out[1], case
+            assert v.tobytes() == before.tobytes(), case
+
+
+def test_damped_integral_destination_must_be_node_major_float64():
+    v = np.ones((3, 5))
+    for out in ((np.empty((3, 5)), np.empty((3, 5))),
+                (np.empty((5, 3)), np.empty((5, 3), dtype=np.float32))):
+        with pytest.raises(ValueError, match="node-major"):
+            K.damped_cumulative_integral(v, 0.1, 1.0, out=out)
 
 
 # (rate, panel width): z = rate h just below and just above the series

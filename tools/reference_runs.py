@@ -45,12 +45,15 @@ Then eight more: ``--help`` of the CLI and of each of its six
 subcommands, and ``simulate`` on a line of 1024 edges k -> k - 1 closed
 by a loop at vertex 0, at speeds 1 and sqrt 2 in turn and 4 cells, where
 the exact flow traces one time per call and every edge but the loop is
-dead.  Last, three runs at the default lambdas and seed: ``check
+dead.  Then three runs at the default lambdas and seed: ``check
 --operator right_translation`` (its range leg, and the report with the
 most witnesses), ``check --operator left_shift`` and ``resolvent
---horizon 15 --steps 1`` (a trapezoid of only its two end weights), for
-forty-two in all.  Every invocation runs with ``COLUMNS=80``, so that the
-width of argparse's text does not depend on the terminal.
+--horizon 15 --steps 1`` (a trapezoid of only its two end weights).
+Last, ``check --network`` on a ring of 4 edges and 4095 cells, whose
+states of 16384 node values the verdict solves in groups of 2, 2 and 1
+states at each lambda, all in one working set: forty-three in all.
+Every invocation runs with ``COLUMNS=80``, so that the width of
+argparse's text does not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ ABSORBING = "two_cycle_absorption_3000.json"  # written into OUTDIR
 STRING_VELOCITY = "two_cycle_string_velocity.json"  # written into OUTDIR
 MIXED = "mixed_speeds_varying_absorption.json"  # written into OUTDIR
 RING = "ring_8192_cells.json"  # written into OUTDIR
+RING_GROUPS = "ring_4095_cells.json"  # written into OUTDIR
 LINE = "line_1024_edges_mixed_speeds.json"  # written into OUTDIR
 
 INVOCATIONS = {
@@ -116,8 +120,9 @@ INVOCATIONS = {
     "check_right_translation": ["check", "--operator", "right_translation"],
     "check_left_shift_defaults": ["check", "--operator", "left_shift"],
     "resolvent_steps_1": ["resolvent", "--horizon", "15", "--steps", "1"],
+    "check_network_ring_4095": ["check", "--network", RING_GROUPS],
 }
-WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE)
+WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE, RING_GROUPS)
 
 
 def main(argv: list[str]) -> int:
@@ -136,9 +141,10 @@ def main(argv: list[str]) -> int:
         "absorption": [[-0.25 * (j + 1) * (1.0 + (i / 40) ** 2) for i in range(41)]
                        for j in range(4)],
         "grid": {"n_cells": 40}}))
-    (outdir / RING).write_text(json.dumps({
-        "vertices": 4, "edges": [{"tail": k, "head": (k + 1) % 4} for k in range(4)],
-        "grid": {"n_cells": 8192}}))
+    for name, n_cells in ((RING, 8192), (RING_GROUPS, 4095)):
+        (outdir / name).write_text(json.dumps({
+            "vertices": 4, "edges": [{"tail": k, "head": (k + 1) % 4} for k in range(4)],
+            "grid": {"n_cells": n_cells}}))
     (outdir / LINE).write_text(json.dumps({
         "vertices": 1024,
         "edges": [{"tail": k, "head": max(k - 1, 0)} for k in range(1024)],
