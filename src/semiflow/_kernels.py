@@ -17,12 +17,16 @@ Kernels:
     Explicit first-order upwind steps for edge transport toward x = 0 with
     vertex redistribution of the outflow: a node-major march of four numpy
     calls per step, each node a weighted sum of itself and its upstream
-    neighbour, so that a unit-CFL step is an exact shift.
+    neighbour, so that a unit-CFL step is an exact shift.  Both weights are
+    full arrays of the data's shape, ``nu`` too though it is one value per
+    edge: each product of a step is then one flat loop, where a broadcast
+    ``nu`` would loop over an inner axis of only E values.
 
 ``trace_transport``
     Exact evolution of edge transport by backtracking characteristics
     through vertices, to one time or a block of times (one vectorized
-    frontier, weights from the coupling matrix).
+    frontier, weights from the coupling matrix, each level gathered by
+    index).
 
 ``history_transport``
     The same flow by the method of steps, for speeds and times that fit one
@@ -280,17 +284,23 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
     The march runs node-major, on a copy of shape (n + 1, E), so that the
     head row and the tail row are contiguous, and each step is four numpy
     calls, with one buffer allocated once; the result does not depend on
-    the layout of ``values``.
+    the layout of ``values``.  ``nu`` is spread once to a full (n, E)
+    array, as ``keep`` is: with both weights of the shape of the data, each
+    product is one flat loop over the n E values, where a broadcast (E,)
+    factor would make every call loop over an inner axis of only E values,
+    which costs most on small graphs.  The spread copies the same floats,
+    so the values are those of the broadcast product.
     """
     u = np.array(values.T, order="C")
     keep = np.ascontiguousarray((1.0 - nu) + dtq[:, :-1].T)
+    nu = np.ascontiguousarray(np.broadcast_to(nu, keep.shape))
     lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
     inflow = np.empty_like(lower)
     for _ in range(int(n_steps)):
         np.multiply(nu, upper, out=inflow)
         np.multiply(keep, lower, out=lower)
         np.add(lower, inflow, out=lower)
-        np.matmul(coupling, head, out=tail)
+        np.dot(coupling, head, out=tail)
     return u.T.copy()
 
 
@@ -301,7 +311,13 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
 def _interp(table: np.ndarray, edge: np.ndarray, idx: np.ndarray,
             frac: np.ndarray) -> np.ndarray:
     """Rows ``table[edge]`` read ``frac`` of the way across panel ``idx``."""
-    return (1.0 - frac) * table[edge, idx] + frac * table[edge, idx + 1]
+    return _lerp(table.ravel(), edge * table.shape[1] + idx, frac)
+
+
+def _lerp(flat: np.ndarray, at: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The flat table ``flat`` read ``frac`` of the way from entry ``at`` to
+    the next, each entry gathered by ``take``."""
+    return (1.0 - frac) * flat.take(at) + frac * flat.take(at + 1)
 
 
 def _panel(pos: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +368,13 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     continues from their heads.  Each entry does the same arithmetic as in a
     one-time call, so every row equals the call for its time alone, bit for
     bit.  A foot's panel and fraction (``_panel``) are found once and serve
-    both the ``qcum`` read and the data read.  The gain integral at a path's
-    start is the interpolant at its node on the first level and
-    ``qcum[edge, 0]`` after a crossing: the interpolant at x = 0 reads
-    1 qcum[edge, 0] + 0 qcum[edge, 1], which is that value for finite
+    both the ``qcum`` read and the data read.  A level gathers its entries
+    by index, with one ``np.flatnonzero`` for the paths that end and one for
+    those that go on and every array read by ``take``; ``values`` and
+    ``qcum`` are read as flat tables at edge (n + 1) + idx.  The gain
+    integral at a path's start is the interpolant at its node on the first
+    level and ``qcum[edge, 0]`` after a crossing: the interpolant at x = 0
+    reads 1 qcum[edge, 0] + 0 qcum[edge, 1], which is that value for finite
     ``qcum`` (``Network`` rejects an overflowing one).
 
     ``FRONTIER_LIMIT`` counts the entries of every time in the call: a call
@@ -406,37 +425,40 @@ def trace_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     trem = np.repeat(times.ravel(), per_time)
     weight = np.ones(origin.size)
     start_q = _interp(qcum, edge, *_panel(pos, h, n))  # gain integral at each start
+    flat_values, flat_q = values.ravel(), qcum.ravel()
+    q_head, q_tail = qcum[:, 0], qcum[:, n]
     out = np.zeros(origin.size)
     total = origin.size
     level = 0
     while origin.size:
-        ce = c[edge]
+        ce = c.take(edge)
         to_tail = (1.0 - pos) / ce
         done = trem <= to_tail
-        e, ced = edge[done], ce[done]
-        idx, frac = _panel(np.minimum(pos[done] + ced * trem[done], 1.0), h, n)
-        gain = (_interp(qcum, e, idx, frac) - start_q[done]) / ced
-        np.add.at(out, origin[done],
-                  weight[done] * np.exp(gain) * _interp(values, e, idx, frac))
+        stop, go = np.flatnonzero(done), np.flatnonzero(~done)
+        ced = ce.take(stop)
+        idx, frac = _panel(np.minimum(pos.take(stop) + ced * trem.take(stop), 1.0), h, n)
+        at = edge.take(stop) * n_nodes + idx
+        gain = (_lerp(flat_q, at, frac) - start_q.take(stop)) / ced
+        np.add.at(out, origin.take(stop),
+                  weight.take(stop) * np.exp(gain) * _lerp(flat_values, at, frac))
 
-        go = ~done
-        e = edge[go]
-        counts = n_children[e]
+        e = edge.take(go)
+        counts = n_children.take(e)
         size = int(counts.sum())
         if size and level > cap:
             raise RuntimeError("characteristic tracing exceeded the crossing cap")
         total += size
         if total > FRONTIER_LIMIT:
             raise frontier_error(t_max, total)
-        gain = (qcum[e, n] - start_q[go]) / ce[go]
-        child = (np.repeat(first_child[e], counts) + np.arange(size)
+        gain = (q_tail.take(e) - start_q.take(go)) / ce.take(go)
+        child = (np.repeat(first_child.take(e), counts) + np.arange(size)
                  - np.repeat(np.cumsum(counts) - counts, counts))
-        origin = np.repeat(origin[go], counts)
-        trem = np.repeat(trem[go] - to_tail[go], counts)
-        weight = np.repeat(weight[go] * np.exp(gain), counts) * bweight[child]
-        edge = cols[child]
+        origin = np.repeat(origin.take(go), counts)
+        trem = np.repeat(trem.take(go) - to_tail.take(go), counts)
+        weight = np.repeat(weight.take(go) * np.exp(gain), counts) * bweight.take(child)
+        edge = cols.take(child)
         pos = np.zeros(size)
-        start_q = qcum[edge, 0]
+        start_q = q_head.take(edge)
         level += 1
     return out.reshape(times.shape + (n_edges, n_nodes))
 
@@ -499,7 +521,8 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
     call, min_k 1/(c_k dt) steps per numpy pass.  A node x of edge j then
     reads the initial data (interpolated as ``trace_transport`` reads it,
     times its gain) while t <= (1 - x)/c_j, and
-    e^{gain} sum_m Bc_jm h_m(t - (1 - x)/c_j) after that.
+    e^{gain} sum_m Bc_jm h_m(t - (1 - x)/c_j) after that.  A pass or a block
+    with no value on the initial-data side makes no ``_foot_value`` call.
 
     On a jump line, where t = (1 - x)/c_j or s = 1/c_k exactly, the
     initial-data side is taken, as in ``trace_transport`` when its test
@@ -544,8 +567,9 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         back = steps - cross[:, None]  # step of the tail value each head reads
         head = edge_gain * tail[edges, np.maximum(back, 0)]
         k, i = np.nonzero(back < 1)    # s <= 1/c_k: still the initial data
-        head[k, i] = _foot_value(values, qcum, c, b, k, 0, steps[i] // b[k],
-                                 steps[i] % b[k])
+        if k.size:
+            head[k, i] = _foot_value(values, qcum, c, b, k, 0, steps[i] // b[k],
+                                     steps[i] % b[k])
         tail[fed, i0:i0 + steps.size] = np.add.reduceat(weight * head[cols], first,
                                                         axis=0)
 
@@ -558,6 +582,8 @@ def history_transport(values: np.ndarray, coupling: np.ndarray, c: np.ndarray,
         back = a - ahead
         out = out_gain * tail[j, np.maximum(back, 0)]
         t, p = np.nonzero(back < 1)    # t <= (1 - x)/c_j: the initial data
-        cell, rem = np.divmod(a[t, 0], b[j[p]])
-        out[t, p] = _foot_value(values, qcum, c, b, j[p], node[p], node[p] + cell, rem)
+        if t.size:
+            cell, rem = np.divmod(a[t, 0], b[j[p]])
+            out[t, p] = _foot_value(values, qcum, c, b, j[p], node[p], node[p] + cell,
+                                    rem)
         yield out.reshape(block.shape + values.shape)

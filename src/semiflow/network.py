@@ -41,10 +41,12 @@ from .semigroups import Semigroup
 
 # Most cell-steps (edge nodes times time steps) one ``simulate_flow`` upwind
 # march may take.  On a 2-core Xeon with numpy 2.4 a cell-step of the
-# node-major march (best of 5 marches of 2e7 cell-steps) costs 1.4 ns with
-# 64 edges of 401 nodes, 7.1 ns with 2 edges of 401 nodes and 7.2 ns with 8
-# edges of 51 nodes (per-step overhead dominates small states), so this
-# keeps a march under about 0.4-2 s.  The default CLI march takes 1.4e6.
+# node-major march with full-array weights (best of 5 marches of 2e7
+# cell-steps, sample data, best of 3 runs) costs 1.0 ns with 64 edges of
+# 401 nodes, 2.6 ns with 2 edges of 401 nodes and 4.2 ns with 8 edges of 51
+# nodes (per-step overhead dominates small states; the march that broadcast
+# an (E,) nu took 1.2, 6.2 and 7.1 ns), so this keeps a march under about
+# 0.3-1.1 s.  The default CLI march takes 1.4e6.
 UPWIND_CELL_STEP_LIMIT = 2 ** 28
 
 # Most state values in one block of times of ``characteristics_orbit``.
@@ -309,6 +311,12 @@ def characteristics_orbit(net: Network, state: EdgeState,
     for all its times, so a row of an orbit that traces may differ from the
     history's value for its time alone, within rounding (or by the jump on
     a jump line).
+
+    The kernels run without numpy's overflow and invalid-value warnings
+    (the warning state is set around each kernel call, never across a
+    ``yield``): where the absorption's gain passes the float range a row
+    holds inf or nan, for the caller to reject (``simulate_flow`` names the
+    first such time).
     """
     _check_state(net, state)
     times = check_times(times)
@@ -318,7 +326,10 @@ def characteristics_orbit(net: Network, state: EdgeState,
             net.grid.h)
     dt = common_step(net.grid.h, net.velocities, times)
     if dt is not None:
-        for values in history_transport(*args, blocks, dt):
+        history = history_transport(*args, blocks, dt)
+        for _ in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = next(history)
             yield from values
         return
     c_max = float(np.max(net.velocities))
@@ -327,14 +338,15 @@ def characteristics_orbit(net: Network, state: EdgeState,
         # for the block's largest t, which covers every time in the block
         cap = int(math.ceil(float(np.max(block)) * c_max)) + 2
         try:
-            try:
-                values = trace_transport(*args, block, cap)
-            except FrontierLimitError:
-                if block.size == 1:
-                    raise
-                values = np.empty(block.shape + state.values.shape)
-                for k in np.argsort(block)[::-1]:
-                    values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    values = trace_transport(*args, block, cap)
+                except FrontierLimitError:
+                    if block.size == 1:
+                        raise
+                    values = np.empty(block.shape + state.values.shape)
+                    for k in np.argsort(block)[::-1]:
+                        values[k] = trace_transport(*args, block[k:k + 1], cap)[0]
         except FrontierLimitError as exc:
             t_max = float(np.max(times))
             if float(np.max(block)) == t_max:
@@ -376,7 +388,10 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     at every output time, one row per time along one orbit
     (``characteristics_orbit``); the upwind solver marches with a uniform
     step chosen so every output time is a step multiple and the CFL target
-    is respected.
+    is respected.  Both run without numpy's overflow and invalid-value
+    warnings, and the first output time whose values are not finite (the
+    absorption's gain passed the float range) raises one ``ValueError``
+    that names it.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"final time must be positive and finite, got {t_final!r}")
@@ -392,8 +407,8 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(f"CFL target must lie in (0, 1], got {cfl!r}")
     times = np.linspace(0.0, t_final, n_outputs)
     if solver == "characteristics":
-        return times, [EdgeState(net.grid, values)
-                       for values in characteristics_orbit(net, state, times)]
+        return times, [_output_state(net, t, values, "along the characteristics")
+                       for t, values in zip(times, characteristics_orbit(net, state, times))]
     if solver != "upwind":
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     seg = t_final / (n_outputs - 1)
@@ -416,10 +431,23 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     dtq = dt * net.absorption
     states = [EdgeState(net.grid, state.values)]
     vals = state.values
-    for _ in range(1, n_outputs):
-        vals = upwind_sweep(vals, net.coupling, nu, dtq, k_steps)
-        states.append(EdgeState(net.grid, vals))
+    for t in times[1:]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = upwind_sweep(vals, net.coupling, nu, dtq, k_steps)
+        states.append(_output_state(net, t, vals, "per upwind step"))
     return times, states
+
+
+def _output_state(net: Network, t: float, values: np.ndarray, where: str) -> EdgeState:
+    """The flow's ``values`` at output time ``t`` as an edge state, or a
+    ``ValueError`` naming ``t`` when they are not finite.  Their shape is
+    the network's, so the edge state's own check fails only on a value that
+    is not finite."""
+    try:
+        return EdgeState(net.grid, values)
+    except ValidationError:
+        raise ValueError(f"the flow is not finite at t = {float(t)!r}: the absorption's "
+                         f"gain {where} passes the float range") from None
 
 
 def defect_budget(net: Network, lam: float, f_values: np.ndarray,

@@ -285,6 +285,25 @@ def test_absorption_whose_integral_overflows_exits_two(command, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("solver, message", [
+    ("upwind", "error: the flow is not finite at t = 0.8999999999999999: the "
+               "absorption's gain per upwind step passes the float range\n"),
+    ("characteristics", "error: the flow is not finite at t = 0.3: the absorption's "
+                        "gain along the characteristics passes the float range\n"),
+])
+def test_flow_whose_gain_overflows_exits_two_with_one_line(solver, message, tmp_path):
+    # absorption 3000 grows the flow like exp(3000 t): the first output time
+    # whose values overflow is named, with no numpy warning before it
+    path = tmp_path / "absorbing.json"
+    path.write_text(json.dumps(dict(json.loads(TWO_CYCLE.read_text()),
+                                    absorption=3000.0)))
+    proc = run_cli_process("simulate", "--network", str(path), "--t", "3",
+                           "--solver", solver)
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert proc.stdout == ""
+
+
 def test_orbit_over_the_frontier_limit_names_the_largest_time(tmp_path):
     # speeds [1, sqrt 2] fit no time grid, so the orbit traces; its 11
     # output times go in blocks, and the first block is already over the

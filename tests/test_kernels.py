@@ -645,6 +645,28 @@ def test_history_over_the_limit_is_rejected_before_work():
     assert time.perf_counter() - start < 0.5
 
 
+def test_history_reads_initial_data_only_where_a_value_needs_it(monkeypatch):
+    # unit two-cycle of 4 cells: dt = h, and an edge and a pass both take 4
+    # steps.  Of the 201 passes to t = 200 only the first two reach back to
+    # s <= 1/c (steps 0-3, and step 4 on the jump line), 4 and 1 steps of 2
+    # edges; of the block (0, 200) only the row t = 0, all 10 values
+    net = _two_cycle(n_cells=4, velocities=[1.0, 1.0])
+    st = semiflow.sample_states(net, 1, 3)[0][1]
+    foot_value, sizes = K._foot_value, []
+
+    def spy(vals, qcum, c, b, edge, *rest):
+        sizes.append(edge.size)
+        return foot_value(vals, qcum, c, b, edge, *rest)
+
+    monkeypatch.setattr(K, "_foot_value", spy)
+    orbit = list(semiflow.network.characteristics_orbit(net, st, [0.0, 200.0]))
+    assert sizes == [8, 2, 10]
+    sizes.clear()
+    alone = semiflow.step_characteristics(net, st, 200.0).values
+    assert sizes == [8, 2]
+    assert np.array_equal(alone, orbit[1])
+
+
 def test_common_step_needs_one_grid_for_speeds_and_times():
     h = 0.025
     assert K.common_step(h, np.array([1.0, 2.5]), np.array([0.7, 4.2])) == pytest.approx(0.005)
@@ -824,6 +846,52 @@ def test_upwind_march_matches_the_difference_form(n_edges, n_nodes, absorption):
                             values, 3)
 
 
+def _upwind_sweep_broadcast(values, coupling, nu, dtq, n_steps):
+    # the node-major march as written before nu was spread to a full array,
+    # verbatim: an (E,) nu broadcast over the rows, the coupling by matmul
+    u = np.array(values.T, order="C")
+    keep = np.ascontiguousarray((1.0 - nu) + dtq[:, :-1].T)
+    lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
+    inflow = np.empty_like(lower)
+    for _ in range(int(n_steps)):
+        np.multiply(nu, upper, out=inflow)
+        np.multiply(keep, lower, out=lower)
+        np.add(lower, inflow, out=lower)
+        np.matmul(coupling, head, out=tail)
+    return u.T.copy()
+
+
+def _one_edge_loop(absorption, seed):
+    """One edge whose head feeds its own tail, with a coupling weight that
+    is not 1, so that the loop's product is not exact."""
+    values, _, nu, dtq = _upwind_inputs(1, 51, absorption, seed)
+    return values, np.array([[0.75]]), nu, dtq
+
+
+UPWIND_PIN_CASES = [(f"{n_edges}x{n_nodes}_{absorption}",
+                     lambda n_edges=n_edges, n_nodes=n_nodes, absorption=absorption:
+                     _upwind_inputs(n_edges, n_nodes, absorption, 7))
+                    for n_edges, n_nodes in ((8, 51), (2, 401), (64, 401))
+                    for absorption in ("zero", "per_edge", "per_node")]
+UPWIND_PIN_CASES += [(f"one_edge_loop_{absorption}",
+                      lambda absorption=absorption: _one_edge_loop(absorption, 7))
+                     for absorption in ("zero", "per_edge", "per_node")]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in UPWIND_PIN_CASES],
+                         ids=[case[0] for case in UPWIND_PIN_CASES])
+def test_upwind_march_is_bit_identical_to_the_broadcast_march(make):
+    values, coupling, nu, dtq = make()
+    for n_steps in (0, 1, 25, 200):
+        _assert_bits_equal(K.upwind_sweep(values, coupling, nu, dtq, n_steps),
+                           _upwind_sweep_broadcast(values, coupling, nu, dtq, n_steps))
+    # unit CFL: keep is exactly 0 without absorption and exactly dtq with it
+    unit = np.ones_like(nu)
+    for q in (np.zeros_like(dtq), dtq):
+        _assert_bits_equal(K.upwind_sweep(values, coupling, unit, q, 3),
+                           _upwind_sweep_broadcast(values, coupling, unit, q, 3))
+
+
 def _per_node_absorbing():
     net = semiflow.random_flow_network(6, seed=2, n_cells=40)
     x = net.grid.nodes
@@ -832,14 +900,27 @@ def _per_node_absorbing():
                             q, net.grid)
 
 
+def _fan_out_absorbing():
+    # vertex 0 feeds three edges and vertex 1 two, every other vertex
+    # returns to 0; speeds that fit no time grid, and absorption of both
+    # signs that varies along each edge
+    edges = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (1, 2)]
+    n_cells = 30
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    q = np.stack([0.5 * np.sin(4.0 * x + k) - 0.1 * k for k in range(len(edges))])
+    return semiflow.make_network(4, edges, [1.0, 2.0 ** 0.5, 1.5, 2.0, 1.0, 0.7, 1.2],
+                                 absorption=q, n_cells=n_cells)
+
+
 # (name, network, sample seed, times): every tracing case, a network whose
-# absorption varies along each edge, and blocks of times with t = 0 and a
-# jump line t = (1 - x)/c through the node x = 0.5 of each edge of a
-# two-cycle of speeds 1 and 2.5
+# absorption varies along each edge, a branching one with out-degree 3 as
+# well, and blocks of times with t = 0 and a jump line t = (1 - x)/c
+# through the node x = 0.5 of each edge of a two-cycle of speeds 1 and 2.5
 PARITY_TRACE_CASES = [(name, make, seed, np.array(times))
                       for name, make, seed, times in TRACE_CASES]
 PARITY_TRACE_CASES += [
     ("per_node_absorbing", _per_node_absorbing, 6, np.array([0.0, 0.9, 2.4])),
+    ("fan_out_absorbing", _fan_out_absorbing, 8, np.array([0.0, 1.3, 3.1, 4.6])),
     ("jump_lines", lambda: _two_cycle(velocities=[1.0, 2.5], absorption=[0.3, -0.2]),
      4, np.array([0.0, 0.2, 0.5, 1.7])),
 ]

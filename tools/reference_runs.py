@@ -49,9 +49,14 @@ dead.  Then three runs at the default lambdas and seed: ``check
 --operator right_translation`` (its range leg, and the report with the
 most witnesses), ``check --operator left_shift`` and ``resolvent
 --horizon 15 --steps 1`` (a trapezoid of only its two end weights).
-Last, ``check --network`` on a ring of 4 edges and 4095 cells, whose
+Then ``check --network`` on a ring of 4 edges and 4095 cells, whose
 states of 16384 node values the verdict solves in groups of 2, 2 and 1
-states at each lambda, all in one working set: forty-three in all.
+states at each lambda, all in one working set.  Last, four ``simulate``
+runs: a graph of 4 vertices and 7 edges, one vertex feeding three edges,
+at speed 1 but for one edge at sqrt 2 (no time grid fits them, so the
+exact flow traces) and with absorption of both signs that varies along
+each edge, under each solver; and the two-cycle with absorption 3000
+under each solver, whose gain overflows (exits 2): forty-seven in all.
 Every invocation runs with ``COLUMNS=80``, so that the width of
 argparse's text does not depend on the terminal.
 """
@@ -72,6 +77,7 @@ MIXED = "mixed_speeds_varying_absorption.json"  # written into OUTDIR
 RING = "ring_8192_cells.json"  # written into OUTDIR
 RING_GROUPS = "ring_4095_cells.json"  # written into OUTDIR
 LINE = "line_1024_edges_mixed_speeds.json"  # written into OUTDIR
+FAN_OUT = "fan_out_sqrt2_varying_absorption.json"  # written into OUTDIR
 
 INVOCATIONS = {
     "check_left_shift": ["check", "--operator", "left_shift", "--lambda", "1",
@@ -121,8 +127,14 @@ INVOCATIONS = {
     "check_left_shift_defaults": ["check", "--operator", "left_shift"],
     "resolvent_steps_1": ["resolvent", "--horizon", "15", "--steps", "1"],
     "check_network_ring_4095": ["check", "--network", RING_GROUPS],
+    **{f"simulate_fan_out_{solver}": ["simulate", "--network", FAN_OUT, "--t", "3",
+                                      "--solver", solver, "--outputs", "7"]
+       for solver in ("characteristics", "upwind")},
+    **{f"simulate_absorption_3000_{solver}": ["simulate", "--network", ABSORBING,
+                                              "--t", "3", "--solver", solver]
+       for solver in ("characteristics", "upwind")},
 }
-WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE, RING_GROUPS)
+WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE, RING_GROUPS, FAN_OUT)
 
 
 def main(argv: list[str]) -> int:
@@ -150,6 +162,13 @@ def main(argv: list[str]) -> int:
         "edges": [{"tail": k, "head": max(k - 1, 0)} for k in range(1024)],
         "velocities": [2.0 ** (k % 2 / 2) for k in range(1024)],
         "initial": [1.0] * 1024, "grid": {"n_cells": 4}}))
+    (outdir / FAN_OUT).write_text(json.dumps({
+        "vertices": 4, "edges": [{"tail": t, "head": h} for t, h in
+                                 ((0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (1, 2))],
+        "velocities": [1.0, 2.0 ** 0.5, 1.0, 1.0, 1.0, 1.0, 1.0],
+        "absorption": [[0.1 * (j - 3) * (1.0 + (i / 40) ** 2) for i in range(41)]
+                       for j in range(7)],
+        "grid": {"n_cells": 40}}))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=str(checkout / "src") + (os.pathsep + path if path else ""))
