@@ -33,8 +33,8 @@ from ._kernels import (FrontierLimitError, common_step, damped_cumulative_integr
                        frontier_error, history_transport, trace_transport,
                        upwind_sweep)
 from .generation import CheckReport, Witness
-from .grid import (Grid, GridFunction, check_integer, check_lambda, check_lambdas,
-                   check_orbit_sum, check_times)
+from .grid import (Grid, GridFunction, _first_derivative, check_integer, check_lambda,
+                   check_lambdas, check_orbit_sum, check_times)
 from .samples import sample_functions
 from .semigroups import Semigroup
 
@@ -238,7 +238,7 @@ class EdgeState(GridFunction):
         if v.ndim != 2 or v.shape[1] != self.grid.n_cells + 1:
             raise ValidationError(
                 f"edge values must have shape (n_edges, {self.grid.n_cells + 1})")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValidationError("edge values must be finite")
 
     def norm(self) -> float:
@@ -387,11 +387,12 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     The characteristics solver evaluates the exact flow from the given state
     at every output time, one row per time along one orbit
     (``characteristics_orbit``); the upwind solver marches with a uniform
-    step chosen so every output time is a step multiple and the CFL target
-    is respected.  Both run without numpy's overflow and invalid-value
-    warnings, and the first output time whose values are not finite (the
-    absorption's gain passed the float range) raises one ``ValueError``
-    that names it.
+    step chosen so every output time is a step multiple, the CFL target is
+    respected and no node's weight on its own value, 1 - dt (c/h - q), is
+    negative (a strong decay shortens the step).  Both run without numpy's
+    overflow and invalid-value warnings, and the first output time whose
+    values are not finite (the absorption's gain passed the float range)
+    raises one ``ValueError`` that names it.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"final time must be positive and finite, got {t_final!r}")
@@ -413,6 +414,15 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     seg = t_final / (n_outputs - 1)
     dt_max = cfl * net.grid.h / float(np.max(net.velocities))
+    bound = f"CFL target {cfl!r}"
+    remedy = "shorten t, coarsen the grid or raise the CFL target"
+    # keep = 1 - dt (c_j/h - q_j(x_i)) at the marched nodes is >= 0 for
+    # dt <= 1/rate, so that a strong decay cannot make the weights alternate
+    rate = float(np.max(net.velocities[:, None] / net.grid.h - net.absorption[:, :-1]))
+    if rate > 0.0 and 1.0 / rate < dt_max:
+        dt_max = 1.0 / rate
+        bound = f"the step {dt_max!r} that the absorption's decay allows"
+        remedy = "shorten t or use the characteristics solver"
     # counted in floats: a tiny CFL target overflows seg / dt_max or
     # underflows dt_max to 0, and refusing the count before int() keeps
     # its digits out of the message
@@ -420,11 +430,11 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     cell_steps = (n_outputs - 1) * steps * n_values
     if cell_steps > UPWIND_CELL_STEP_LIMIT:
         raise ValueError(
-            f"the upwind march would take {cell_steps:.15g} cell-steps at CFL "
-            f"target {cfl!r}, more than the limit of {UPWIND_CELL_STEP_LIMIT}; "
-            "shorten t, coarsen the grid or raise the CFL target")
+            f"the upwind march would take {cell_steps:.15g} cell-steps at {bound}, "
+            f"more than the limit of {UPWIND_CELL_STEP_LIMIT}; {remedy}")
     # the step count rounds seg / dt_max up, less a 1e-9 slack for rounding,
-    # so max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
+    # so max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9 and keep >= -1e-9: no CFL
+    # check is needed here
     k_steps = int(steps)
     dt = seg / k_steps
     nu = net.velocities * dt / net.grid.h
@@ -641,17 +651,15 @@ def _defect_sups(net: Network, lam: float, fs: np.ndarray, gs,
     (S, E, n + 1), against the right-hand side of ``gs`` in the same place.
 
     It computes in two arrays of the size of ``fs``, the two rows of
-    ``work`` when given: the defect in the second, which starts as
-    ``np.gradient(fs, h, axis=-1, edge_order=2)``, its stencil written
-    there bit for bit, and the terms q f and lambda f in turn in the first.
+    ``work`` when given: the defect in the second, which starts as the
+    derivative of ``fs`` along its edges, written there by the one stencil
+    routine ``grid._first_derivative`` (bit for bit
+    ``np.gradient(fs, h, axis=-1, edge_order=2)``), and the terms q f and
+    lambda f in turn in the first.
     """
-    h = net.grid.h
     term, defect = (np.empty((2,) + fs.shape) if work is None
                     else work.reshape((2,) + fs.shape))
-    np.subtract(fs[..., 2:], fs[..., :-2], out=defect[..., 1:-1])
-    defect[..., 1:-1] /= 2.0 * h
-    defect[..., 0] = -1.5 / h * fs[..., 0] + 2.0 / h * fs[..., 1] + -0.5 / h * fs[..., 2]
-    defect[..., -1] = 0.5 / h * fs[..., -3] + -2.0 / h * fs[..., -2] + 1.5 / h * fs[..., -1]
+    _first_derivative(fs, net.grid.h, defect)
     defect *= net.velocities[:, None]
     defect += np.multiply(net.absorption, fs, out=term)
     np.subtract(np.multiply(fs, lam, out=term), defect, out=defect)

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._kernels import damped_cumulative_integral
-from .grid import GridFunction, check_integer, check_lambda, differentiate
+from .grid import GridFunction, _first_derivative, check_integer, check_lambda
 
 
 # log 2^-60: the largest kernel mass beyond size - N that a spectral Euler
@@ -137,6 +138,15 @@ def _log_tail_bound(c0: float, c1: float, d: float, k: int, tail: int) -> float:
     return k * math.log(c0 * math.exp(-log_w) + c1 / (1.0 - u)) + (k - tail) * log_w
 
 
+@lru_cache(maxsize=1)
+def _twiddles(size: int) -> np.ndarray:
+    """exp(-2 pi i k / size) at the rfft frequencies k = 0..size/2 of an FFT
+    of ``size``, read-only."""
+    w = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+    w.setflags(write=False)
+    return w
+
+
 def _toeplitz_step_power(lam: float, h: float, k: int,
                          data: np.ndarray) -> np.ndarray:
     """T^k data, where T is lam * R(lam) of the left shift on a grid of
@@ -155,7 +165,11 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     kernel's mass beyond size - N, T^k data is one spectral power,
     irfft(rfft(data, size) S^k, size)[:N], with S^k taken by binary powering
     on the frequencies: the mass that wraps or aliases into the N terms is
-    beyond size - N, so it moves them by at most 2^-60 sup |data|.
+    beyond size - N, so it moves them by at most 2^-60 sup |data|.  The
+    frequencies' twiddles exp(-2 pi i k / size) come from ``_twiddles``, a
+    one-entry cache keyed by the FFT size, since a ladder's rungs share one
+    grid; it holds size/2 + 1 complex values, 64 KB at size 8192 and about
+    16 MB at the CLI's largest grid (``cli.GRID_LIMIT`` cells, size 2^21).
     Otherwise (few steps over a long time, or d rounded to 1) the column's
     causal convolution power is taken by FFT repeated squaring, truncated
     to N terms at every product (exact, as every sequence is causal), in
@@ -173,7 +187,7 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     _, e = np.frexp(np.max(np.abs(data)))
     out = np.ldexp(data, -e)
     if d < 1.0 and _log_tail_bound(c0, c1, d, k, size - n) <= _LOG_TAIL_LIMIT:
-        w = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+        w = _twiddles(size)
         base = c0 + c1 * w / (1.0 - d * w)
         spec = rfft(out, size)
         while True:
@@ -208,14 +222,23 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _minus_derivative(f: GridFunction) -> GridFunction:
+    """-f', bit for bit ``-differentiate(f)``: the stencil of
+    ``grid._first_derivative`` negated in place, in one grid function."""
+    out = _first_derivative(f.values, f.grid.h, np.empty_like(f.values))
+    return GridFunction(f.grid, np.negative(out, out=out))
+
+
 def _translation_generator(label: str,
                            resolvent: Callable[[float, GridFunction], GridFunction],
                            inflow: Callable[[GridFunction], float]) -> Generator:
     """A f = -f' with the value ``inflow(f)`` entering at the left end, the
-    twin of ``semigroups._translation_semigroup``.  Its domain holds the f
-    whose left value is inflow(f).  Its power u + (lam R_0)^m (g - u), with
-    u = inflow(g), is one exact step of R_0, which makes the left value 0,
-    then the Toeplitz power of the step for the other m - 1."""
+    twin of ``semigroups._translation_semigroup``.  Its ``apply`` is
+    ``_minus_derivative``, the one stencil routine ``grid._first_derivative``
+    negated.  Its domain holds the f whose left value is inflow(f).  Its
+    power u + (lam R_0)^m (g - u), with u = inflow(g), is one exact step of
+    R_0, which makes the left value 0, then the Toeplitz power of the step
+    for the other m - 1."""
 
     def power(lam: float, m: int, g: GridFunction) -> GridFunction:
         lam, u = check_lambda(lam), inflow(g)
@@ -223,7 +246,7 @@ def _translation_generator(label: str,
         out[1:] = _toeplitz_step_power(lam, g.grid.h, m - 1, out[1:])
         return GridFunction(g.grid, out + u)
 
-    return Generator(label, lambda f: -differentiate(f), resolvent,
+    return Generator(label, _minus_derivative, resolvent,
                      lambda f: abs(float(f.values[0]) - inflow(f)) <= 1e-12, power)
 
 

@@ -44,20 +44,26 @@ def plateau_ramp(grid: Grid, n: int) -> GridFunction:
 _KINDS = ("bump", "expdecay", "trigprod", "smoothramp")
 
 
-def _columns(flat: list, n_params: int) -> np.ndarray:
-    """``n_params`` parameters per sample, drawn sample after sample, as
-    columns: entry i of the result is parameter i of every sample, shape
-    (samples, 1)."""
-    return np.array(flat, dtype=np.float64).reshape(-1, n_params).T[:, :, None]
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi)`` of the draw ``u = rng.random()``: numpy's own
+    formula lo + (hi - lo) u, so the two agree bit for bit."""
+    return lo + (hi - lo) * u
 
 
 def sample_functions(grid: Grid, count: int, seed: int,
                      vanish_left: bool = False) -> list[tuple[str, GridFunction]]:
     """Draw ``count`` reproducible samples on ``grid``.
 
-    Sample k is of kind ``_KINDS[k % 4]``; its parameters are drawn from one
-    generator, sample by sample, and each kind's formula is then evaluated
-    once over all of its rows.  With ``vanish_left`` the
+    Sample k is of kind ``_KINDS[k % 4]``, and its parameters come from one
+    generator in the order of a sample-by-sample draw: the bump's width,
+    center and amplitude, the expdecay's rate and amplitude, the
+    trigprod's two integer frequencies and amplitude, and the smoothramp's
+    location, steepness and amplitude.  Each cycle of four
+    samples draws them in four calls, ``random(5)``, two ``integers`` and
+    ``random(4)``, and a short last cycle only what its samples need; each
+    ``uniform(lo, hi)`` of that order is ``lo + (hi - lo) * random()``,
+    which is numpy's formula for it (``_uniform``).  Each kind's formula is
+    then evaluated once over all of its rows.  With ``vanish_left`` the
     non-compactly-supported kinds are multiplied by a smooth cutoff
     vanishing at the left endpoint, so every sample satisfies a left
     boundary condition f(a) = 0.
@@ -66,37 +72,39 @@ def sample_functions(grid: Grid, count: int, seed: int,
     x = grid.nodes
     a, b = grid.a, grid.b
     span = b - a
-    uniform = rng.uniform
-    # the parameters of each kind, sample after sample, in draw order
-    draws: tuple[list, list, list, list] = ([], [], [], [])
-    for k in range(count):
-        kind = k % 4
-        if kind == 0:  # bump: width, center, amplitude
-            width = span * uniform(0.1, 0.4)
-            draws[0].extend((width, uniform(a + 0.6 * width, b - 0.6 * width),
-                             uniform(0.2, 2.0)))
-        elif kind == 1:  # expdecay: rate, amplitude
-            draws[1].extend((uniform(0.2, 2.0) / span, uniform(0.2, 2.0)))
-        elif kind == 2:  # trigprod: two integer frequencies, amplitude
-            draws[2].extend((int(rng.integers(1, 4)), int(rng.integers(1, 3)),
-                             uniform(0.2, 2.0)))
-        else:  # smoothramp: location, steepness, amplitude
-            draws[3].extend((uniform(a + 0.2 * span, a + 0.8 * span),
-                             uniform(2.0, 8.0) / span, uniform(0.2, 2.0)))
-    # the rows of each kind that was drawn, in kind order
+    n_cycles = -(-count // 4)
+    # each cycle's eleven parameters in draw order: five uniforms, two
+    # integer frequencies, four uniforms; a short last cycle leaves the
+    # entries of its missing samples unread
+    draws = np.empty((n_cycles, 11))
+    for cycle in range(n_cycles):
+        left = count - 4 * cycle  # samples still to draw
+        n_first = 3 if left == 1 else 5
+        draws[cycle, :n_first] = rng.random(n_first)
+        if left > 2:
+            draws[cycle, 5:7] = rng.integers(1, 4), rng.integers(1, 3)
+            n_last = 1 if left == 3 else 4
+            draws[cycle, 7:7 + n_last] = rng.random(n_last)
+    # the rows of each kind that was drawn, in kind order; each parameter is
+    # a column of one value per row
+    p = draws[:, :, None]
+    n0, n1, n2, n3 = (len(range(kind, count, 4)) for kind in range(4))
     xa = x - a
     rows = []
-    if draws[0]:
-        width, center, amp = _columns(draws[0], 3)
-        rows.append(_bump(x, center, width, amp))
-    if draws[1]:
-        rate, amp = _columns(draws[1], 2)
-        rows.append(amp * np.exp(-rate * xa))
-    if draws[2]:
-        k1, k2, amp = _columns(draws[2], 3)
+    if n0:
+        width = span * _uniform(0.1, 0.4, p[:n0, 0])
+        center = _uniform(a + 0.6 * width, b - 0.6 * width, p[:n0, 1])
+        rows.append(_bump(x, center, width, _uniform(0.2, 2.0, p[:n0, 2])))
+    if n1:
+        rate = _uniform(0.2, 2.0, p[:n1, 3]) / span
+        rows.append(_uniform(0.2, 2.0, p[:n1, 4]) * np.exp(-rate * xa))
+    if n2:
+        k1, k2, amp = p[:n2, 5], p[:n2, 6], _uniform(0.2, 2.0, p[:n2, 7])
         rows.append(amp * np.sin(k1 * np.pi * xa / span) * np.cos(k2 * xa))
-    if draws[3]:
-        loc, steep, amp = _columns(draws[3], 3)
+    if n3:
+        loc = _uniform(a + 0.2 * span, a + 0.8 * span, p[:n3, 8])
+        steep = _uniform(2.0, 8.0, p[:n3, 9]) / span
+        amp = _uniform(0.2, 2.0, p[:n3, 10])
         rows.append(amp * 0.5 * (1.0 + np.tanh(steep * (x - loc) * 4.0)))
     if vanish_left and len(rows) > 1:
         # smooth factor vanishing at the left endpoint, for boundary domains;

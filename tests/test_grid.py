@@ -17,7 +17,7 @@ from semiflow import (CompactSeminormFamily, EdgeState, Grid, GridFunction,
                       right_translation_resolvent, shift_semigroup,
                       smooth_bump, upwind_discretize, window_sup)
 from semiflow.cli import _emit_rows
-from semiflow.grid import window_runs
+from semiflow.grid import _first_derivative, window_runs
 
 
 def test_grid_basic_properties():
@@ -78,6 +78,29 @@ def test_differentiate():
     f = GridFunction.from_callable(g, np.sin)
     df = differentiate(f)
     assert (df - GridFunction.from_callable(g, np.cos)).norm() < 1e-5
+
+
+def _rows_with_signed_zeros(rng, shape):
+    # random values with +0.0 and -0.0 scattered among them, so that the
+    # differences and end stencils meet signed zeros
+    v = rng.standard_normal(shape)
+    pick = rng.integers(0, 4, shape)
+    v[pick == 0] = 0.0
+    v[pick == 1] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (2001,), (3, 2, 41)],
+                         ids=["3_nodes", "4_nodes", "2001_nodes", "stack"])
+def test_first_derivative_is_np_gradient_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    for h in (0.1, 1.0 / 3.0, 2.5e-3):
+        v = _rows_with_signed_zeros(rng, shape)
+        ref = np.gradient(v, h, axis=-1, edge_order=2)
+        out = np.full(shape, np.nan)
+        assert _first_derivative(v, h, out) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 def test_window_sup():

@@ -234,6 +234,36 @@ def test_upwind_unit_cfl_matches_characteristics():
     assert np.max(np.abs(marched.values - traced.values)) < 1e-12
 
 
+def test_upwind_step_is_bounded_by_a_strong_decay():
+    # at absorption -300 the CFL step alone would give keep = 1 - nu + q dt
+    # < 0, weights of both signs whose sum of moduli exceeds 1, so the mass
+    # would grow; the step bound 1/max(c/h - q) keeps every weight >= 0
+    net = two_cycle(absorption=[-300.0, -300.0])
+    _, states = simulate_flow(net, initial_state(net), 3.0, "upwind")
+    masses = [total_mass(s) for s in states]
+    assert all(np.isfinite(s.values).all() and s.values.min() >= 0.0 for s in states)
+    assert min(masses) >= 0.0
+    assert all(later <= earlier for earlier, later in zip(masses, masses[1:])), masses
+
+
+@pytest.mark.parametrize("absorption", [0.0, -0.5, 50.0, 300.0])
+def test_upwind_step_count_is_the_cfl_count_where_that_keeps_weights_nonnegative(
+        absorption, monkeypatch):
+    # where the CFL step already leaves keep >= 0, the decay bound does not
+    # shorten it
+    net = two_cycle(n_cells=100, absorption=[absorption, absorption])
+    counts = []
+    sweep = nw.upwind_sweep
+
+    def counting_sweep(*args):
+        counts.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(nw, "upwind_sweep", counting_sweep)
+    simulate_flow(net, initial_state(net), 1.0, "upwind", cfl=0.9, n_outputs=3)
+    assert counts and set(counts) == {math.ceil(0.5 / (0.9 * net.grid.h) - 1e-9)}
+
+
 def test_upwind_rejects_cfl_violation():
     net = two_cycle(n_cells=100)
     st = initial_state(net)
@@ -832,6 +862,19 @@ def test_simulate_upwind_refuses_a_tiny_cfl_target_by_its_float_count(cfl):
     assert (f"cell-steps at CFL target {cfl!r}, more than the limit of "
             f"{UPWIND_CELL_STEP_LIMIT}") in message
     assert "\n" not in message and len(message) < 200
+
+
+def test_simulate_upwind_refusal_names_a_decay_bounded_step():
+    # at absorption -1e7 the decay, not the CFL target, sets the step, so
+    # raising the CFL target would not help
+    net = two_cycle(n_cells=40, absorption=[-1e7, -1e7])
+    with pytest.raises(ValueError) as info:
+        simulate_flow(net, initial_state(net), 1.0, "upwind", n_outputs=2)
+    message = str(info.value)
+    assert message.startswith("the upwind march would take ")
+    assert "that the absorption's decay allows" in message
+    assert message.endswith("shorten t or use the characteristics solver")
+    assert "CFL" not in message
 
 
 def test_network_verdict_rejects_no_samples():

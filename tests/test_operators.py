@@ -8,12 +8,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from semiflow import (Grid, GridFunction, ResolventUnavailableError,
-                      laplacian_generator, left_shift_generator,
+                      differentiate, laplacian_generator, left_shift_generator,
                       resolvent_shift, right_translation_generator,
                       right_translation_resolvent, smooth_bump,
                       upwind_discretize)
 from semiflow._kernels import damped_cumulative_integral
-from semiflow.operators import _log_tail_bound
+from semiflow.operators import _log_tail_bound, _twiddles
 
 # frozen oracle values
 ONE_MINUS_E_INV = 0.6321205588285577       # 1 - e^{-1}
@@ -45,6 +45,47 @@ def test_left_shift_apply_sin():
     out = gen.apply(f)
     ref = GridFunction.from_callable(g, lambda x: -np.cos(x))
     assert (out - ref).norm() < 1e-3  # second-order stencil at h = 0.02
+
+
+@pytest.mark.parametrize("make", [left_shift_generator, right_translation_generator])
+def test_translation_apply_is_minus_differentiate_bit_for_bit(make):
+    rng = np.random.default_rng(5)
+    for n_cells in (2, 3, 1000):
+        g = Grid(-10.0, 0.0, n_cells)
+        v = rng.standard_normal(n_cells + 1)
+        v[rng.integers(0, 3, n_cells + 1) == 0] = -0.0
+        f = GridFunction(g, v)
+        got, ref = make().apply(f), -differentiate(f)
+        assert type(got) is GridFunction
+        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
+
+
+def test_euler_powers_from_a_cold_and_a_warm_twiddle_cache_agree():
+    # two grids of different FFT sizes, called in turn, so the one-entry
+    # cache is replaced between them and hit on repeats
+    cases = [(left_shift_generator(), smooth_bump(Grid(0.0, 20.0, 2000), 8.0, 6.0)),
+             (right_translation_generator(), smooth_bump(Grid(-10.0, 0.0, 700), -5.0, 4.0))]
+    rungs = [(gen, m, f) for m in (4, 64) for gen, f in cases]
+    cold = []
+    for gen, m, f in rungs:
+        _twiddles.cache_clear()
+        cold.append(gen.resolvent_power(float(m), m, f).values)
+        assert _twiddles.cache_info().misses == 1  # the spectral path ran
+    _twiddles.cache_clear()
+    for _ in range(2):
+        for (gen, m, f), ref in zip(rungs + rungs[::-1], cold + cold[::-1]):
+            assert np.array_equal(gen.resolvent_power(float(m), m, f).values, ref)
+    assert _twiddles.cache_info().hits > 0
+
+
+def test_cached_twiddles_are_read_only():
+    w = _twiddles(8)
+    assert w is _twiddles(8)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert np.array_equal(w, np.exp(-2j * np.pi * np.arange(5) / 8))
 
 
 def test_left_shift_domain_check():

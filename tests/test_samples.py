@@ -113,7 +113,7 @@ def test_library_matches_row_by_row_reference(grid, monkeypatch):
         return made[-1]
 
     for seed in range(30):
-        for count in (1, 3, 5, 17, 64):
+        for count in (1, 3, 5, 17, 64, 2, 6, 7):
             for vanish_left in (False, True):
                 ref_rng = default_rng(seed)
                 ref = _sample_functions_reference(grid, count, seed, vanish_left, ref_rng)

@@ -56,7 +56,12 @@ runs: a graph of 4 vertices and 7 edges, one vertex feeding three edges,
 at speed 1 but for one edge at sqrt 2 (no time grid fits them, so the
 exact flow traces) and with absorption of both signs that varies along
 each edge, under each solver; and the two-cycle with absorption 3000
-under each solver, whose gain overflows (exits 2): forty-seven in all.
+under each solver, whose gain overflows (exits 2).  Then three more:
+``euler --operator left_shift --grid 1000`` (a second FFT size for the
+spectral Euler powers), ``check --operator right_translation --samples 6``
+(a sample library whose last cycle of four kinds is cut short) and
+``simulate --solver upwind --t 3`` on the two-cycle with absorption -300,
+a decay strong enough to bound the upwind step: fifty in all.
 Every invocation runs with ``COLUMNS=80``, so that the width of
 argparse's text does not depend on the terminal.
 """
@@ -72,6 +77,7 @@ from pathlib import Path
 
 TWO_CYCLE = "configs/two_cycle.json"
 ABSORBING = "two_cycle_absorption_3000.json"  # written into OUTDIR
+DECAYING = "two_cycle_absorption_minus_300.json"  # written into OUTDIR
 STRING_VELOCITY = "two_cycle_string_velocity.json"  # written into OUTDIR
 MIXED = "mixed_speeds_varying_absorption.json"  # written into OUTDIR
 RING = "ring_8192_cells.json"  # written into OUTDIR
@@ -133,8 +139,13 @@ INVOCATIONS = {
     **{f"simulate_absorption_3000_{solver}": ["simulate", "--network", ABSORBING,
                                               "--t", "3", "--solver", solver]
        for solver in ("characteristics", "upwind")},
+    "euler_grid_1000": ["euler", "--operator", "left_shift", "--grid", "1000"],
+    "check_right_translation_samples_6": ["check", "--operator", "right_translation",
+                                          "--samples", "6"],
+    "simulate_absorption_minus_300_upwind": ["simulate", "--network", DECAYING, "--t", "3",
+                                             "--solver", "upwind"],
 }
-WRITTEN = (ABSORBING, STRING_VELOCITY, MIXED, RING, LINE, RING_GROUPS, FAN_OUT)
+WRITTEN = (ABSORBING, DECAYING, STRING_VELOCITY, MIXED, RING, LINE, RING_GROUPS, FAN_OUT)
 
 
 def main(argv: list[str]) -> int:
@@ -145,6 +156,7 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True)  # a new directory: no file left by an older run
     doc = json.loads((checkout / TWO_CYCLE).read_text())
     (outdir / ABSORBING).write_text(json.dumps({**doc, "absorption": 3000.0}))
+    (outdir / DECAYING).write_text(json.dumps({**doc, "absorption": -300.0}))
     (outdir / STRING_VELOCITY).write_text(json.dumps({**doc, "velocities": ["1", True]}))
     (outdir / MIXED).write_text(json.dumps({
         "vertices": 3, "edges": [{"tail": t, "head": h} for t, h in
