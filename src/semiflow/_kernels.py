@@ -15,12 +15,11 @@ Kernels:
 
 ``upwind_sweep``
     Explicit first-order upwind steps for edge transport toward x = 0 with
-    vertex redistribution of the outflow: a node-major march of four numpy
-    calls per step, each node a weighted sum of itself and its upstream
-    neighbour, so that a unit-CFL step is an exact shift.  Both weights are
-    full arrays of the data's shape, ``nu`` too though it is one value per
-    edge: each product of a step is then one flat loop, where a broadcast
-    ``nu`` would loop over an inner axis of only E values.
+    vertex redistribution of the outflow, each followed by the absorption's
+    exact factor: a node-major march of four numpy calls per step, each node
+    a sum of itself and its upstream neighbour with weights >= 0 for every
+    absorption, both full arrays of the data's shape, so that each product
+    of a step is one flat loop.
 
 ``trace_transport``
     Exact evolution of edge transport by backtracking characteristics
@@ -274,30 +273,30 @@ def upwind_sweep(values: np.ndarray, coupling: np.ndarray, nu: np.ndarray,
     a fresh C-ordered array of the shape of ``values``, (E, n + 1).
 
     Interior nodes take the upwind step toward the tail (transport runs
-    from x = 1 toward x = 0) as the weighted sum ``keep u_i + nu u_{i+1}``,
-    with ``keep = 1 - nu + dtq`` formed once per call, which differs from
-    ``u_i + nu (u_{i+1} - u_i) + dtq u_i`` at rounding level only; each tail
+    from x = 1 toward x = 0) and then the absorption's exact factor over
+    the step, e^{dtq} (u_i + nu (u_{i+1} - u_i)), as the weighted sum
+    ``keep u_i + inflow u_{i+1}`` with ``keep = (1 - nu) e^{dtq}`` and
+    ``inflow = nu e^{dtq}`` formed once per call (equal to rounding).  Both
+    weights are >= 0 for any dtq where nu <= 1, and where dtq = 0 they are
+    exactly 1 - nu and nu, so a unit-CFL step is an exact shift.  Each tail
     node is then refilled from the just-updated head values through the
-    velocity-weighted coupling matrix.  At nu = 1 and dtq = 0, keep is
-    exactly 0, so a unit-CFL step is an exact shift.
+    velocity-weighted coupling matrix.
 
     The march runs node-major, on a copy of shape (n + 1, E), so that the
     head row and the tail row are contiguous, and each step is four numpy
     calls, with one buffer allocated once; the result does not depend on
-    the layout of ``values``.  ``nu`` is spread once to a full (n, E)
-    array, as ``keep`` is: with both weights of the shape of the data, each
+    the layout of ``values``.  Both weights are full (n, E) arrays, so each
     product is one flat loop over the n E values, where a broadcast (E,)
-    factor would make every call loop over an inner axis of only E values,
-    which costs most on small graphs.  The spread copies the same floats,
-    so the values are those of the broadcast product.
+    factor would loop over an inner axis of only E values, which costs
+    most on small graphs.
     """
     u = np.array(values.T, order="C")
-    keep = np.ascontiguousarray((1.0 - nu) + dtq[:, :-1].T)
-    nu = np.ascontiguousarray(np.broadcast_to(nu, keep.shape))
+    decay = np.exp(dtq[:, :-1].T, order="C")
+    keep, inflow_weight = (1.0 - nu) * decay, nu * decay
     lower, upper, head, tail = u[:-1], u[1:], u[0], u[-1]
     inflow = np.empty_like(lower)
     for _ in range(int(n_steps)):
-        np.multiply(nu, upper, out=inflow)
+        np.multiply(inflow_weight, upper, out=inflow)
         np.multiply(keep, lower, out=lower)
         np.add(lower, inflow, out=lower)
         np.dot(coupling, head, out=tail)

@@ -29,7 +29,7 @@ import numpy as np
 from .grid import GridFunction, check_integer, check_lambdas, window_runs
 from .operators import Generator
 from .samples import probe_functions
-from .seminorms import CompactSeminormFamily, eval_pn, seminorm_ladder
+from .seminorms import CompactSeminormFamily, _ladder_of_abs, eval_pn, seminorm_ladder
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,8 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
     there an lhs at half its rhs passes (the parabola's under the laplacian)
     and the check certifies almost nothing.  At least one sample is
     required.  Each sample costs one seminorm ladder for f and one for the
-    stack of (lambda - A) f over all lambdas, formed in place: at most two
-    such stacks are held at once, this one with the ladder's |.| of it or
-    with the next sample's lambda f, which replaces it.
+    stack of (lambda - A) f over all lambdas, formed in place and turned
+    into its |.| in place: one such stack is held at a time.
     """
     _require_samples(samples, "the dissipativity check")
     lambdas = check_lambdas(lambdas)
@@ -121,7 +120,8 @@ def check_bi_dissipative(gen: Generator, family: CompactSeminormFamily,
             shifted -= gen.apply(f).values
         if not np.all(np.isfinite(shifted)):
             raise ValueError("node values must be finite")
-        lhs, rhs = seminorm_ladder(family, f.grid, shifted), lams * pf
+        lhs, rhs = _ladder_of_abs(family, f.grid, np.abs(shifted, out=shifted)), lams * pf
+        del shifted  # before the next sample's stack is formed
         for i, n in zip(*np.nonzero(lhs < rhs * (1.0 - tol))):
             witnesses.append(Witness(sid, lambdas[i], int(n) + 1,
                                      float(lhs[i, n]), float(rhs[i, n])))

@@ -387,12 +387,13 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     The characteristics solver evaluates the exact flow from the given state
     at every output time, one row per time along one orbit
     (``characteristics_orbit``); the upwind solver marches with a uniform
-    step chosen so every output time is a step multiple, the CFL target is
-    respected and no node's weight on its own value, 1 - dt (c/h - q), is
-    negative (a strong decay shortens the step).  Both run without numpy's
-    overflow and invalid-value warnings, and the first output time whose
-    values are not finite (the absorption's gain passed the float range)
-    raises one ``ValueError`` that names it.
+    step chosen so every output time is a step multiple and the CFL target
+    is respected; each step ends with the absorption's exact factor e^{dt q}
+    (``upwind_sweep``), so its weights are nonnegative for every q and no
+    absorption bounds the step.  Both run without numpy's overflow and
+    invalid-value warnings, and the first output time whose values are not
+    finite (the absorption's gain passed the float range) raises one
+    ``ValueError`` that names it.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"final time must be positive and finite, got {t_final!r}")
@@ -414,15 +415,6 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
         raise ValueError(f"unknown solver '{solver}' (characteristics or upwind)")
     seg = t_final / (n_outputs - 1)
     dt_max = cfl * net.grid.h / float(np.max(net.velocities))
-    bound = f"CFL target {cfl!r}"
-    remedy = "shorten t, coarsen the grid or raise the CFL target"
-    # keep = 1 - dt (c_j/h - q_j(x_i)) at the marched nodes is >= 0 for
-    # dt <= 1/rate, so that a strong decay cannot make the weights alternate
-    rate = float(np.max(net.velocities[:, None] / net.grid.h - net.absorption[:, :-1]))
-    if rate > 0.0 and 1.0 / rate < dt_max:
-        dt_max = 1.0 / rate
-        bound = f"the step {dt_max!r} that the absorption's decay allows"
-        remedy = "shorten t or use the characteristics solver"
     # counted in floats: a tiny CFL target overflows seg / dt_max or
     # underflows dt_max to 0, and refusing the count before int() keeps
     # its digits out of the message
@@ -430,11 +422,11 @@ def simulate_flow(net: Network, state: EdgeState, t_final: float, solver: str,
     cell_steps = (n_outputs - 1) * steps * n_values
     if cell_steps > UPWIND_CELL_STEP_LIMIT:
         raise ValueError(
-            f"the upwind march would take {cell_steps:.15g} cell-steps at {bound}, "
-            f"more than the limit of {UPWIND_CELL_STEP_LIMIT}; {remedy}")
+            f"the upwind march would take {cell_steps:.15g} cell-steps at CFL "
+            f"target {cfl!r}, more than the limit of {UPWIND_CELL_STEP_LIMIT}; "
+            "shorten t, coarsen the grid or raise the CFL target")
     # the step count rounds seg / dt_max up, less a 1e-9 slack for rounding,
-    # so max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9 and keep >= -1e-9: no CFL
-    # check is needed here
+    # so max(nu) <= cfl (1 + 1e-9) <= 1 + 1e-9: no CFL check is needed here
     k_steps = int(steps)
     dt = seg / k_steps
     nu = net.velocities * dt / net.grid.h

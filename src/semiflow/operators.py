@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import damped_cumulative_integral
+from ._kernels import _scalar_decay_weights, damped_cumulative_integral
 from .grid import GridFunction, _first_derivative, check_integer, check_lambda
 
 
@@ -155,11 +155,12 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
 
     T is lower-triangular Toeplitz, and is read from its symbol alone.  Its
     first column is c_0, c_1, c_1 d, c_1 d^2, ... with d = exp(-lam h), so
-    the symbol is S(w) = c_0 + c_1 w/(1 - d w); c_0 and c_1 are rows 1 and 2
-    of lam * R(lam) e_1 on three nodes (column 0 of lam * R(lam) lacks the B
-    weight of ``panel_decay_weights``, so it is not Toeplitz).  The column
-    is a probability sequence (c >= 0, S(1) = 1), and so is the kernel of
-    T^k, with generating function S^k.
+    the symbol is S(w) = c_0 + c_1 w/(1 - d w), where c_0 = lam hB and
+    c_1 = lam (hA + d hB) are rows 1 and 2 of lam * R(lam) e_1 on three
+    nodes, read from the one panel's weights d, hA and hB of
+    ``_scalar_decay_weights`` (column 0 of lam * R(lam) lacks the B weight,
+    so it is not Toeplitz).  The column is a probability sequence (c >= 0,
+    S(1) = 1), and so is the kernel of T^k, with generating function S^k.
 
     Where 0 <= d < 1 and the Chernoff bound puts at most 2^-60 of that
     kernel's mass beyond size - N, T^k data is one spectral power,
@@ -179,9 +180,8 @@ def _toeplitz_step_power(lam: float, h: float, k: int,
     if k == 0:
         return data
     n = data.size
-    e1 = np.array([0.0, 1.0, 0.0])
-    _, c0, c1 = (lam * damped_cumulative_integral(e1, h, lam)).tolist()
-    d = float(np.exp(-lam * h))
+    d, ha, hb = _scalar_decay_weights(lam, h)
+    c0, c1 = lam * hb, lam * (ha + d * hb)
     size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1: nothing wraps into N terms
     rfft, irfft = np.fft.rfft, np.fft.irfft
     _, e = np.frexp(np.max(np.abs(data)))

@@ -115,7 +115,12 @@ def seminorm_ladder(family: CompactSeminormFamily, grid: Grid, values) -> np.nda
     alone is checked, with ``window_sup``'s errors.  The runs of a grid and
     family are found once (``_ladder_runs``).
     """
-    a = np.abs(values)
+    return _ladder_of_abs(family, grid, np.abs(values))
+
+
+def _ladder_of_abs(family: CompactSeminormFamily, grid: Grid, a: np.ndarray) -> np.ndarray:
+    """:func:`seminorm_ladder` of node values ``a`` >= 0, read as their own
+    |.|: a caller that owns a stack takes |.| of it in place, not a copy."""
     if a.shape[-1:] != (grid.n_cells + 1,):
         raise ValueError(f"expected {grid.n_cells + 1} node values, got shape {a.shape}")
     start, stop = _ladder_runs(grid, family)

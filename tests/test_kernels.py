@@ -704,6 +704,18 @@ def _upwind_sweep_edge_major(values, coupling, nu, dtq, n_steps):
     return u
 
 
+def _upwind_sweep_exact_factor(values, coupling, nu, dtq, n_steps):
+    # the edge-major march in the difference form, each step followed by
+    # the absorption's exact factor e^{dtq}
+    u = np.array(values, dtype=np.float64, copy=True)
+    decay = np.exp(np.asarray(dtq, dtype=np.float64)[:, :-1])
+    nu = np.asarray(nu, dtype=np.float64)[:, None]
+    for _ in range(int(n_steps)):
+        u[:, :-1] = decay * (u[:, :-1] + nu * (u[:, 1:] - u[:, :-1]))
+        u[:, -1] = coupling @ u[:, 0]
+    return u
+
+
 def _lin_interp_clip(table, edge, pos, h):
     n = table.shape[1] - 1
     idx = np.clip((pos / h).astype(np.int64), 0, n - 1)
@@ -798,20 +810,26 @@ def _assert_within_rounding(got, ref, values, n_steps):
     """``got`` is within 2 k eps M of ``ref`` after k = ``n_steps`` steps,
     M = max(max|values|, max|ref|).
 
-    Both forms compute the same real update w = (1 - nu + dtq) u + nu v of a
-    cell from u = u_i and v = u_{i+1}: the weighted sum rounds keep (twice),
-    its two products and their sum; the difference form rounds v - u, its
-    product by nu, dtq u, their sum and the final add.  Each rounding is at
-    most eps/2 of a value no larger than 2M, so one step moves the two
-    results of a cell apart by a few ulps of M at worst and by about one in
-    practice.  The weights have |keep| + nu <= 1 + |dtq|, so a difference
-    carried into a step grows by at most 1 % here, and k steps add k new
-    ones.  The tail row is the coupling applied to the head row, so its
-    difference scales with the tail values, which M includes; within 25
-    steps no tail value travels back to a head, so the coupling acts on a
-    carried difference once.  Over the nine ``_upwind_inputs`` cases the
-    largest |got - ref| / (k eps M) is 0.81 (at k = 1); a change of the
-    scheme itself would show as O(dt), far above 2 k eps M."""
+    Both forms compute the same real update w = e^{dtq} ((1 - nu) u + nu v)
+    of a cell from u = u_i and v = u_{i+1}: the weighted sum rounds
+    e^{dtq}, 1 - nu, the two weights, its two products and their sum; the
+    difference form rounds e^{dtq}, v - u, its product by nu, the
+    add and the product by e^{dtq}.  Each rounding is at most eps/2 of a
+    value no larger than 2M, so one step moves the two results of a cell
+    apart by a few ulps of M at worst and by about one in practice.  The
+    weights are >= 0 and sum to e^{dtq} <= e^{0.01}, so a difference carried
+    into a step grows by about 1 % at most here, and k steps add k new ones.  The
+    tail row is the coupling applied to the head row, so its difference
+    scales with the tail values, which M includes; within 25 steps no tail
+    value travels back to a head, so the coupling acts on a carried
+    difference once (at 200 steps it acts more often, and the ratio below
+    reads at most 0.20 there).  Over the ``_upwind_inputs`` cases and the
+    one-edge loops the largest |got - ref| / (k eps M) is 0.81 without
+    absorption and 1.61 with it, both at k = 1 (with it: 0.40 on the
+    interior rows, 1.61 on the tail row of 64 edges, where the coupling
+    sums the head row's differences); a change of the scheme itself, such
+    as the factor 1 + dtq in place of e^{dtq}, would show as O(dt), far
+    above 2 k eps M."""
     scale = max(np.max(np.abs(values)), np.max(np.abs(ref)))
     assert np.max(np.abs(got - ref)) <= 2 * n_steps * np.finfo(float).eps * scale
 
@@ -823,8 +841,9 @@ def test_upwind_march_matches_the_difference_form(n_edges, n_nodes, absorption):
     values, coupling, nu, dtq = _upwind_inputs(n_edges, n_nodes, absorption, 7)
     layouts = {"c_order": values, "fortran": np.asfortranarray(values),
                "transposed_view": np.ascontiguousarray(values.T).T}
+    march = _upwind_sweep_edge_major if absorption == "zero" else _upwind_sweep_exact_factor
     for n_steps in (0, 1, 25):
-        ref = _upwind_sweep_edge_major(values, coupling, nu, dtq, n_steps)
+        ref = march(values, coupling, nu, dtq, n_steps)
         first = K.upwind_sweep(values, coupling, nu, dtq, n_steps)
         for layout, given in layouts.items():
             before = given.copy()
@@ -868,28 +887,51 @@ def _one_edge_loop(absorption, seed):
     return values, np.array([[0.75]]), nu, dtq
 
 
-UPWIND_PIN_CASES = [(f"{n_edges}x{n_nodes}_{absorption}",
-                     lambda n_edges=n_edges, n_nodes=n_nodes, absorption=absorption:
-                     _upwind_inputs(n_edges, n_nodes, absorption, 7))
-                    for n_edges, n_nodes in ((8, 51), (2, 401), (64, 401))
-                    for absorption in ("zero", "per_edge", "per_node")]
-UPWIND_PIN_CASES += [(f"one_edge_loop_{absorption}",
-                      lambda absorption=absorption: _one_edge_loop(absorption, 7))
-                     for absorption in ("zero", "per_edge", "per_node")]
+def _upwind_pin_cases(absorptions):
+    cases = [(f"{n_edges}x{n_nodes}_{absorption}",
+              lambda n_edges=n_edges, n_nodes=n_nodes, absorption=absorption:
+              _upwind_inputs(n_edges, n_nodes, absorption, 7))
+             for n_edges, n_nodes in ((8, 51), (2, 401), (64, 401))
+             for absorption in absorptions]
+    return cases + [(f"one_edge_loop_{absorption}",
+                     lambda absorption=absorption: _one_edge_loop(absorption, 7))
+                    for absorption in absorptions]
+
+
+UPWIND_PIN_CASES = _upwind_pin_cases(("zero",))
+UPWIND_ABSORBING_CASES = _upwind_pin_cases(("per_edge", "per_node"))
 
 
 @pytest.mark.parametrize("make", [case[1] for case in UPWIND_PIN_CASES],
                          ids=[case[0] for case in UPWIND_PIN_CASES])
 def test_upwind_march_is_bit_identical_to_the_broadcast_march(make):
+    # without absorption the factor e^{dtq} is exactly 1, so the weights
+    # are those of the broadcast march, bit for bit
     values, coupling, nu, dtq = make()
     for n_steps in (0, 1, 25, 200):
         _assert_bits_equal(K.upwind_sweep(values, coupling, nu, dtq, n_steps),
                            _upwind_sweep_broadcast(values, coupling, nu, dtq, n_steps))
-    # unit CFL: keep is exactly 0 without absorption and exactly dtq with it
+    # unit CFL: keep is exactly 0
     unit = np.ones_like(nu)
-    for q in (np.zeros_like(dtq), dtq):
-        _assert_bits_equal(K.upwind_sweep(values, coupling, unit, q, 3),
-                           _upwind_sweep_broadcast(values, coupling, unit, q, 3))
+    _assert_bits_equal(K.upwind_sweep(values, coupling, unit, dtq, 3),
+                       _upwind_sweep_broadcast(values, coupling, unit, dtq, 3))
+
+
+@pytest.mark.parametrize("make", [case[1] for case in UPWIND_ABSORBING_CASES],
+                         ids=[case[0] for case in UPWIND_ABSORBING_CASES])
+def test_upwind_march_with_absorption_takes_the_exact_factor(make):
+    values, coupling, nu, dtq = make()
+    for n_steps in (1, 25, 200):
+        _assert_within_rounding(K.upwind_sweep(values, coupling, nu, dtq, n_steps),
+                                _upwind_sweep_exact_factor(values, coupling, nu, dtq, n_steps),
+                                values, n_steps)
+    # unit CFL: keep is exactly 0, so a step is a shift times e^{dtq}
+    unit = np.ones_like(nu)
+    got = K.upwind_sweep(values, coupling, unit, dtq, 1)
+    _assert_bits_equal(got[:, :-1], np.exp(dtq[:, :-1]) * values[:, 1:])
+    _assert_within_rounding(K.upwind_sweep(values, coupling, unit, dtq, 3),
+                            _upwind_sweep_exact_factor(values, coupling, unit, dtq, 3),
+                            values, 3)
 
 
 def _per_node_absorbing():

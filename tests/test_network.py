@@ -235,9 +235,9 @@ def test_upwind_unit_cfl_matches_characteristics():
 
 
 def test_upwind_step_is_bounded_by_a_strong_decay():
-    # at absorption -300 the CFL step alone would give keep = 1 - nu + q dt
-    # < 0, weights of both signs whose sum of moduli exceeds 1, so the mass
-    # would grow; the step bound 1/max(c/h - q) keeps every weight >= 0
+    # at absorption -300 the factor 1 + q dt at the CFL step would be
+    # negative, weights of both signs whose sum of moduli exceeds 1, so the
+    # mass would grow; the exact factor e^{q dt} keeps every weight >= 0
     net = two_cycle(absorption=[-300.0, -300.0])
     _, states = simulate_flow(net, initial_state(net), 3.0, "upwind")
     masses = [total_mass(s) for s in states]
@@ -246,11 +246,11 @@ def test_upwind_step_is_bounded_by_a_strong_decay():
     assert all(later <= earlier for earlier, later in zip(masses, masses[1:])), masses
 
 
-@pytest.mark.parametrize("absorption", [0.0, -0.5, 50.0, 300.0])
+@pytest.mark.parametrize("absorption", [0.0, -0.5, 50.0, 300.0, -300.0])
 def test_upwind_step_count_is_the_cfl_count_where_that_keeps_weights_nonnegative(
         absorption, monkeypatch):
-    # where the CFL step already leaves keep >= 0, the decay bound does not
-    # shorten it
+    # the weights (1 - nu) e^{q dt} and nu e^{q dt} are >= 0 for every q, so
+    # no absorption shortens the CFL step, a strong decay (-300) included
     net = two_cycle(n_cells=100, absorption=[absorption, absorption])
     counts = []
     sweep = nw.upwind_sweep
@@ -262,6 +262,18 @@ def test_upwind_step_count_is_the_cfl_count_where_that_keeps_weights_nonnegative
     monkeypatch.setattr(nw, "upwind_sweep", counting_sweep)
     simulate_flow(net, initial_state(net), 1.0, "upwind", cfl=0.9, n_outputs=3)
     assert counts and set(counts) == {math.ceil(0.5 / (0.9 * net.grid.h) - 1e-9)}
+
+
+@pytest.mark.parametrize("absorption, t", [(-300.0, 0.3), (-3.0, 3.0), (2.0, 3.0)])
+def test_upwind_mass_takes_the_exact_factor_of_a_constant_absorption(absorption, t):
+    # each step conserves the mass and then multiplies it by e^{q dt}, so the
+    # march reads e^{q t} m0 at every output, as the exact flow does
+    net = two_cycle(n_cells=100, absorption=[absorption, absorption])
+    times, states = simulate_flow(net, initial_state(net), t, "upwind", cfl=0.9)
+    m0 = total_mass(states[0])
+    for s, mass in zip(times, map(total_mass, states)):
+        exact = math.exp(absorption * s) * m0
+        assert abs(mass - exact) <= 1e-9 * exact, (s, mass, exact)
 
 
 def test_upwind_rejects_cfl_violation():
@@ -864,17 +876,15 @@ def test_simulate_upwind_refuses_a_tiny_cfl_target_by_its_float_count(cfl):
     assert "\n" not in message and len(message) < 200
 
 
-def test_simulate_upwind_refusal_names_a_decay_bounded_step():
-    # at absorption -1e7 the decay, not the CFL target, sets the step, so
-    # raising the CFL target would not help
+def test_simulate_upwind_completes_under_a_decay_of_minus_1e7():
+    # no decay bounds the step: the march takes the CFL count, and the factor
+    # e^{q dt} underflows to 0, which leaves both weights >= 0
     net = two_cycle(n_cells=40, absorption=[-1e7, -1e7])
-    with pytest.raises(ValueError) as info:
-        simulate_flow(net, initial_state(net), 1.0, "upwind", n_outputs=2)
-    message = str(info.value)
-    assert message.startswith("the upwind march would take ")
-    assert "that the absorption's decay allows" in message
-    assert message.endswith("shorten t or use the characteristics solver")
-    assert "CFL" not in message
+    _, states = simulate_flow(net, initial_state(net), 1.0, "upwind", n_outputs=3)
+    masses = [total_mass(s) for s in states]
+    assert all(np.isfinite(s.values).all() and s.values.min() >= 0.0 for s in states)
+    assert min(masses) >= 0.0
+    assert all(later <= earlier for earlier, later in zip(masses, masses[1:])), masses
 
 
 def test_network_verdict_rejects_no_samples():

@@ -266,3 +266,45 @@ def test_log_tail_bound_is_the_chernoff_minimum(z):
             assert bound >= grid_min - 1e-6 * max(1.0, abs(grid_min)), (k, tail)
         else:
             assert d == 0.0 and k <= tail
+
+
+def _euler_symbol_sweep():
+    """(lam, h) pairs over lam h from 1e-20 to 1e4, dense on both sides of
+    the series switch at lam h = 1e-4 and where exp(-lam h) turns subnormal
+    and underflows, at four grid widths, and three pairs whose lam h passes
+    the float range."""
+    z = np.concatenate([np.geomspace(1e-20, 1e4, 12000),
+                        np.linspace(0.99e-4, 1.01e-4, 2001),
+                        np.linspace(700.0, 760.0, 1001)])
+    pairs = [(float(zk / h), h) for h in (1.0 / 8192, 0.01, 0.5, 20.0) for zk in z]
+    return pairs + [(1e307, 20.0), (1e308, 20.0), (1.7e308, 20.0)]
+
+
+def test_euler_symbol_from_the_panel_weights_equals_the_three_node_integral(monkeypatch):
+    # c0 = lam hB, c1 = lam (hA + d hB) and d of one panel are, bit for bit,
+    # rows 1 and 2 of lam R(lam) e_1 on three nodes and exp(-lam h), and
+    # they are what the Euler power reads (caught at its tail bound)
+    from semiflow import operators
+    from semiflow._kernels import _scalar_decay_weights
+
+    class Seen(Exception):
+        pass
+
+    def seen(c0, c1, d, k, tail):
+        raise Seen(c0, c1, d)
+
+    monkeypatch.setattr(operators, "_log_tail_bound", seen)
+    e1 = np.array([0.0, 1.0, 0.0])
+    pairs = _euler_symbol_sweep()
+    assert len(pairs) > 60000 and sum(math.isinf(lam * h) for lam, h in pairs) == 3
+    for lam, h in pairs:
+        _, c0, c1 = (lam * damped_cumulative_integral(e1, h, lam)).tolist()
+        old = (c0, c1, float(np.exp(-lam * h)))
+        d, ha, hb = _scalar_decay_weights(lam, h)
+        new = (lam * hb, lam * (ha + d * hb), d)
+        assert np.array_equal(np.array(new), np.array(old)), (lam, h, new, old)
+        assert [math.copysign(1.0, v) for v in new] == [math.copysign(1.0, v) for v in old]
+        if d < 1.0:  # where d rounds to 1 no tail bound is taken
+            with pytest.raises(Seen) as info:
+                operators._toeplitz_step_power(lam, h, 1, np.array([1.0, 0.0]))
+            assert info.value.args == new, (lam, h)

@@ -61,7 +61,8 @@ under each solver, whose gain overflows (exits 2).  Then three more:
 spectral Euler powers), ``check --operator right_translation --samples 6``
 (a sample library whose last cycle of four kinds is cut short) and
 ``simulate --solver upwind --t 3`` on the two-cycle with absorption -300,
-a decay strong enough to bound the upwind step: fifty in all.
+a decay under which the factor 1 + dt q at the CFL step would be negative
+(the march's exact factor e^{dt q} needs no shorter step): fifty in all.
 Every invocation runs with ``COLUMNS=80``, so that the width of
 argparse's text does not depend on the terminal.
 """
